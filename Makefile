@@ -146,11 +146,10 @@ fleet-soak:
 
 # A2DP soak tier: the multi-session capacity experiment (SessionManager
 # over one shared pool). The package tests cover admission projection,
-# EDF replay and the shedding budget's fairness under the race
-# detector; the bluefi-eval soak then ramps sessions to the admission
-# knee, gates on ≥3 admitted sessions each shipping above the global
-# floor on the clean pool, EDF not losing to FIFO on the contended
-# schedule, a valid admit/reject flight bundle, and the fault storm
+# the EDF replay and the ship-floor ledger under the race detector; the
+# bluefi-eval soak then ramps sessions to the admission knee, gates on
+# ≥3 admitted sessions each shipping above the global floor on the
+# clean pool, a valid admit/reject flight bundle, and the fault storm
 # keeping the fleet at the floor — then appends the capacity curve to
 # BENCH_eval.json. See DESIGN.md §14.
 .PHONY: a2dp-soak

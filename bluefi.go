@@ -165,12 +165,9 @@ type Options struct {
 	// Overload selects what a full queue does with new jobs: Block
 	// (default), Reject, or DropOldest.
 	Overload OverloadPolicy
-	// EDF orders the pool's job queue earliest-deadline-first instead of
-	// FIFO: audio streams stamp every segment job with its Bluetooth
-	// slot clock, so under load the segment closest to its 625 µs slot
-	// runs first, deadline-less batch jobs yield to real-time work, and
-	// DropOldest evicts the job with the most slack to spare. What a
-	// multi-session A2DP deployment wants; see DESIGN.md §14.
+	// Deprecated: EDF has no effect. The pool's job queue always runs
+	// deadline-stamped jobs earliest-deadline-first and deadline-less
+	// jobs FIFO behind them (DESIGN.md §14.3).
 	EDF bool
 }
 

@@ -61,7 +61,7 @@ func TestChaosQueuePolicies(t *testing.T) {
 	mkJob := func() *poolJob { return &poolJob{done: make(chan struct{})} }
 
 	t.Run("Reject", func(t *testing.T) {
-		q := newJobQueue(2, Reject, false, nil)
+		q := newJobQueue(2, Reject, nil)
 		if err := q.push(mkJob()); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestChaosQueuePolicies(t *testing.T) {
 	})
 
 	t.Run("DropOldest", func(t *testing.T) {
-		q := newJobQueue(1, DropOldest, false, nil)
+		q := newJobQueue(1, DropOldest, nil)
 		oldest := mkJob()
 		if err := q.push(oldest); err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestChaosQueuePolicies(t *testing.T) {
 	})
 
 	t.Run("Block", func(t *testing.T) {
-		q := newJobQueue(1, Block, false, nil)
+		q := newJobQueue(1, Block, nil)
 		if err := q.push(mkJob()); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestChaosQueuePolicies(t *testing.T) {
 	})
 
 	t.Run("Closed", func(t *testing.T) {
-		q := newJobQueue(2, Block, false, nil)
+		q := newJobQueue(2, Block, nil)
 		queued := mkJob()
 		if err := q.push(queued); err != nil {
 			t.Fatal(err)
@@ -474,11 +474,11 @@ func TestChaosDisabledFaultsAreFree(t *testing.T) {
 }
 
 // TestChaosMultiSessionStorm is the multi-session acceptance storm
-// (DESIGN.md §14): a fleet of sessions over one EDF pool, rapid
-// add/remove while a seeded fault storm is running, the global shedding
-// budget holding the fleet ship floor, no session starved below its
-// share, the flight recorder capturing the admission/eviction/budget
-// events, and no goroutines leaked. Runs under `make chaos` (-race).
+// (DESIGN.md §14): a fleet of sessions over one pool, rapid add/remove
+// while a seeded fault storm is running, the shared ship-floor ledger
+// holding the fleet floor, no session starved of shipped packets, the
+// flight recorder capturing the admission/eviction/budget events, and
+// no goroutines leaked. Runs under `make chaos` (-race).
 func TestChaosMultiSessionStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
@@ -490,7 +490,6 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 	pool, err := NewPool(Options{
 		Mode:      RealTime,
 		Telemetry: reg,
-		EDF:       true,
 		Faults: &FaultPlan{
 			Seed:             2,
 			WorkerPanicRate:  0.02,
@@ -508,6 +507,9 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 	sm, err := pool.NewSessionManager(SessionManagerConfig{
 		ServiceSlots:   0.15,
 		AdmissionQueue: 2,
+		// Escalate fast, so the storm keeps sessions in Shedding long
+		// enough for the shared ledger's floor to bind.
+		Degrade: DegradePolicy{MissesToDegrade: 1, MissesToShed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -608,9 +610,9 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 		t.Fatalf("%d churn cycles ran, want 2", churns)
 	}
 
-	// Fleet accounting across every session that ever lived: the global
-	// shedding budget must have held the floor (evictions trim the
-	// budget's own view, so allow a small margin on the handle sum).
+	// Fleet accounting across every session that ever lived: the shared
+	// ledger must have held the floor (it only counts packets sent while
+	// a session was live, so allow a small margin on the handle sum).
 	var shipped, dropped uint64
 	for _, m := range all {
 		rep := m.s.Report()
@@ -629,14 +631,6 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 			t.Fatalf("budget report shipped ratio %.3f below the 0.8 floor", r)
 		}
 	}
-	// No live session starved below its share: sessions that kept
-	// requesting drops must have been granted some.
-	for _, s := range brep.Sessions {
-		if s.Requested >= 10 && s.Dropped == 0 {
-			t.Errorf("session %s requested %d drops, granted none — starved out of the budget", s.ID, s.Requested)
-		}
-	}
-
 	// The flight bundle must carry the session lifecycle events.
 	dir := t.TempDir()
 	bundle, err := rec.Dump(dir, reg, "a2dp-chaos")

@@ -3,16 +3,14 @@ package main
 // A2DP capacity soak (-a2dp-soak): ramp concurrent sessions over one
 // shared pool until the admission controller refuses, check the
 // projected capacity curve against measured delivery below the knee,
-// replay the contended schedule under EDF and FIFO, and run the fault
-// storm with the multi-session SLOs in the loop. The gates:
+// and run the fault storm with the multi-session SLOs in the loop. The
+// gates:
 //
 //   - the knee exists and admits at least -a2dp-min-sessions;
 //   - the capacity curve is monotone and every admitted level projects
 //     a miss ratio inside the admission budget;
 //   - every admitted session actually ships ≥ the global floor on the
 //     clean pool, with zero deadline misses;
-//   - EDF does not lose to FIFO on deadline misses or p99 slack over
-//     the contended (knee+1) job set;
 //   - the ramp dumps a flight bundle carrying the admit/reject trail;
 //   - through the storm, at least -a2dp-min-sessions sessions are still
 //     shipping at or above the floor when the first SLO page fires (or
@@ -22,10 +20,7 @@ package main
 // `make a2dp-soak` runs this in CI.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 
 	"bluefi/internal/eval"
 )
@@ -68,14 +63,6 @@ func runA2DPSoak(path, flightDir string, minSessions int) error {
 			return fmt.Errorf("session %s missed %d deadlines below the knee", m.ID, m.DeadlineMisses)
 		}
 	}
-	if res.EDF.MissRatio > res.FIFO.MissRatio {
-		return fmt.Errorf("EDF misses %.4f exceed FIFO's %.4f on the contended set",
-			res.EDF.MissRatio, res.FIFO.MissRatio)
-	}
-	if res.EDF.P99SlackSlots < res.FIFO.P99SlackSlots {
-		return fmt.Errorf("EDF p99 slack %.2f slots under FIFO's %.2f on the contended set",
-			res.EDF.P99SlackSlots, res.FIFO.P99SlackSlots)
-	}
 	if res.RampBundle == "" || res.AdmitEvents != res.Knee || res.RejectEvents < 1 {
 		return fmt.Errorf("ramp flight bundle %q carries %d admit / %d reject events, want %d / ≥1",
 			res.RampBundle, res.AdmitEvents, res.RejectEvents, res.Knee)
@@ -92,28 +79,5 @@ func runA2DPSoak(path, flightDir string, minSessions int) error {
 	if st.ShippedRatio < 0.75 {
 		return fmt.Errorf("storm fleet shipped %.3f, want ≥ 0.75", st.ShippedRatio)
 	}
-	return appendA2DPCapacity(path, res)
-}
-
-// appendA2DPCapacity merges the soak result into the benchmark JSON
-// under "a2dpCapacity", leaving every other key untouched.
-func appendA2DPCapacity(path string, res *eval.A2DPSoakResult) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc["a2dpCapacity"] = res
-	data, err := json.MarshalIndent(doc, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("a2dp capacity snapshot → %s\n", path)
-	return nil
+	return mergeBench(path, "a2dpCapacity", res, false)
 }

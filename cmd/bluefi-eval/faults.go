@@ -10,11 +10,8 @@ package main
 // ns/op.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"bluefi"
@@ -126,30 +123,5 @@ func runFaults(scenario, path string, sends int) error {
 		scenario, rep.Sends, rep.Injected, 100*frac, srep.Shipped, total, rep.FinalState, recovered)
 	fmt.Printf("  time in state (slots): healthy=%d degraded=%d shedding=%d, %d transitions\n",
 		srep.TimeInStateSlots[0], srep.TimeInStateSlots[1], srep.TimeInStateSlots[2], srep.Transitions)
-	return appendFaultReport(path, rep)
-}
-
-// appendFaultReport merges the report into the snapshot JSON without
-// disturbing the benchmark keys: the file round-trips through a generic
-// map and only "faultScenarios" is touched.
-func appendFaultReport(path string, rep degradationReport) error {
-	snap := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	prev, _ := snap["faultScenarios"].([]any)
-	snap["faultScenarios"] = append(prev, rep)
-	data, err := json.MarshalIndent(snap, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("appended scenario %q to %s\n", rep.Scenario, path)
-	return nil
+	return mergeBench(path, "faultScenarios", rep, true)
 }

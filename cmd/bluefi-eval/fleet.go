@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -111,28 +110,5 @@ func runFleetSoak(path string, cfg eval.FleetSoakConfig) error {
 	if len(sk.HotKeys) == 0 || len(sk.HotShards) == 0 {
 		return errors.New("heavy-hitter sketches empty after the soak")
 	}
-	return appendFleetCapacity(path, res)
-}
-
-// appendFleetCapacity merges the soak result into the benchmark JSON
-// under "fleetCapacity", leaving every other key untouched.
-func appendFleetCapacity(path string, res *eval.FleetSoakResult) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc["fleetCapacity"] = res
-	data, err := json.MarshalIndent(doc, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("fleet capacity snapshot → %s\n", path)
-	return nil
+	return mergeBench(path, "fleetCapacity", res, false)
 }

@@ -14,10 +14,12 @@
 //	bluefi-eval -e2e                   # TX→RX conformance matrix → scanner PDR snapshot
 //	bluefi-eval -fleet :8400           # beacon-CDN control plane + telemetry
 //	bluefi-eval -fleet-soak            # capacity soak + cache-hit-rate gate (CI)
-//	bluefi-eval -a2dp-soak             # multi-session A2DP capacity knee + EDF gate (CI)
+//	bluefi-eval -a2dp-soak             # multi-session A2DP capacity knee + fault storm (CI)
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +48,7 @@ func main() {
 	fleetBeacons := flag.Int("fleet-beacons", 100000, "registrations for -fleet-soak")
 	fleetUnique := flag.Int("fleet-unique", 64, "distinct advertisement payloads for -fleet-soak")
 	fleetSeed := flag.Int64("fleet-seed", 8, "workload seed for -fleet-soak")
-	a2dpSoak := flag.Bool("a2dp-soak", false, "run the multi-session A2DP capacity soak: ramp sessions to the admission knee, gate on delivery below it and EDF-vs-FIFO slack, and append the capacity curve to -bench-out")
+	a2dpSoak := flag.Bool("a2dp-soak", false, "run the multi-session A2DP capacity soak: ramp sessions to the admission knee, gate on delivery below it and through a fault storm, and append the capacity curve to -bench-out")
 	a2dpMinSessions := flag.Int("a2dp-min-sessions", 3, "minimum sessions the -a2dp-soak knee (and the storm's at-floor count) must sustain")
 	flag.Parse()
 
@@ -278,4 +280,32 @@ func main() {
 		fmt.Print(eval.FormatTimings(res))
 		return nil
 	})
+}
+
+// mergeBench merges value into the benchmark JSON at path under key,
+// leaving every other key untouched: it replaces the key's value, or
+// with appendToList appends value to the list stored there.
+func mergeBench(path, key string, value any, appendToList bool) error {
+	doc := map[string]any{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return fmt.Errorf("existing %s is not JSON: %w", path, err)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if appendToList {
+		prev, _ := doc[key].([]any)
+		value = append(prev, value)
+	}
+	doc[key] = value
+	data, err := json.MarshalIndent(doc, "", "\t")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("merged %s into %s\n", key, path)
+	return nil
 }

@@ -22,9 +22,6 @@ import (
 type SessionDemand struct {
 	// ID names the session (deterministic tie-breaks, diagnostics).
 	ID string
-	// Weight is the session's fairness weight (informational here; the
-	// shedding budget consumes it).
-	Weight float64
 	// SegmentsPerPacket is how many L2CAP segments (pool jobs) one media
 	// packet fans out into.
 	SegmentsPerPacket int
@@ -110,8 +107,8 @@ type Projection struct {
 // deadline, then per session HorizonPackets packets, each fanning into
 // SegmentsPerPacket jobs arriving together (the stream submits a Send's
 // segments at once) with staggered per-segment slot deadlines. Demands
-// are ordered by ID first so the sequence numbers — and therefore FIFO
-// order and EDF tie-breaks — never depend on caller map iteration.
+// are ordered by ID first so the sequence numbers — and therefore the
+// EDF tie-breaks — never depend on caller map iteration.
 func BuildJobs(demands []SessionDemand, cfg AdmissionConfig) []SlotJob {
 	cfg = cfg.withDefaults()
 	ordered := append([]SessionDemand(nil), demands...)
@@ -174,7 +171,7 @@ func BuildJobs(demands []SessionDemand, cfg AdmissionConfig) []SlotJob {
 func ProjectAdmission(demands []SessionDemand, cfg AdmissionConfig) Projection {
 	cfg = cfg.withDefaults()
 	jobs := BuildJobs(demands, cfg)
-	sim := Simulate(jobs, cfg.Workers, true)
+	sim := Simulate(jobs, cfg.Workers)
 
 	// Sum offered load in sorted-ID order so float accumulation never
 	// depends on caller ordering.

@@ -2,69 +2,46 @@ package a2dp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"bluefi/internal/obs"
 )
 
-// Global shedding budget (DESIGN.md §14): with one stream, an isolated
-// ShipFloor (ship ≥ 80% even while Shedding) is the whole contract.
-// With N streams on one pool, isolated floors compose badly — every
-// stream may legally sit at its floor simultaneously, so the fleet
-// ships exactly the floor with no way to trade headroom between a
-// struggling session and nine healthy ones. The ShedBudget replaces the
-// per-stream check with one fleet-wide drop budget, allocated across
-// sessions by weighted max-min fairness:
+// Ship-floor ledger (DESIGN.md §14.2): every Governor asks a ledger
+// before it sheds a media packet. A lone stream owns a private ledger
+// built from its ShipFloor; a SessionManager shares one ledger across
+// its sessions, so the floor holds for the fleet instead of per stream.
+// One rule decides every drop, counting the packet about to be dropped:
 //
-//	capacity  B = (1 − GlobalShipFloor) × (total packets + 1)
-//	demand    dᵢ = the session's cumulative shed *requests* (plus fault
-//	               losses, which consume share whether granted or not)
-//	allocation = water-filling: find the level λ with
-//	               Σⱼ min(dⱼ, λ·wⱼ) = B
-//	             and give session i  min(dᵢ, λ·wᵢ)
+//	dropped + 1 ≤ (1 − floor) × (shipped + dropped + 1)
 //
-// A drop is granted only while BOTH hold: the fleet-wide drop count
-// stays within B (the global floor is a hard contract), and the
-// session's own drops stay within its allocation (a greedy session
-// cannot starve others out of the budget — under contention each
-// contender keeps at least its weighted share). Uncontended
-// (Σ demands ≤ B) every request is granted, which is exactly the lone-
-// stream behavior.
+// The totals are cumulative over each session while it is live: a
+// session's packets count from Register until Unregister, and an
+// eviction does not subtract the history it left behind. Grants for IDs
+// outside the live set are denied, so an evicted stream never sheds
+// again.
 //
-// Determinism contract: all state is counters mutated under one lock;
-// the water-fill iterates sessions in sorted-ID order, so a replayed
-// sequence of Grant/Record calls produces bit-identical decisions —
-// there is no wall clock, no randomness, and no map-order dependence
-// anywhere in the arithmetic.
+// Determinism contract: all state is counters mutated under one lock,
+// so a replayed sequence of Grant/Record calls produces bit-identical
+// decisions — no wall clock, no randomness, no map-order dependence.
 
-// ShedBudgetConfig parameterizes the fleet-wide budget.
+// ShedBudgetConfig parameterizes a ledger.
 type ShedBudgetConfig struct {
-	// GlobalShipFloor is the minimum fleet-wide shipped fraction
-	// (default 0.8, matching the single-stream chaos bound).
+	// GlobalShipFloor is the minimum shipped fraction the ledger keeps
+	// (≤0 or NaN = 0.8, matching the single-stream chaos bound; ≥1 =
+	// never shed).
 	GlobalShipFloor float64
 	// Telemetry, when non-nil, receives the grant/denial counters and
 	// the session.budget_exhausted flight event.
 	Telemetry *obs.Registry
 }
 
-// shedSession is one registered stream's accounting.
-type shedSession struct {
-	weight    float64
-	requested uint64 // Grant calls (granted or not)
-	shipped   uint64
-	dropped   uint64 // granted sheds plus fault losses
-}
-
-// budgetMetrics holds the budget's telemetry handles; nil disables them
+// budgetMetrics holds the ledger's telemetry handles; nil disables them
 // at one branch per record.
 type budgetMetrics struct {
-	reg          *obs.Registry
-	grants       *obs.Counter
-	denyBudget   *obs.Counter
-	denyShare    *obs.Counter
-	shippedTotal *obs.Counter
-	droppedTotal *obs.Counter
+	reg    *obs.Registry
+	grants *obs.Counter
+	denied *obs.Counter
 }
 
 func newBudgetMetrics(r *obs.Registry) *budgetMetrics {
@@ -75,108 +52,77 @@ func newBudgetMetrics(r *obs.Registry) *budgetMetrics {
 		reg: r,
 		grants: r.Counter("bluefi_a2dp_session_shed_grants_total",
 			"drop requests granted by the global shedding budget"),
-		denyBudget: r.Counter("bluefi_a2dp_session_shed_denials_total",
+		denied: r.Counter("bluefi_a2dp_session_shed_denials_total",
 			"drop requests denied", obs.L("reason", "budget")),
-		denyShare: r.Counter("bluefi_a2dp_session_shed_denials_total",
-			"drop requests denied", obs.L("reason", "share")),
-		shippedTotal: r.Counter("bluefi_a2dp_session_budget_shipped_total",
-			"media packets shipped under the coordinated budget"),
-		droppedTotal: r.Counter("bluefi_a2dp_session_budget_dropped_total",
-			"media packets dropped under the coordinated budget"),
 	}
 }
 
-// ShedBudget coordinates the Shedding decisions of N governors over one
-// fleet-wide drop budget. Safe for concurrent use.
+// ShedBudget is the ship-floor ledger. Safe for concurrent use.
 type ShedBudget struct {
 	floor float64
 	met   *budgetMetrics
 
 	mu        sync.Mutex
-	sessions  map[string]*shedSession // guarded by mu
-	order     []string                // guarded by mu; sorted IDs
-	grants    uint64                  // guarded by mu
-	denials   uint64                  // guarded by mu
-	exhausted bool                    // guarded by mu; debounces the flight event
+	live      map[string]bool // guarded by mu
+	shipped   uint64          // guarded by mu
+	dropped   uint64          // guarded by mu; granted sheds plus fault losses
+	grants    uint64          // guarded by mu
+	denials   uint64          // guarded by mu
+	exhausted bool            // guarded by mu; debounces the flight event
 }
 
-// NewShedBudget builds an empty budget.
+// NewShedBudget builds an empty ledger.
 func NewShedBudget(cfg ShedBudgetConfig) *ShedBudget {
 	floor := cfg.GlobalShipFloor
-	if floor <= 0 || floor >= 1 {
+	if !(floor > 0) { // also catches NaN
 		floor = 0.8
 	}
 	return &ShedBudget{
-		floor:    floor,
-		met:      newBudgetMetrics(cfg.Telemetry),
-		sessions: make(map[string]*shedSession),
+		floor: floor,
+		met:   newBudgetMetrics(cfg.Telemetry),
+		live:  make(map[string]bool),
 	}
 }
 
-// GlobalShipFloor returns the fleet-wide shipped-fraction floor.
+// GlobalShipFloor returns the ledger's shipped-fraction floor.
 func (b *ShedBudget) GlobalShipFloor() float64 { return b.floor }
 
-// Register adds a session with the given fairness weight (≤0 defaults
-// to 1). Duplicate IDs are an error: the budget's counters are per
-// stream and must not be shared.
-func (b *ShedBudget) Register(id string, weight float64) error {
-	if weight <= 0 {
-		weight = 1
-	}
+// Register adds a session to the live set. Duplicate IDs are an error:
+// two streams must not share one identity in the ledger.
+func (b *ShedBudget) Register(id string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if _, ok := b.sessions[id]; ok {
+	if b.live[id] {
 		return fmt.Errorf("a2dp: session %q already registered with the shed budget", id)
 	}
-	b.sessions[id] = &shedSession{weight: weight}
-	b.order = append(b.order, id)
-	sort.Strings(b.order)
+	b.live[id] = true
 	return nil
 }
 
-// Unregister removes a session and its accounting; the budget covers
-// live sessions only. Grants for unregistered IDs are always denied
-// (without counting), so an evicted stream keeps shipping everything.
+// Unregister removes a session from the live set; its recorded packets
+// stay in the totals. Idempotent.
 func (b *ShedBudget) Unregister(id string) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.sessions[id]; !ok {
-		return
-	}
-	delete(b.sessions, id)
-	for i, o := range b.order {
-		if o == id {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
+	delete(b.live, id)
+	b.mu.Unlock()
 }
 
 // Grant asks permission to shed one media packet of the session. The
-// request is counted as demand whether or not it is granted; the caller
-// must follow a granted request with RecordDropped (the stream's drop
-// path does this via the governor).
+// caller must follow a granted request with RecordDropped (the stream's
+// drop path does this via the governor). IDs outside the live set are
+// denied without counting.
 func (b *ShedBudget) Grant(id string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := b.sessions[id]
-	if s == nil {
+	if !b.live[id] {
 		return false
 	}
-	s.requested++
-
-	var totalPackets, totalDropped uint64
-	for _, o := range b.order {
-		ss := b.sessions[o]
-		totalPackets += ss.shipped + ss.dropped
-		totalDropped += ss.dropped
-	}
 	// Capacity counts the packet about to be dropped.
-	capacity := (1 - b.floor) * float64(totalPackets+1)
-	if float64(totalDropped+1) > capacity {
+	capacity := (1 - b.floor) * float64(b.shipped+b.dropped+1)
+	if float64(b.dropped+1) > capacity {
 		b.denials++
 		if b.met != nil {
-			b.met.denyBudget.Inc()
+			b.met.denied.Inc()
 			// Edge-triggered: one flight event per excursion into
 			// exhaustion, not one per denied packet — a storm would
 			// otherwise flood the recorder's ring.
@@ -188,13 +134,6 @@ func (b *ShedBudget) Grant(id string) bool {
 		b.exhausted = true
 		return false
 	}
-	if float64(s.dropped+1) > b.allocLocked(id, capacity, true) {
-		b.denials++
-		if b.met != nil {
-			b.met.denyShare.Inc()
-		}
-		return false
-	}
 	b.grants++
 	b.exhausted = false
 	if b.met != nil {
@@ -203,152 +142,48 @@ func (b *ShedBudget) Grant(id string) bool {
 	return true
 }
 
-// allocLocked water-fills the drop capacity across the sessions'
-// demands and returns the allocation of id. Demands are cumulative shed
-// requests (or fault losses where larger — losses consume share too);
-// with candidate set, id's demand also covers the drop being decided.
-func (b *ShedBudget) allocLocked(id string, capacity float64, candidate bool) float64 {
-	type dem struct {
-		id   string
-		d, w float64
-	}
-	dems := make([]dem, 0, len(b.order))
-	var sumDemand float64
-	for _, o := range b.order {
-		ss := b.sessions[o]
-		d := float64(ss.requested)
-		if fd := float64(ss.dropped); fd > d {
-			d = fd
-		}
-		if candidate && o == id && float64(ss.dropped+1) > d {
-			d = float64(ss.dropped + 1)
-		}
-		dems = append(dems, dem{o, d, ss.weight})
-		sumDemand += d
-	}
-	if sumDemand <= capacity {
-		// Uncontended: every demand fits, every session gets its own.
-		for _, e := range dems {
-			if e.id == id {
-				return e.d
-			}
-		}
-		return 0
-	}
-	// Water-fill: raise the level λ until Σ min(dⱼ, λ·wⱼ) = capacity.
-	// Sessions saturate (alloc = demand) in increasing d/w order; the
-	// sort ties on ID so float summation order is reproducible.
-	sort.Slice(dems, func(i, j int) bool {
-		li, lj := dems[i].d/dems[i].w, dems[j].d/dems[j].w
-		if li != lj {
-			return li < lj
-		}
-		return dems[i].id < dems[j].id
-	})
-	rem := capacity
-	wsum := 0.0
-	for _, e := range dems {
-		wsum += e.w
-	}
-	var level float64
-	for _, e := range dems {
-		sat := e.d / e.w
-		if sat*wsum >= rem {
-			level = rem / wsum
-			break
-		}
-		rem -= e.d
-		wsum -= e.w
-		level = sat // everything saturated so far; keep the last level
-	}
-	for _, e := range dems {
-		if e.id == id {
-			alloc := level * e.w
-			if alloc > e.d {
-				alloc = e.d
-			}
-			return alloc
-		}
-	}
-	return 0
-}
-
-// RecordShipped credits n shipped packets to the session (no-op for
-// unregistered IDs).
-func (b *ShedBudget) RecordShipped(id string, n int) {
-	if n <= 0 {
-		return
-	}
-	b.mu.Lock()
-	if s := b.sessions[id]; s != nil {
-		s.shipped += uint64(n)
-	}
-	b.mu.Unlock()
-	if b.met != nil {
-		b.met.shippedTotal.Add(int64(n))
-	}
-}
+// RecordShipped credits n shipped packets (no-op for IDs outside the
+// live set).
+func (b *ShedBudget) RecordShipped(id string, n int) { b.record(id, n, false) }
 
 // RecordDropped charges n dropped packets — granted sheds and fault
-// losses alike — to the session (no-op for unregistered IDs).
-func (b *ShedBudget) RecordDropped(id string, n int) {
+// losses alike (no-op for IDs outside the live set).
+func (b *ShedBudget) RecordDropped(id string, n int) { b.record(id, n, true) }
+
+func (b *ShedBudget) record(id string, n int, dropped bool) {
 	if n <= 0 {
 		return
 	}
 	b.mu.Lock()
-	if s := b.sessions[id]; s != nil {
-		s.dropped += uint64(n)
+	defer b.mu.Unlock()
+	if !b.live[id] {
+		return
 	}
-	b.mu.Unlock()
-	if b.met != nil {
-		b.met.droppedTotal.Add(int64(n))
+	if dropped {
+		b.dropped += uint64(n)
+	} else {
+		b.shipped += uint64(n)
 	}
 }
 
-// SessionShare is one session's slice of a ShedBudgetReport.
-type SessionShare struct {
-	ID        string  `json:"id"`
-	Weight    float64 `json:"weight"`
-	Requested uint64  `json:"requested"`
-	Shipped   uint64  `json:"shipped"`
-	Dropped   uint64  `json:"dropped"`
-	// Alloc is the session's current water-filled drop allocation.
-	Alloc float64 `json:"alloc"`
-}
-
-// ShedBudgetReport is a point-in-time summary of the fleet-wide budget.
+// ShedBudgetReport is a point-in-time summary of the ledger.
 type ShedBudgetReport struct {
-	GlobalShipFloor float64        `json:"globalShipFloor"`
-	TotalShipped    uint64         `json:"totalShipped"`
-	TotalDropped    uint64         `json:"totalDropped"`
-	Grants          uint64         `json:"grants"`
-	Denials         uint64         `json:"denials"`
-	Sessions        []SessionShare `json:"sessions"`
+	GlobalShipFloor float64 `json:"globalShipFloor"`
+	TotalShipped    uint64  `json:"totalShipped"`
+	TotalDropped    uint64  `json:"totalDropped"`
+	Grants          uint64  `json:"grants"`
+	Denials         uint64  `json:"denials"`
 }
 
-// Report returns the current summary, sessions in sorted-ID order.
+// Report returns the current summary.
 func (b *ShedBudget) Report() ShedBudgetReport {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	rep := ShedBudgetReport{GlobalShipFloor: b.floor, Grants: b.grants, Denials: b.denials}
-	var totalPackets uint64
-	for _, o := range b.order {
-		ss := b.sessions[o]
-		rep.TotalShipped += ss.shipped
-		rep.TotalDropped += ss.dropped
-		totalPackets += ss.shipped + ss.dropped
+	return ShedBudgetReport{
+		GlobalShipFloor: b.floor,
+		TotalShipped:    b.shipped,
+		TotalDropped:    b.dropped,
+		Grants:          b.grants,
+		Denials:         b.denials,
 	}
-	capacity := (1 - b.floor) * float64(totalPackets)
-	for _, o := range b.order {
-		ss := b.sessions[o]
-		rep.Sessions = append(rep.Sessions, SessionShare{
-			ID:        o,
-			Weight:    ss.weight,
-			Requested: ss.requested,
-			Shipped:   ss.shipped,
-			Dropped:   ss.dropped,
-			Alloc:     b.allocLocked(o, capacity, false),
-		})
-	}
-	return rep
 }

@@ -58,7 +58,7 @@ func TestLoneGovernorShipFloorRegression(t *testing.T) {
 // with.
 func TestCoordinatedGovernorMatchesLoneFloor(t *testing.T) {
 	b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 0.8})
-	if err := b.Register("solo", 1); err != nil {
+	if err := b.Register("solo"); err != nil {
 		t.Fatal(err)
 	}
 	g := NewGovernor(PolicyConfig{Coordinator: b, SessionID: "solo"}, 53, 3)
@@ -79,12 +79,13 @@ func TestCoordinatedGovernorMatchesLoneFloor(t *testing.T) {
 
 // TestCoordinatedGovernorSharesBudget: two coordinated governors in
 // Shedding must both keep shedding (neither starved) while the fleet
-// floor holds — the max-min replacement for isolated per-stream floors.
+// floor holds — one shared ledger in place of isolated per-stream
+// floors.
 func TestCoordinatedGovernorSharesBudget(t *testing.T) {
 	b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 0.8})
 	govs := map[string]*Governor{}
 	for _, id := range []string{"one", "two"} {
-		if err := b.Register(id, 1); err != nil {
+		if err := b.Register(id); err != nil {
 			t.Fatal(err)
 		}
 		govs[id] = NewGovernor(PolicyConfig{Coordinator: b, SessionID: id}, 53, 3)
@@ -116,8 +117,8 @@ func TestCoordinatedGovernorSharesBudget(t *testing.T) {
 	if shipped < 0.8 {
 		t.Fatalf("fleet shipped %.3f under two-way contention, floor is 0.8", shipped)
 	}
-	// Report must never consume budget demand: a read-only Report
-	// in between decisions must not change the next decision.
+	// Report must never touch the ledger: a read-only Report in between
+	// decisions must not change the accounting.
 	before := govs["one"].Report()
 	_ = b.Report()
 	after := govs["one"].Report()

@@ -13,10 +13,11 @@ import (
 // stamped jobs earliest-deadline-first, and the admission controller
 // projects headroom for a candidate session set by replaying its
 // steady-state job arrivals through the deterministic virtual-slot-time
-// simulator below. Everything here is pure integer/float arithmetic
-// over explicit inputs: same jobs, same worker count, same answer, on
-// any host — which is what lets the capacity-knee soak gate on EDF
-// beating FIFO without touching the wall clock.
+// simulator below, which picks jobs in the same order the pool does.
+// Everything here is pure integer/float arithmetic over explicit
+// inputs: same jobs, same worker count, same answer, on any host —
+// which is what lets the capacity-knee soak gate on the projection
+// without touching the wall clock.
 
 // SlotJob is one synthesis job expressed in slot time: it arrives (is
 // submitted) at ArrivalSlot, needs ServiceSlots of one worker, and its
@@ -28,8 +29,8 @@ type SlotJob struct {
 	// Session names the owning stream; part of the deterministic
 	// tie-break so replays are byte-stable.
 	Session string
-	// Seq is the submission order across the whole job set — the FIFO
-	// order, and the final EDF tie-break.
+	// Seq is the submission order across the whole job set — the final
+	// EDF tie-break.
 	Seq uint64
 	// ArrivalSlot, DeadlineSlot and ServiceSlots are in 625 µs slots
 	// (fractional values allowed).
@@ -73,11 +74,11 @@ type SimResult struct {
 }
 
 // Simulate runs the job set on `workers` identical workers in virtual
-// slot time, non-preemptively, picking the next job under EDF (true) or
-// FIFO submission order (false). It is side-effect-free and fully
-// deterministic; the admission controller and the capacity-knee soak
-// share it so "projected" and "gated" mean the same schedule.
-func Simulate(jobs []SlotJob, workers int, edf bool) SimResult {
+// slot time, non-preemptively, picking the ready job that sorts first
+// under EDFLess. It is side-effect-free and fully deterministic; the
+// admission controller and the capacity-knee soak share it so
+// "projected" and "gated" mean the same schedule.
+func Simulate(jobs []SlotJob, workers int) SimResult {
 	if workers < 1 {
 		workers = 1
 	}
@@ -86,8 +87,8 @@ func Simulate(jobs []SlotJob, workers int, edf bool) SimResult {
 		return res
 	}
 
-	// Arrival order (the FIFO order): by arrival slot, then submission
-	// sequence. Indices into jobs keep the caller's slice untouched.
+	// Arrival order: by arrival slot, then submission sequence. Indices
+	// into jobs keep the caller's slice untouched.
 	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
@@ -127,14 +128,10 @@ func Simulate(jobs []SlotJob, workers int, edf bool) SimResult {
 				next++
 			}
 		}
-		// ready holds indices in FIFO (arrival, seq) order by
-		// construction; EDF scans for the earliest deadline instead.
 		pick := 0
-		if edf {
-			for i := 1; i < len(ready); i++ {
-				if EDFLess(jobs[ready[i]], jobs[ready[pick]]) {
-					pick = i
-				}
+		for i := 1; i < len(ready); i++ {
+			if EDFLess(jobs[ready[i]], jobs[ready[pick]]) {
+				pick = i
 			}
 		}
 		j := jobs[ready[pick]]

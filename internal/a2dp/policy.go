@@ -74,17 +74,13 @@ type PolicyConfig struct {
 	// single cleanest channel).
 	DegradedBestChannels int
 	// ShipFloor is the minimum fraction of media packets that must ship
-	// even while Shedding (default 0.8, the chaos-suite bound). Ignored
-	// while Coordinator is set: the fleet-wide budget owns the floor.
+	// even while Shedding (default 0.8, the chaos-suite bound). It builds
+	// the lone stream's private ledger; ignored while Coordinator is set.
 	ShipFloor float64
-	// Coordinator, when non-nil, couples this governor into a fleet-wide
-	// shedding budget (see ShedBudget and DESIGN.md §14): every
-	// prospective Shedding drop is requested from the budget — which
-	// applies the global ship floor and weighted max-min fairness across
-	// sessions — instead of the isolated per-stream ShipFloor check, and
-	// the shipped/dropped accounting is forwarded so the budget sees the
-	// fleet's true traffic. nil (the default) keeps the lone-stream
-	// semantics unchanged. SessionID names this stream in the budget and
+	// Coordinator, when non-nil, is a ship-floor ledger shared with other
+	// streams (see ShedBudget and DESIGN.md §14.2) that replaces the
+	// private one: drops are granted against the fleet's totals rather
+	// than this stream's. SessionID names this stream in the ledger and
 	// must match its Register call.
 	Coordinator *ShedBudget
 	SessionID   string
@@ -239,6 +235,7 @@ type Governor struct {
 	cfg          PolicyConfig // immutable after NewGovernor
 	baseBitpool  int          // immutable after NewGovernor
 	baseChannels int          // immutable after NewGovernor
+	ledger       *ShedBudget  // immutable after NewGovernor; decides every drop
 	met          *govMetrics
 
 	mu      sync.Mutex
@@ -253,10 +250,17 @@ type Governor struct {
 
 // NewGovernor builds a policy engine around the stream's baseline
 // quality: the configured SBC bitpool and best-channel count it returns
-// to when Healthy.
+// to when Healthy. Without a Coordinator the governor asks a private
+// ledger holding cfg.ShipFloor.
 func NewGovernor(cfg PolicyConfig, baseBitpool, baseChannels int) *Governor {
-	g := &Governor{cfg: cfg.withDefaults(), baseBitpool: baseBitpool, baseChannels: baseChannels,
-		met: newGovMetrics(cfg.Telemetry)}
+	cfg = cfg.withDefaults()
+	ledger := cfg.Coordinator
+	if ledger == nil {
+		ledger = NewShedBudget(ShedBudgetConfig{GlobalShipFloor: cfg.ShipFloor})
+		_ = ledger.Register(cfg.SessionID) // a fresh ledger has no duplicates
+	}
+	g := &Governor{cfg: cfg, baseBitpool: baseBitpool, baseChannels: baseChannels,
+		ledger: ledger, met: newGovMetrics(cfg.Telemetry)}
 	g.met.setState(Healthy)
 	return g
 }
@@ -302,9 +306,8 @@ func (g *Governor) transitionLocked(to Health) {
 }
 
 // decisionLocked maps the current state to knob targets. requestDrop
-// distinguishes a live Observe (a coordinated governor may consume one
-// unit of the fleet's drop budget) from a read-only Report, which must
-// never mutate budget demand.
+// distinguishes a live Observe (which asks the ledger for a drop) from
+// a read-only Report, which must never touch the ledger.
 func (g *Governor) decisionLocked(requestDrop bool) Decision {
 	d := Decision{State: g.state, Bitpool: g.baseBitpool, BestChannels: g.baseChannels}
 	steps := 0
@@ -327,43 +330,30 @@ func (g *Governor) decisionLocked(requestDrop bool) Decision {
 		}
 	}
 	if g.state == Shedding && requestDrop {
-		if g.cfg.Coordinator != nil {
-			// Coordinated: the fleet-wide budget decides, applying the
-			// global floor and weighted max-min fairness.
-			d.Drop = g.cfg.Coordinator.Grant(g.cfg.SessionID)
-		} else {
-			// Lone stream: shed only while the shipped fraction stays
-			// above the floor, counting the packet about to be dropped.
-			total := g.shipped + g.dropped + 1
-			d.Drop = float64(g.dropped+1) <= float64(total)*(1-g.cfg.ShipFloor)
-		}
+		d.Drop = g.ledger.Grant(g.cfg.SessionID)
 	}
 	return d
 }
 
-// RecordShipped counts media packets delivered to the caller,
-// forwarding to the coordinated budget when one is attached.
+// RecordShipped counts media packets delivered to the caller and
+// credits them to the ledger.
 func (g *Governor) RecordShipped(n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.shipped += uint64(n)
 	g.met.ship(int64(n))
-	if g.cfg.Coordinator != nil {
-		g.cfg.Coordinator.RecordShipped(g.cfg.SessionID, n)
-	}
+	g.ledger.RecordShipped(g.cfg.SessionID, n)
 }
 
-// RecordDropped counts media packets shed or lost — both consume the
-// coordinated budget when one is attached (a fault loss eats into the
-// session's fair share exactly like a granted shed).
+// RecordDropped counts media packets shed or lost — both are charged
+// to the ledger, so a fault loss eats into the floor exactly like a
+// granted shed.
 func (g *Governor) RecordDropped(n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.dropped += uint64(n)
 	g.met.drop(int64(n))
-	if g.cfg.Coordinator != nil {
-		g.cfg.Coordinator.RecordDropped(g.cfg.SessionID, n)
-	}
+	g.ledger.RecordDropped(g.cfg.SessionID, n)
 }
 
 // State returns the current health state.

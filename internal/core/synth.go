@@ -347,7 +347,14 @@ func New(opts Options) (*Synthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Synthesizer{opts: opts, mcs: mcs, il: il, mapper: wifi.NewMapper(mcs.Modulation), plan: plan, tx: tx, mod: mod}
+	// The nominal Bluetooth channel filter every in-band correction and
+	// fidelity measure shares.
+	predistFIR, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
+	if err != nil {
+		return nil, err
+	}
+	s := &Synthesizer{opts: opts, mcs: mcs, il: il, mapper: wifi.NewMapper(mcs.Modulation), plan: plan, tx: tx, mod: mod,
+		predistFIR: predistFIR}
 	s.fitBody = make([]complex128, wifi.FFTSize)
 	s.fitX = make([]complex128, wifi.FFTSize)
 	s.fitInter[0] = make([]byte, 0, mcs.NCBPS)
@@ -620,14 +627,7 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 // waveform against the original target phase theta through a nominal
 // Bluetooth channel filter, and subtracts it (damped) from the working
 // target.
-func (s *Synthesizer) predistort(theta, working []float64, dataWave []complex128) ([]float64, error) {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return nil, err
-		}
-		s.predistFIR = fir
-	}
+func (s *Synthesizer) predistort(theta, working []float64, dataWave []complex128) []float64 {
 	n := len(theta)
 	pred := make([]complex128, n)
 	copy(pred, dataWave[:min(n, len(dataWave))])
@@ -663,7 +663,7 @@ func (s *Synthesizer) predistort(theta, working []float64, dataWave []complex128
 		}
 		out[i] = working[i] - beta*dphi
 	}
-	return out, nil
+	return out
 }
 
 func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
@@ -677,13 +677,6 @@ func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
 // Im(p·e^{−jθ})/a. Pre-rotating the target by its negative cancels the
 // perturbation at the receiver.
 func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, offsetHz float64) ([]float64, error) {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return nil, err
-		}
-		s.predistFIR = fir
-	}
 	if s.pilotIBCache == nil {
 		s.pilotIBCache = make(map[pilotKey][]complex128)
 	}
@@ -741,13 +734,6 @@ func (s *Synthesizer) applyPilotCorrection(theta, working []float64, pIB []compl
 // filter. It is structural — no quantization involved — so subtracting it
 // pre-cancels most of the in-band residue the paper's §2.4 design leaves.
 func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64) ([]float64, error) {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return nil, err
-		}
-		s.predistFIR = fir
-	}
 	thetaHat, err := DesignCP(theta, wifi.ShortGI)
 	if err != nil {
 		return nil, err
@@ -1041,10 +1027,7 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 		if it >= iterations {
 			break
 		}
-		target, err = s.predistort(theta, target, pass.dataWave)
-		if err != nil {
-			return nil, err
-		}
+		target = s.predistort(theta, target, pass.dataWave)
 	}
 
 	// Descramble and pack the PSDU.
@@ -1111,13 +1094,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 // Bluetooth channel and applying the nominal 600 kHz channel filter —
 // the fidelity a Bluetooth receiver actually experiences.
 func (s *Synthesizer) inbandPhaseRMSE(ideal, predicted []complex128, offsetHz float64) float64 {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return 0
-		}
-		s.predistFIR = fir
-	}
 	a := dsp.GetComplex(len(ideal))
 	b := dsp.GetComplex(len(predicted))
 	aIB := dsp.GetComplex(len(ideal))

@@ -10,11 +10,8 @@ import (
 	"time"
 
 	"bluefi"
-	"bluefi/internal/a2dp"
-	"bluefi/internal/bt"
 	"bluefi/internal/obs/flight"
 	"bluefi/internal/obs/slo"
-	"bluefi/internal/sbc"
 )
 
 // A2DP capacity-knee soak (DESIGN.md §14). A single pool serves N
@@ -30,10 +27,7 @@ import (
 //  2. Measure — below the knee, drive every admitted session
 //     round-robin on the clean pool and require each to actually ship
 //     its packets with healthy deadline slack.
-//  3. EDF vs FIFO — replay the contended job set (the fleet plus the
-//     refused candidate) under both queue disciplines; EDF must not
-//     lose on deadline misses or the p99 slack tail.
-//  4. Storm — re-admit a fleet on a fault-injected pool with the
+//  3. Storm — re-admit a fleet on a fault-injected pool with the
 //     multi-session SLOs ticking once per round; the global shedding
 //     budget must hold the fleet near the ship floor, and any page
 //     must dump a flight bundle.
@@ -69,8 +63,8 @@ type A2DPSoakConfig struct {
 	// any SLO-page bundle from the storm).
 	FlightDir string
 	// ProjectionOnly skips the measured, flight and storm phases: only
-	// the ramp projections and the EDF/FIFO replays run — the fully
-	// deterministic subset, used by the determinism regression test.
+	// the ramp projections run — the fully deterministic subset, used by
+	// the determinism regression test.
 	ProjectionOnly bool
 	Mode           bluefi.Mode
 }
@@ -131,30 +125,6 @@ func soakAudio(lap uint32) bluefi.AudioConfig {
 	}
 }
 
-// soakDemand mirrors the manager's demand derivation for soakAudio so
-// the EDF-vs-FIFO comparison replays exactly the job set admission
-// scored. phaseSeq staggers arrival phases the way admission order
-// does.
-func soakDemand(id string, phaseSeq uint64) a2dp.SessionDemand {
-	cfg := sbc.Config{Freq: sbc.Freq16k, Blocks: 4, Mode: sbc.Mono, Subbands: 4, Bitpool: 31}
-	const frames = 4
-	wire := 4 + a2dp.MediaHeaderLen + frames*cfg.FrameBytes()
-	segs := (wire + bt.DM1.MaxPayload() - 1) / bt.DM1.MaxPayload()
-	segSlots := bt.DM1.Slots()
-	if segSlots%2 == 1 {
-		segSlots++
-	}
-	period := float64(frames*cfg.SamplesPerFrame()) / 16000 / 625e-6
-	return a2dp.SessionDemand{
-		ID:                id,
-		Weight:            1,
-		SegmentsPerPacket: segs,
-		SegmentSlots:      segSlots,
-		PacketPeriodSlots: period,
-		PhaseSlots:        period * float64(phaseSeq%4) / 4,
-	}
-}
-
 // A2DPCapacityPoint is one admitted level of the capacity curve: the
 // admission projection after the level-th session joined.
 type A2DPCapacityPoint struct {
@@ -205,10 +175,6 @@ type A2DPSoakResult struct {
 	Ramp     []A2DPCapacityPoint  `json:"ramp"`
 	Rejected A2DPCapacityPoint    `json:"rejected"`
 	Measured []A2DPSessionOutcome `json:"measured"`
-	// EDF and FIFO replay the contended job set (knee + 1 sessions)
-	// under each discipline.
-	EDF  a2dp.SimResult `json:"edf"`
-	FIFO a2dp.SimResult `json:"fifo"`
 	// RampBundle is the flight bundle dumped after the ramp (admission
 	// and rejection events); AdmitEvents/RejectEvents are its counts.
 	RampBundle   string           `json:"rampBundle,omitempty"`
@@ -259,7 +225,7 @@ func A2DPSoak(cfg A2DPSoakConfig) (*A2DPSoakResult, error) {
 	reg := bluefi.NewTelemetry()
 	rec := flight.New(reg, 0)
 	rec.Attach(reg)
-	pool, err := bluefi.NewPool(bluefi.Options{Mode: cfg.Mode, Telemetry: reg, EDF: true}, cfg.Workers)
+	pool, err := bluefi.NewPool(bluefi.Options{Mode: cfg.Mode, Telemetry: reg}, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -337,22 +303,11 @@ func A2DPSoak(cfg A2DPSoakConfig) (*A2DPSoakResult, error) {
 		res.RejectEvents = kinds["session.reject"]
 	}
 
-	// ---- Phase 3: EDF vs FIFO on the contended job set. ----
-	demands := make([]a2dp.SessionDemand, 0, res.Knee+1)
-	for i := 0; i <= res.Knee; i++ {
-		demands = append(demands, soakDemand(fmt.Sprintf("soak%02d", i), uint64(i)))
-	}
-	jobs := a2dp.BuildJobs(demands, a2dp.AdmissionConfig{
-		Workers:      cfg.Workers,
-		ServiceSlots: cfg.ServiceSlots,
-	})
-	res.EDF = a2dp.Simulate(jobs, cfg.Workers, true)
-	res.FIFO = a2dp.Simulate(jobs, cfg.Workers, false)
 	if cfg.ProjectionOnly {
 		return res, nil
 	}
 
-	// ---- Phase 4: fault storm at the knee with the SLOs in the loop. ----
+	// ---- Phase 3: fault storm at the knee with the SLOs in the loop. ----
 	storm, err := a2dpStorm(cfg, res.Knee)
 	if err != nil {
 		return nil, err
@@ -385,7 +340,6 @@ func a2dpStorm(cfg A2DPSoakConfig, knee int) (*A2DPStormOutcome, error) {
 	pool, err := bluefi.NewPool(bluefi.Options{
 		Mode:      cfg.Mode,
 		Telemetry: reg,
-		EDF:       true,
 		Faults:    &plan,
 		Retry:     bluefi.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
 	}, cfg.Workers)
@@ -492,8 +446,6 @@ func FormatA2DPSoak(r *A2DPSoakResult) string {
 	}
 	fmt.Fprintf(&sb, "measured below the knee: %d/%d packets shipped across %d sessions\n",
 		shipped, total, len(r.Measured))
-	fmt.Fprintf(&sb, "contended schedule (knee+1): EDF miss %.4f p99 slack %.1f slots — FIFO miss %.4f p99 slack %.1f slots\n",
-		r.EDF.MissRatio, r.EDF.P99SlackSlots, r.FIFO.MissRatio, r.FIFO.P99SlackSlots)
 	st := r.Storm
 	fmt.Fprintf(&sb, "storm: %d sessions × %d rounds, %d faults injected, %.1f%% shipped; budget %d grants / %d denials\n",
 		st.Sessions, st.Rounds, st.Injected, st.ShippedRatio*100, st.BudgetGrants, st.BudgetDenials)

@@ -315,12 +315,11 @@ func (s *Scanner) SweepParallel(caps []Capture) []Outcome {
 	base := s.seq
 	var wg sync.WaitGroup
 	for i := range caps {
-		i := i
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			outs[i] = s.receive(caps[i], base+uint64(i))
-		}()
+		}(i)
 	}
 	wg.Wait()
 	s.seq = base + uint64(len(caps))

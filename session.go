@@ -3,7 +3,6 @@ package bluefi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,14 +25,12 @@ import (
 //     service time estimated from the pool's measured job-latency
 //     histogram. Projected deadline-miss ratio over budget ⇒
 //     ErrAdmissionRejected (or parked on the bounded pending queue).
-//   - A global shedding budget: each session's Governor requests every
-//     Shedding drop from one fleet-wide budget that enforces the global
-//     ship floor and allocates drops by weighted max-min fairness, so a
-//     struggling session borrows headroom without starving anyone below
-//     their weighted share.
-//   - EDF job scheduling: with Options.EDF the pool runs whichever
-//     session's segment is closest to its 625 µs slot, not whichever
-//     was submitted first.
+//   - A shared ship-floor ledger: each session's Governor asks one
+//     fleet-wide ledger before every Shedding drop, so the ship floor
+//     holds for the fleet and a struggling session can borrow the
+//     headroom healthy ones leave.
+//   - EDF job scheduling: the pool runs whichever session's segment is
+//     closest to its 625 µs slot, not whichever was submitted first.
 //
 // The manager is goroutine-free: admission, promotion and eviction all
 // run on the caller, so it adds nothing for the leak checker to track.
@@ -47,7 +44,7 @@ var ErrAdmissionRejected = errors.New("bluefi: session admission rejected")
 // zero value is usable; every knob has a documented default.
 type SessionManagerConfig struct {
 	// GlobalShipFloor is the fleet-wide minimum shipped fraction the
-	// shedding budget enforces (default 0.8 — the single-stream chaos
+	// shared ledger enforces (default 0.8 — the single-stream chaos
 	// bound, now shared instead of per-stream).
 	GlobalShipFloor float64
 	// MissBudget is the maximum projected deadline-miss ratio admission
@@ -71,8 +68,8 @@ type SessionManagerConfig struct {
 	AdmissionQueue int
 	// Degrade is the policy template applied to sessions whose
 	// AudioConfig.Degrade is nil. Coordinator and SessionID are
-	// overwritten per session either way: every managed stream is
-	// coupled to the fleet budget.
+	// overwritten per session either way: every managed stream asks the
+	// fleet ledger.
 	Degrade DegradePolicy
 }
 
@@ -96,11 +93,8 @@ func (c SessionManagerConfig) withDefaults() SessionManagerConfig {
 type SessionConfig struct {
 	// ID names the session; unique among live and pending sessions.
 	ID string
-	// Weight is the session's share of the fleet shedding budget under
-	// weighted max-min fairness (≤0 = 1).
-	Weight float64
 	// Audio is the stream configuration; its Degrade field (or the
-	// manager's template) is coupled to the fleet budget.
+	// manager's template) is coupled to the fleet ledger.
 	Audio AudioConfig
 }
 
@@ -170,7 +164,7 @@ func (m *smMetrics) event(kind string, attrs ...obs.Label) {
 type SessionManager struct {
 	pool   *Pool
 	cfg    SessionManagerConfig
-	budget *a2dp.ShedBudget
+	ledger *a2dp.ShedBudget
 	met    *smMetrics
 
 	mu       sync.Mutex
@@ -182,8 +176,7 @@ type SessionManager struct {
 }
 
 // NewSessionManager builds a session coordination plane over the pool.
-// The manager shares the pool's telemetry registry; pair it with
-// Options.EDF so admitted sessions also get deadline-ordered service.
+// The manager shares the pool's telemetry registry.
 func (p *Pool) NewSessionManager(cfg SessionManagerConfig) (*SessionManager, error) {
 	if p.isClosed() {
 		return nil, ErrPoolClosed
@@ -193,7 +186,7 @@ func (p *Pool) NewSessionManager(cfg SessionManagerConfig) (*SessionManager, err
 	return &SessionManager{
 		pool: p,
 		cfg:  cfg,
-		budget: a2dp.NewShedBudget(a2dp.ShedBudgetConfig{
+		ledger: a2dp.NewShedBudget(a2dp.ShedBudgetConfig{
 			GlobalShipFloor: cfg.GlobalShipFloor,
 			Telemetry:       reg,
 		}),
@@ -237,13 +230,8 @@ func demandFor(cfg SessionConfig, phaseSeq uint64) (a2dp.SessionDemand, error) {
 	}
 	samples := frames * sbcCfg.SamplesPerFrame()
 	periodSlots := float64(samples) / float64(ac.SBC.SampleRateHz) / 625e-6
-	weight := cfg.Weight
-	if weight <= 0 {
-		weight = 1
-	}
 	return a2dp.SessionDemand{
 		ID:                cfg.ID,
-		Weight:            weight,
 		SegmentsPerPacket: segs,
 		SegmentSlots:      segSlots,
 		PacketPeriodSlots: periodSlots,
@@ -287,10 +275,6 @@ func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 			return nil, fmt.Errorf("bluefi: session %q already pending", cfg.ID)
 		}
 	}
-	if w := cfg.Weight; math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-		return nil, fmt.Errorf("bluefi: session %q weight %v is not a usable fairness weight", cfg.ID, w)
-	}
-
 	demand, err := demandFor(cfg, m.seq)
 	if err != nil {
 		return nil, err
@@ -323,27 +307,26 @@ func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 			ErrAdmissionRejected, cfg.ID, proj.MissRatio, m.cfg.MissBudget, proj.Sessions, proj.Utilization)
 	}
 
-	// Couple the stream's governor to the fleet budget: the per-session
+	// Couple the stream's governor to the fleet ledger: the per-session
 	// template (or the manager's) with Coordinator/SessionID overridden.
 	ac := cfg.Audio
 	dp := m.cfg.Degrade
 	if ac.Degrade != nil {
 		dp = *ac.Degrade
 	}
-	dp.Coordinator = m.budget
+	dp.Coordinator = m.ledger
 	dp.SessionID = cfg.ID
 	ac.Degrade = &dp
-	if err := m.budget.Register(cfg.ID, demand.Weight); err != nil {
+	if err := m.ledger.Register(cfg.ID); err != nil {
 		return nil, err
 	}
 	stream, err := m.pool.NewAudioStream(ac)
 	if err != nil {
-		m.budget.Unregister(cfg.ID)
+		m.ledger.Unregister(cfg.ID)
 		return nil, err
 	}
 	s := &Session{
 		id:     cfg.ID,
-		weight: demand.Weight,
 		m:      m,
 		stream: stream,
 		demand: demand,
@@ -393,7 +376,7 @@ func (m *SessionManager) Enqueue(cfg SessionConfig) (*PendingSession, error) {
 
 // Evict removes a live session, returns whether it was present, and
 // promotes pending sessions that now fit. The evicted Session's stream
-// stays usable but is decoupled from the budget: it never sheds again.
+// stays usable but leaves the ledger's live set: it never sheds again.
 func (m *SessionManager) Evict(id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -408,7 +391,7 @@ func (m *SessionManager) Evict(id string) bool {
 			break
 		}
 	}
-	m.budget.Unregister(id)
+	m.ledger.Unregister(id)
 	s.evicted.Store(true)
 	if m.met != nil {
 		m.met.evicted.Inc()
@@ -474,7 +457,7 @@ type SessionManagerReport struct {
 }
 
 // Report returns the manager summary: per-session reports, the pending
-// count, the last admission projection and the fleet budget state.
+// count, the last admission projection and the fleet ledger state.
 func (m *SessionManager) Report() SessionManagerReport {
 	m.mu.Lock()
 	pending := len(m.pendingQ)
@@ -484,7 +467,7 @@ func (m *SessionManager) Report() SessionManagerReport {
 		Sessions: m.Sessions(),
 		Pending:  pending,
 		LastProj: proj,
-		Budget:   m.budget.Report(),
+		Budget:   m.ledger.Report(),
 	}
 }
 
@@ -522,7 +505,6 @@ func (m *SessionManager) SessionSLOSpecs() []slo.Spec {
 // serial like AudioStream's.
 type Session struct {
 	id     string
-	weight float64
 	m      *SessionManager
 	stream *AudioStream
 	demand a2dp.SessionDemand
@@ -595,7 +577,6 @@ func (s *Session) noteSlack(slack time.Duration) {
 // SessionReport is one session's point-in-time summary.
 type SessionReport struct {
 	ID      string      `json:"id"`
-	Weight  float64     `json:"weight"`
 	State   HealthState `json:"state"`
 	Evicted bool        `json:"evicted,omitempty"`
 	// Shipped/Dropped count media packets; ShippedRatio is their ratio
@@ -618,7 +599,6 @@ type SessionReport struct {
 func (s *Session) Report() SessionReport {
 	rep := SessionReport{
 		ID:      s.id,
-		Weight:  s.weight,
 		State:   s.stream.Health(),
 		Evicted: s.evicted.Load(),
 		Shipped: s.shipped.Load(),

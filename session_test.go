@@ -8,9 +8,11 @@ package bluefi
 import (
 	"errors"
 	"fmt"
-	"math"
+	"sync"
 	"testing"
 	"time"
+
+	"bluefi/internal/a2dp"
 )
 
 // lightAudio is the session shape the suite multiplexes: DM1 packets (a
@@ -29,7 +31,7 @@ func lightAudio(lap uint32) AudioConfig {
 
 func TestSessionManagerAdmitSendEvict(t *testing.T) {
 	reg := NewTelemetry()
-	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg, EDF: true}, 2)
+	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestSessionManagerAdmitSendEvict(t *testing.T) {
 }
 
 func TestSessionManagerValidation(t *testing.T) {
-	pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +127,6 @@ func TestSessionManagerValidation(t *testing.T) {
 	}
 	if _, err := sm.Admit(SessionConfig{Audio: lightAudio(1)}); err == nil {
 		t.Fatal("empty session ID must be rejected")
-	}
-	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		if _, err := sm.Admit(SessionConfig{ID: "w", Weight: w, Audio: lightAudio(1)}); err == nil {
-			t.Fatalf("weight %v must be rejected", w)
-		}
 	}
 	if _, err := sm.Admit(SessionConfig{ID: "dup", Audio: lightAudio(1)}); err != nil {
 		t.Fatal(err)
@@ -154,7 +151,7 @@ func TestSessionManagerValidation(t *testing.T) {
 // soak. The knee must exist, sit past at least one admitted session,
 // and be sticky: the session after a rejection is rejected too.
 func TestSessionManagerAdmissionKnee(t *testing.T) {
-	pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +188,7 @@ func TestSessionManagerAdmissionKnee(t *testing.T) {
 }
 
 func TestSessionManagerQueuePromotion(t *testing.T) {
-	pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +277,7 @@ func TestSessionManagerQueuePromotion(t *testing.T) {
 
 func TestSessionSLOSpecs(t *testing.T) {
 	reg := NewTelemetry()
-	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +348,7 @@ func TestJobQueueEDF(t *testing.T) {
 	}
 
 	t.Run("PopOrder", func(t *testing.T) {
-		q := newJobQueue(4, Reject, true, nil)
+		q := newJobQueue(4, Reject, nil)
 		jobs := []*poolJob{mkJob(30), mkJob(noDeadline), mkJob(10), mkJob(20)}
 		for _, j := range jobs {
 			if err := q.push(j); err != nil {
@@ -367,7 +364,7 @@ func TestJobQueueEDF(t *testing.T) {
 	})
 
 	t.Run("FIFOWithinDeadline", func(t *testing.T) {
-		q := newJobQueue(3, Reject, true, nil)
+		q := newJobQueue(3, Reject, nil)
 		a, b := mkJob(10), mkJob(10)
 		if err := q.push(a); err != nil {
 			t.Fatal(err)
@@ -381,7 +378,7 @@ func TestJobQueueEDF(t *testing.T) {
 	})
 
 	t.Run("DropOldestEvictsMostSlack", func(t *testing.T) {
-		q := newJobQueue(2, DropOldest, true, nil)
+		q := newJobQueue(2, DropOldest, nil)
 		slack, tight := mkJob(100), mkJob(5)
 		if err := q.push(slack); err != nil {
 			t.Fatal(err)
@@ -410,18 +407,122 @@ func TestJobQueueEDF(t *testing.T) {
 	})
 }
 
+// TestPoolQueueOrderWithoutEDF pins the pool's single queue order on a
+// pool built without Options.EDF: deadline-stamped jobs pop earliest-
+// deadline-first, and deadline-less jobs run FIFO behind them.
+func TestPoolQueueOrderWithoutEDF(t *testing.T) {
+	pool, err := NewPool(Options{Mode: RealTime, QueueDepth: 8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	// Park the only worker so every later job waits in the queue.
+	gate, started := make(chan struct{}), make(chan struct{})
+	blocker := &poolJob{done: make(chan struct{}), deadline: noDeadline,
+		fn: func(*Synthesizer) error { close(started); <-gate; return nil }}
+	if err := pool.q.push(blocker); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+
+	var mu sync.Mutex
+	var order []string
+	var jobs []*poolJob
+	for _, j := range []struct {
+		name     string
+		deadline uint64
+	}{{"batch0", noDeadline}, {"d30", 30}, {"batch1", noDeadline}, {"d10", 10}, {"d20", 20}} {
+		name := j.name
+		pj := &poolJob{done: make(chan struct{}), deadline: j.deadline, fn: func(*Synthesizer) error {
+			mu.Lock()
+			order = append(order, name)
+			mu.Unlock()
+			return nil
+		}}
+		if err := pool.q.push(pj); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, pj)
+	}
+	close(gate)
+	for _, pj := range jobs {
+		<-pj.done
+	}
+	want := []string{"d10", "d20", "d30", "batch0", "batch1"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("pool ran %v, want %v", order, want)
+	}
+}
+
+// TestSessionEvictedNeverSheds: an evicted session leaves the ledger's
+// live set, so its governor is never granted a drop however long it
+// sits in Shedding, and its traffic no longer reaches the ledger — while
+// a live session's governor on the same ledger is granted drops.
+func TestSessionEvictedNeverSheds(t *testing.T) {
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	sm, err := pool.NewSessionManager(SessionManagerConfig{ServiceSlots: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := sm.Admit(SessionConfig{ID: "live", Audio: lightAudio(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := sm.Admit(SessionConfig{ID: "gone", Audio: lightAudio(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sm.Evict("gone") {
+		t.Fatal("Evict(gone) = false for a live session")
+	}
+
+	// Walk a governor into Shedding and ask for a drop on every packet.
+	const packets = 100
+	shed := func(s *Session) int {
+		g := s.stream.gov
+		for i := 0; i < 6; i++ {
+			g.Observe(a2dp.Signal{DeadlineMiss: true})
+		}
+		drops := 0
+		for i := 0; i < packets; i++ {
+			if g.Observe(a2dp.Signal{DeadlineMiss: true}).Drop {
+				g.RecordDropped(1)
+				drops++
+			} else {
+				g.RecordShipped(1)
+			}
+		}
+		return drops
+	}
+	if n := shed(gone); n != 0 {
+		t.Fatalf("evicted session granted %d drops", n)
+	}
+	if n := shed(live); n == 0 {
+		t.Fatal("live session never granted a drop — the ledger is inert")
+	}
+	if rep := sm.Report().Budget; rep.TotalShipped+rep.TotalDropped != packets {
+		t.Fatalf("ledger counted %d+%d packets, want only the live session's %d",
+			rep.TotalShipped, rep.TotalDropped, packets)
+	}
+}
+
 // FuzzSessionAdmit drives the admission controller with arbitrary
 // session shapes: whatever the inputs, Admit must decide without
-// panicking, reject unusable weights, refuse duplicates, and keep
-// Evict/accounting consistent for whatever it admits.
+// panicking, refuse duplicates, and keep Evict/accounting consistent
+// for whatever it admits.
 func FuzzSessionAdmit(f *testing.F) {
-	f.Add("s", 1.0, 0, 0, uint8(0))
-	f.Add("", 0.0, 1, 16000, uint8(1))
-	f.Add("dup", math.NaN(), -3, 44100, uint8(9))
-	f.Add("w", math.Inf(1), 200, 48000, uint8(5))
-	f.Add("knee", 2.5, 8, 32000, uint8(3))
-	f.Fuzz(func(t *testing.T, id string, weight float64, frames int, rate int, pt uint8) {
-		pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+	f.Add("s", 0, 0, uint8(0))
+	f.Add("", 1, 16000, uint8(1))
+	f.Add("dup", -3, 44100, uint8(9))
+	f.Add("w", 200, 48000, uint8(5))
+	f.Add("knee", 8, 32000, uint8(3))
+	f.Fuzz(func(t *testing.T, id string, frames int, rate int, pt uint8) {
+		pool, err := NewPool(Options{Mode: RealTime}, 1)
 		if err != nil {
 			t.Skip("pool unavailable")
 		}
@@ -431,8 +532,7 @@ func FuzzSessionAdmit(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := SessionConfig{
-			ID:     id,
-			Weight: weight,
+			ID: id,
 			Audio: AudioConfig{
 				Device:          Device{LAP: 1, UAP: 2},
 				PacketType:      PacketType(pt),
@@ -457,13 +557,10 @@ func FuzzSessionAdmit(f *testing.F) {
 		if id == "" {
 			t.Fatal("empty session ID admitted")
 		}
-		if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
-			t.Fatalf("unusable weight %v admitted", weight)
-		}
 		if _, err := sm.Admit(cfg); err == nil {
 			t.Fatal("duplicate ID admitted")
 		}
-		if rep := s.Report(); rep.ID != id || rep.Weight <= 0 {
+		if rep := s.Report(); rep.ID != id {
 			t.Fatalf("session report %+v inconsistent with admission", rep)
 		}
 		if !sm.Evict(id) {
