@@ -110,9 +110,10 @@ bench:
 obs-overhead:
 	go run ./cmd/bluefi-eval -obs-overhead
 
-# Allocation regression gate: §4.8 real-time 1-slot allocs/op may
-# exceed the committed BENCH_eval.json row by at most 5% — the runtime
-# counterpart of alloccheck's static //bluefi:allocfree contract.
+# Allocation regression gate: §4.8 real-time 1-slot allocs/op and
+# quality 1-slot bytes/op may exceed the committed BENCH_eval.json rows
+# by at most 5% — the runtime counterpart of alloccheck's static
+# //bluefi:allocfree contract.
 .PHONY: alloc-gate
 alloc-gate:
 	go run ./cmd/bluefi-eval -alloc-gate

@@ -250,15 +250,28 @@ func stageBreakdown(iterations int) ([]stageRow, error) {
 	return rows, nil
 }
 
-// allocGateTolerance is how far sec48 allocs/op may drift above the
+// allocGateTolerance is how far a gated sec48 row may drift above the
 // committed BENCH_eval.json snapshot before the gate fails.
 const allocGateTolerance = 1.05
 
-// runAllocGate re-measures the §4.8 real-time 1-slot scenario and fails
-// when its allocs/op exceeds the committed snapshot's
-// "sec48/realtime-1slot-cpu1" row by more than 5% — the regression gate
-// behind the //bluefi:allocfree hot-path contract. Improvements print a
-// reminder to re-snapshot but do not fail.
+// allocGates are the rows runAllocGate re-measures: real-time allocs/op
+// (the runtime counterpart of the //bluefi:allocfree hot-path contract)
+// and quality bytes/op (dominated by the weighted Viterbi's survivors).
+var allocGates = []struct {
+	row, unit string
+	bench     func(b *testing.B)
+	committed func(benchResult) int64
+	measured  func(testing.BenchmarkResult) int64
+}{
+	{"sec48/realtime-1slot-cpu1", "allocs/op", sec48Bench(core.RealTime, 17, bt.DM1, false),
+		func(r benchResult) int64 { return r.AllocsPerOp }, testing.BenchmarkResult.AllocsPerOp},
+	{"sec48/quality-1slot-cpu1", "bytes/op", sec48Bench(core.Quality, 17, bt.DM1, false),
+		func(r benchResult) int64 { return r.BytesPerOp }, testing.BenchmarkResult.AllocedBytesPerOp},
+}
+
+// runAllocGate re-measures each allocGates row at GOMAXPROCS 1 and fails
+// when it exceeds the committed snapshot's row by more than 5%.
+// Improvements print a reminder to re-snapshot but do not fail.
 func runAllocGate(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -268,38 +281,40 @@ func runAllocGate(path string) error {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("parsing %s: %w", path, err)
 	}
-	const row = "sec48/realtime-1slot-cpu1"
-	var committed int64 = -1
-	for _, r := range snap.Results {
-		if r.Name == row {
-			committed = r.AllocsPerOp
-		}
-	}
-	if committed < 0 {
-		return fmt.Errorf("%s has no %q row", path, row)
-	}
 
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	r := testing.Benchmark(sec48Bench(core.RealTime, 17, bt.DM1, false))
-	got := r.AllocsPerOp()
-	limit := int64(float64(committed) * allocGateTolerance)
-	fmt.Printf("alloc-gate: %s measured %d allocs/op, snapshot %d (limit %d)\n",
-		row, got, committed, limit)
-	if got > limit {
-		return fmt.Errorf("allocs/op regressed: %d > %d (snapshot %d +5%%); fix the regression or re-snapshot with `make bench-json` and justify the diff",
-			got, limit, committed)
-	}
-	if got < committed*95/100 {
-		fmt.Printf("alloc-gate: improvement detected (%d → %d); consider re-snapshotting with `make bench-json`\n",
-			committed, got)
+	for _, g := range allocGates {
+		var committed int64 = -1
+		for _, r := range snap.Results {
+			if r.Name == g.row {
+				committed = g.committed(r)
+			}
+		}
+		if committed < 0 {
+			return fmt.Errorf("%s has no %q row", path, g.row)
+		}
+		got := g.measured(testing.Benchmark(g.bench))
+		limit := int64(float64(committed) * allocGateTolerance)
+		fmt.Printf("alloc-gate: %s measured %d %s, snapshot %d (limit %d)\n",
+			g.row, got, g.unit, committed, limit)
+		if got > limit {
+			return fmt.Errorf("%s %s regressed: %d > %d (snapshot %d +5%%); fix the regression or re-snapshot with `make bench-json` and justify the diff",
+				g.row, g.unit, got, limit, committed)
+		}
+		if got < committed*95/100 {
+			fmt.Printf("alloc-gate: %s improvement detected (%d → %d); consider re-snapshotting with `make bench-json`\n",
+				g.row, committed, got)
+		}
 	}
 	return nil
 }
 
 // runBenchJSON executes the suite at GOMAXPROCS 1 and 4 (the -cpu 1,4
-// comparison: serial baseline versus the concurrency layer) and writes
-// the snapshot.
+// comparison: serial baseline versus the concurrency layer), skipping
+// any GOMAXPROCS above runtime.NumCPU() — such rows only measure
+// oversubscription — and merges the snapshot into path, keeping the
+// keys the soak, SLO and e2e runs recorded there.
 func runBenchJSON(path string) error {
 	snap := &benchSnapshot{
 		Generated: time.Now().UTC().Format(time.RFC3339), //bluefi:nondeterministic-ok snapshot provenance timestamp in BENCH_eval.json
@@ -310,6 +325,10 @@ func runBenchJSON(path string) error {
 	defer runtime.GOMAXPROCS(prev)
 
 	for _, procs := range []int{1, 4} {
+		if procs > snap.NumCPU {
+			fmt.Printf("bench-json: skipping GOMAXPROCS=%d (NumCPU %d)\n", procs, snap.NumCPU)
+			continue
+		}
 		runtime.GOMAXPROCS(procs)
 		tag := fmt.Sprintf("-cpu%d", procs)
 		fmt.Printf("bench-json at GOMAXPROCS=%d:\n", procs)
@@ -336,12 +355,16 @@ func runBenchJSON(path string) error {
 		fmt.Printf("  %-10s %-14s %-9s %12.0f ns mean (n=%d)\n", r.Mode, r.Packet, r.Stage, r.MeanNs, r.Count)
 	}
 
-	data, err := json.MarshalIndent(snap, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+	for _, f := range []struct {
+		key   string
+		value any
+	}{
+		{"generated", snap.Generated}, {"goVersion", snap.GoVersion}, {"numCPU", snap.NumCPU},
+		{"results", snap.Results}, {"stageBreakdown", snap.Stages},
+	} {
+		if err := mergeBench(path, f.key, f.value, false); err != nil {
+			return err
+		}
 	}
 	fmt.Printf("wrote %s (%d results)\n", path, len(snap.Results))
 	return nil

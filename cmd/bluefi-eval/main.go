@@ -8,7 +8,7 @@
 //	bluefi-eval -bench-json            # BENCH_eval.json regression snapshot
 //	bluefi-eval -serve :8399           # live /metrics + /health over a synthesis workload
 //	bluefi-eval -obs-overhead          # telemetry overhead gate (CI)
-//	bluefi-eval -alloc-gate            # §4.8 allocs/op regression gate vs BENCH_eval.json (CI)
+//	bluefi-eval -alloc-gate            # §4.8 allocs/op and bytes/op regression gate vs BENCH_eval.json (CI)
 //	bluefi-eval -faults storm          # chaos scenario → degradation report
 //	bluefi-eval -slo                   # storm replay through the SLO burn-rate engine (CI gate)
 //	bluefi-eval -e2e                   # TX→RX conformance matrix → scanner PDR snapshot
@@ -41,7 +41,7 @@ func main() {
 	sloReplay := flag.Bool("slo", false, "replay the storm scenario through the SLO burn-rate engine, gate on exactly one page episode + recovery + a valid flight bundle, and append the episode summary to -bench-out")
 	flightDir := flag.String("flight-dir", "flight", "directory for flight-recorder bundles (-slo, -serve, -fleet)")
 	e2e := flag.Bool("e2e", false, "run the loopback conformance matrix (BLE/BR/EDR through channel and scanner) and append the scanner PDR snapshot to -bench-out")
-	allocGate := flag.Bool("alloc-gate", false, "re-measure §4.8 real-time allocs/op and fail if it exceeds the committed -bench-out snapshot by more than 5%")
+	allocGate := flag.Bool("alloc-gate", false, "re-measure §4.8 real-time allocs/op and quality bytes/op and fail if either exceeds the committed -bench-out snapshot by more than 5%")
 	fleetAddr := flag.String("fleet", "", "serve the beacon-CDN fleet control plane (/fleet/register|update|expire|stats) plus telemetry on this address (e.g. :8400), instead of figures")
 	fleetSoak := flag.Bool("fleet-soak", false, "run the fleet capacity soak, enforce the ≥90% steady-state cache hit rate gate, and append the capacity curve to -bench-out")
 	fleetAPs := flag.Int("fleet-aps", 64, "simulated APs (one shard each) for -fleet / -fleet-soak")
@@ -283,10 +283,11 @@ func main() {
 }
 
 // mergeBench merges value into the benchmark JSON at path under key,
-// leaving every other key untouched: it replaces the key's value, or
-// with appendToList appends value to the list stored there.
+// leaving every other key untouched (byte for byte, up to indentation):
+// it replaces the key's value, or with appendToList appends value to the
+// list stored there.
 func mergeBench(path, key string, value any, appendToList bool) error {
-	doc := map[string]any{}
+	doc := map[string]json.RawMessage{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &doc); err != nil {
 			return fmt.Errorf("existing %s is not JSON: %w", path, err)
@@ -294,11 +295,20 @@ func mergeBench(path, key string, value any, appendToList bool) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	if appendToList {
-		prev, _ := doc[key].([]any)
-		value = append(prev, value)
+	raw, err := json.Marshal(value)
+	if err != nil {
+		return err
 	}
-	doc[key] = value
+	if appendToList {
+		var list []json.RawMessage
+		if json.Unmarshal(doc[key], &list) != nil {
+			list = nil // absent or not a list: start one
+		}
+		if raw, err = json.Marshal(append(list, raw)); err != nil {
+			return err
+		}
+	}
+	doc[key] = raw
 	data, err := json.MarshalIndent(doc, "", "\t")
 	if err != nil {
 		return err

@@ -544,15 +544,7 @@ func (s *Synthesizer) invert(coded []byte, weights []float64, nsym int) ([]byte,
 	if err != nil {
 		return nil, err
 	}
-	mw, err := MotherWeights(weights, s.mcs.Rate, total)
-	if err != nil {
-		return nil, err
-	}
-	for i := range mw {
-		if erased[i] {
-			mw[i] = 0
-		}
-	}
+	mw := MotherWeights(weights, erased)
 	return viterbi.Decode(viterbi.Input{Bits: mother, Weight: mw, PinnedPrefix: prefix, PinnedSuffix: suffix, Obs: s.vmet})
 }
 
@@ -560,6 +552,7 @@ func (s *Synthesizer) invert(coded []byte, weights []float64, nsym int) ([]byte,
 type synthPass struct {
 	data     []byte         // scrambled-domain data bits
 	coded    []byte         // coded-bit targets
+	reCoded  []byte         // data re-encoded: the coded bits actually sent
 	symbols  [][]complex128 // frequency-domain data symbols
 	dataWave []complex128   // modulated data field (no preamble)
 	flips    int
@@ -599,10 +592,9 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 	}
 	s.met.observePass(dIQGen, dFFTQAM, dFEC)
 
-	reCoded := wifi.EncodeRate(data, s.mcs.Rate)
-	p := &synthPass{data: data, coded: coded}
+	p := &synthPass{data: data, coded: coded, reCoded: wifi.EncodeRate(data, s.mcs.Rate)}
 	for i := range coded {
-		if reCoded[i] != coded[i] {
+		if p.reCoded[i] != coded[i] {
 			p.flips++
 			if weights[i] >= WeightImportant {
 				p.impFlips++
@@ -1072,9 +1064,8 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 	firstSym := lead / symbolLen
 	lastSym := (lead + pktLen + symbolLen - 1) / symbolLen
 	weights := s.codedBitWeights(plan.OffsetHz, nsym)
-	reCoded := wifi.EncodeRate(pass.data, s.mcs.Rate)
 	for i := firstSym * s.mcs.NCBPS; i < lastSym*s.mcs.NCBPS && i < len(coded); i++ {
-		if reCoded[i] != coded[i] && weights[i] >= WeightImportant {
+		if pass.reCoded[i] != coded[i] && weights[i] >= WeightImportant {
 			res.PacketImportantFlips++
 		}
 	}

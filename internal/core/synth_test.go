@@ -385,10 +385,11 @@ func TestMotherWeightsErasures(t *testing.T) {
 	for i := range w {
 		w[i] = float64(i + 1)
 	}
-	mw, err := MotherWeights(w, wifi.Rate5_6, 260)
+	_, erased, err := wifi.Depuncture(make([]byte, len(w)), wifi.Rate5_6, 260)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mw := MotherWeights(w, erased)
 	if len(mw) != 520 {
 		t.Fatalf("mother weights %d, want 520", len(mw))
 	}

@@ -71,22 +71,16 @@ func bitSignificance(bitPos, nbpsc int) float64 {
 }
 
 // MotherWeights expands punctured-domain weights into mother-code
-// positions, assigning zero (erasure) to stolen bits.
-func MotherWeights(punctured []float64, rate wifi.CodeRate, nInfo int) ([]float64, error) {
-	marks := make([]byte, len(punctured))
-	_, erased, err := wifi.Depuncture(marks, rate, nInfo)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, 2*nInfo)
+// positions, assigning zero (erasure) to the stolen bits of Depuncture's
+// erasure mask.
+func MotherWeights(punctured []float64, erased []bool) []float64 {
+	out := make([]float64, len(erased))
 	pos := 0
-	for i := range out {
-		if erased[i] {
-			out[i] = 0
-			continue
+	for i, e := range erased {
+		if !e {
+			out[i] = punctured[pos]
+			pos++
 		}
-		out[i] = punctured[pos]
-		pos++
 	}
-	return out, nil
+	return out
 }

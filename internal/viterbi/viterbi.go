@@ -83,6 +83,11 @@ func PinnedSuffixZeros(n int) []byte { return make([]byte, n) }
 // Decode finds input bits minimizing the weighted Hamming distance between
 // the re-encoded output and in.Bits. It returns the information bits
 // (length len(Bits)/2).
+//
+// The trellis runs as 32 add-compare-select butterflies per step (see
+// acsStep). Ties resolve exactly as a per-state scan in ascending
+// predecessor order would: on equal cost the lower predecessor wins, and
+// the terminal state is the lowest index with the minimum metric.
 func Decode(in Input) ([]byte, error) {
 	if len(in.Bits)%2 != 0 {
 		return nil, fmt.Errorf("viterbi: %d mother bits, want even", len(in.Bits))
@@ -95,60 +100,30 @@ func Decode(in Input) ([]byte, error) {
 		return nil, fmt.Errorf("viterbi: pinned %d+%d bits exceed %d inputs",
 			len(in.PinnedPrefix), len(in.PinnedSuffix), n)
 	}
-	weight := func(pos int) float64 {
-		if in.Weight == nil {
-			return 1
-		}
-		return in.Weight[pos]
-	}
 
-	metric := make([]float64, numStates)
-	next := make([]float64, numStates)
+	var bufA, bufB [numStates]float64
+	metric, next := &bufA, &bufB
 	for s := range metric {
-		metric[s] = math.Inf(1)
+		metric[s] = unreachable
 	}
 	metric[0] = 0
-	// survivors[t][s] = predecessor state of the best path entering state
-	// s after input t. The input bit itself is bit 0 of s (state = six
-	// most recent inputs, newest in bit 0).
-	survivors := make([][numStates]uint8, n)
-
+	// survivors[t] bit ns is set when the best path entering state ns
+	// after input t came from the odd predecessor ns>>1|32 rather than
+	// ns>>1. The input bit itself is bit 0 of ns (state = six most recent
+	// inputs, newest in bit 0).
+	survivors := make([]uint64, n)
+	suffixStart := n - len(in.PinnedSuffix)
+	wa, wb := 1.0, 1.0
 	for t := 0; t < n; t++ {
-		for s := range next {
-			next[s] = math.Inf(1)
+		if in.Weight != nil {
+			wa, wb = in.Weight[2*t], in.Weight[2*t+1]
 		}
-		var forced int8 = -1
+		survivors[t] = acsStep(next, metric, in.Bits[2*t]&1, in.Bits[2*t+1]&1, wa, wb)
 		switch {
 		case t < len(in.PinnedPrefix):
-			forced = int8(in.PinnedPrefix[t] & 1)
-		case t >= n-len(in.PinnedSuffix):
-			forced = int8(in.PinnedSuffix[t-(n-len(in.PinnedSuffix))] & 1)
-		}
-		ta, tb := in.Bits[2*t]&1, in.Bits[2*t+1]&1
-		wa, wb := weight(2*t), weight(2*t+1)
-		for s := 0; s < numStates; s++ {
-			m := metric[s]
-			if math.IsInf(m, 1) {
-				continue
-			}
-			for u := byte(0); u <= 1; u++ {
-				if forced >= 0 && u != byte(forced) {
-					continue
-				}
-				a, b := outputs(uint8(s), u)
-				cost := m
-				if a != ta {
-					cost += wa
-				}
-				if b != tb {
-					cost += wb
-				}
-				ns := nextState(uint8(s), u)
-				if cost < next[ns] {
-					next[ns] = cost
-					survivors[t][ns] = uint8(s)
-				}
-			}
+			pin(next, in.PinnedPrefix[t])
+		case t >= suffixStart:
+			pin(next, in.PinnedSuffix[t-suffixStart])
 		}
 		metric, next = next, metric
 	}
@@ -156,25 +131,102 @@ func Decode(in Input) ([]byte, error) {
 	// Select the best terminal state; pinned suffix bits already restrict
 	// the reachable set (six zero tail bits force state 0).
 	best := 0
-	bestM := math.Inf(1)
 	for s, m := range metric {
-		if m < bestM {
-			bestM, best = m, s
+		if m < metric[best] {
+			best = s
 		}
 	}
-	if math.IsInf(metric[best], 1) {
-		return nil, fmt.Errorf("viterbi: no path satisfies the pinned bits")
+	if metric[best] >= unreachable {
+		return nil, fmt.Errorf("viterbi: no finite-cost path satisfies the pinned bits")
 	}
 
-	// Traceback: input t is bit 0 of the state entered after step t.
+	// Traceback: input t is bit 0 of the state entered after step t; the
+	// survivor bit restores the input that left the state six steps back.
 	info := make([]byte, n)
-	s := uint8(best)
+	s := uint(best)
 	for t := n - 1; t >= 0; t-- {
-		info[t] = s & 1
-		s = survivors[t][s]
+		info[t] = byte(s & 1)
+		s = s>>1 | uint(survivors[t]>>s&1)<<5
 	}
 	in.Obs.observeDecode(n)
 	return info, nil
+}
+
+// unreachable is the path metric of a state no admissible path enters.
+// It stays finite so the butterflies need no infinity checks; every
+// admissible metric is a sum of weights far below it, and adding a
+// weight to it rounds back to (at least) itself.
+const unreachable = 1e300
+
+// butterflyOut[j] is the (A<<1 | B) output pair on the transition from
+// state j into state 2j. Both generators tap the newest and the oldest
+// bit, so flipping either one complements the pair: the three other
+// transitions of butterfly j (j→2j+1, j|32→2j, j|32→2j+1) emit
+// butterflyOut[j]^3, butterflyOut[j]^3 and butterflyOut[j].
+var butterflyOut = func() (t [numStates / 2]uint8) {
+	for j := range t {
+		a, b := outputs(uint8(j), 0)
+		t[j] = a<<1 | b
+	}
+	return t
+}()
+
+// acsStep advances the path metrics one trellis step for the target pair
+// (ta, tb) with weights (wa, wb), writing next and returning the packed
+// survivor word (bit ns set when state ns was entered from its odd
+// predecessor ns>>1|32). Butterfly j reads predecessors j and j|32 and
+// writes states 2j and 2j+1; on equal cost the even predecessor wins.
+//
+//bluefi:allocfree
+func acsStep(next, metric *[numStates]float64, ta, tb byte, wa, wb float64) uint64 {
+	// cost[o] is the branch cost of emitting the pair o = A<<1 | B.
+	want := ta<<1 | tb
+	var cost [4]float64
+	for o := range cost {
+		d := uint8(o) ^ want
+		if d&2 != 0 {
+			cost[o] += wa
+		}
+		if d&1 != 0 {
+			cost[o] += wb
+		}
+	}
+	var surv uint64
+	for j := 0; j < numStates/2; j++ {
+		o := butterflyOut[j]
+		same, comp := cost[o&3], cost[(o^3)&3]
+		m0, m1 := metric[j], metric[j|numStates/2]
+		var d0, d1 uint64
+		next[2*j], d0 = acs(m0+same, m1+comp)
+		next[2*j+1], d1 = acs(m0+comp, m1+same)
+		surv |= (d0 | d1<<1) << uint(2*j)
+	}
+	return surv
+}
+
+// acs returns the smaller of c0 and c1 and 1 when c1 wins, 0 otherwise
+// (so c0 wins ties). Metrics are non-negative, so their IEEE bit
+// patterns order like the values; comparing those lets the compiler
+// select with conditional moves instead of a data-dependent branch.
+//
+//bluefi:allocfree
+func acs(c0, c1 float64) (float64, uint64) {
+	b0, b1 := math.Float64bits(c0), math.Float64bits(c1)
+	sel, d := b0, uint64(0)
+	if b1 < b0 {
+		sel, d = b1, 1
+	}
+	return math.Float64frombits(sel), d
+}
+
+// pin marks unreachable every state whose newest input bit (bit 0)
+// disagrees with the forced bit u.
+//
+//bluefi:allocfree
+func pin(metric *[numStates]float64, u byte) {
+	for s := int(^u & 1); s < numStates; s += 2 {
+		metric[s] = unreachable
+	}
 }
 
 // Cost re-encodes info and returns the weighted Hamming distance to the

@@ -1,6 +1,8 @@
 package viterbi
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -161,6 +163,177 @@ func TestDecodeIsOptimalVsExhaustive(t *testing.T) {
 		}
 		if got > best+1e-9 {
 			t.Fatalf("trial %d: viterbi cost %g, optimal %g", trial, got, best)
+		}
+	}
+}
+
+// referenceDecode is the per-state weighted Viterbi that Decode's
+// butterfly replaced, kept as the differential-test oracle: for every
+// state and both inputs it recomputes the branch outputs, skips
+// infinite metrics and records a full predecessor byte per state.
+func referenceDecode(in Input) ([]byte, error) {
+	if len(in.Bits)%2 != 0 {
+		return nil, fmt.Errorf("viterbi: %d mother bits, want even", len(in.Bits))
+	}
+	n := len(in.Bits) / 2
+	if in.Weight != nil && len(in.Weight) != len(in.Bits) {
+		return nil, fmt.Errorf("viterbi: %d weights for %d positions", len(in.Weight), len(in.Bits))
+	}
+	if len(in.PinnedPrefix)+len(in.PinnedSuffix) > n {
+		return nil, fmt.Errorf("viterbi: pinned %d+%d bits exceed %d inputs",
+			len(in.PinnedPrefix), len(in.PinnedSuffix), n)
+	}
+	weight := func(pos int) float64 {
+		if in.Weight == nil {
+			return 1
+		}
+		return in.Weight[pos]
+	}
+
+	metric := make([]float64, numStates)
+	next := make([]float64, numStates)
+	for s := range metric {
+		metric[s] = math.Inf(1)
+	}
+	metric[0] = 0
+	// survivors[t][s] = predecessor state of the best path entering state
+	// s after input t. The input bit itself is bit 0 of s (state = six
+	// most recent inputs, newest in bit 0).
+	survivors := make([][numStates]uint8, n)
+
+	for t := 0; t < n; t++ {
+		for s := range next {
+			next[s] = math.Inf(1)
+		}
+		var forced int8 = -1
+		switch {
+		case t < len(in.PinnedPrefix):
+			forced = int8(in.PinnedPrefix[t] & 1)
+		case t >= n-len(in.PinnedSuffix):
+			forced = int8(in.PinnedSuffix[t-(n-len(in.PinnedSuffix))] & 1)
+		}
+		ta, tb := in.Bits[2*t]&1, in.Bits[2*t+1]&1
+		wa, wb := weight(2*t), weight(2*t+1)
+		for s := 0; s < numStates; s++ {
+			m := metric[s]
+			if math.IsInf(m, 1) {
+				continue
+			}
+			for u := byte(0); u <= 1; u++ {
+				if forced >= 0 && u != byte(forced) {
+					continue
+				}
+				a, b := outputs(uint8(s), u)
+				cost := m
+				if a != ta {
+					cost += wa
+				}
+				if b != tb {
+					cost += wb
+				}
+				ns := nextState(uint8(s), u)
+				if cost < next[ns] {
+					next[ns] = cost
+					survivors[t][ns] = uint8(s)
+				}
+			}
+		}
+		metric, next = next, metric
+	}
+
+	// Select the best terminal state; pinned suffix bits already restrict
+	// the reachable set (six zero tail bits force state 0).
+	best := 0
+	bestM := math.Inf(1)
+	for s, m := range metric {
+		if m < bestM {
+			bestM, best = m, s
+		}
+	}
+	if math.IsInf(metric[best], 1) {
+		return nil, fmt.Errorf("viterbi: no path satisfies the pinned bits")
+	}
+
+	// Traceback: input t is bit 0 of the state entered after step t.
+	info := make([]byte, n)
+	s := uint8(best)
+	for t := n - 1; t >= 0; t-- {
+		info[t] = s & 1
+		s = survivors[t][s]
+	}
+	in.Obs.observeDecode(n)
+	return info, nil
+}
+
+// decodeWeightClasses are the weights quality mode hands Decode: the
+// 1000/100/1 subcarrier classes times the 1/2/4 constellation
+// significance, plus 0 for erasures.
+var decodeWeightClasses = []float64{0, 1, 2, 4, 100, 200, 400, 1000, 2000, 4000}
+
+func TestDecodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 480; trial++ {
+		n := 1 + rng.Intn(300)
+		in := Input{Bits: randBits(rng, 2*n)}
+		switch trial % 4 {
+		case 0: // nil weights: all ones, tie-heavy
+		case 1: // explicit all-ones weights
+			in.Weight = make([]float64, 2*n)
+			for i := range in.Weight {
+				in.Weight[i] = 1
+			}
+		default:
+			in.Weight = make([]float64, 2*n)
+			for i := range in.Weight {
+				in.Weight[i] = decodeWeightClasses[rng.Intn(len(decodeWeightClasses))]
+			}
+		}
+		in.PinnedPrefix = randBits(rng, rng.Intn(min(n, 20)+1))
+		in.PinnedSuffix = randBits(rng, rng.Intn(n-len(in.PinnedPrefix)+1))
+		if trial%40 == 0 {
+			// Over-pinned: both decoders must reject it.
+			in.PinnedSuffix = randBits(rng, n-len(in.PinnedPrefix)+1)
+		}
+		assertSameDecode(t, fmt.Sprintf("trial %d (n=%d)", trial, n), in)
+	}
+
+	// Every pin set that fits is satisfiable by some input sequence, so
+	// an unsatisfiable one needs hard constraints: infinite weights on a
+	// codeword of info with a pinned prefix that contradicts info[0].
+	info := randBits(rng, 40)
+	target, _ := Encode(info, 0)
+	w := make([]float64, len(target))
+	for i := range w {
+		w[i] = math.Inf(1)
+	}
+	in := Input{Bits: target, Weight: w, PinnedPrefix: []byte{info[0] ^ 1}}
+	if _, err := Decode(in); err == nil {
+		t.Fatal("Decode accepted pins no finite-cost path satisfies")
+	}
+	assertSameDecode(t, "unsatisfiable", in)
+	// The same hard constraints with a consistent pin decode to info.
+	in.PinnedPrefix[0] = info[0]
+	assertSameDecode(t, "hard-constrained", in)
+	if got, _ := Decode(in); string(got) != string(info) {
+		t.Fatalf("hard-constrained decode %v, want %v", got, info)
+	}
+}
+
+// assertSameDecode requires Decode and referenceDecode to agree on the
+// error outcome and, on success, on every information bit.
+func assertSameDecode(t *testing.T, name string, in Input) {
+	t.Helper()
+	got, err := Decode(in)
+	want, refErr := referenceDecode(in)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s: error %v, reference error %v", name, err, refErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d info bits, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: info bit %d = %d, reference %d", name, i, got[i], want[i])
 		}
 	}
 }
@@ -362,6 +535,43 @@ func BenchmarkDecode1000Bits(b *testing.B) {
 		if _, err := Decode(Input{Bits: target, Weight: w}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// beaconDecodeInput is a quality-mode beacon-sized problem: 29,500
+// trellis steps, weights drawn from the paper's classes with every
+// fourth mother position erased (rate-2/3 puncturing), a 16-bit SERVICE
+// prefix and a six-bit tail plus ten pad bits pinned at the end.
+func beaconDecodeInput() Input {
+	const steps = 29500
+	rng := rand.New(rand.NewSource(1))
+	in := Input{Bits: randBits(rng, 2*steps), Weight: make([]float64, 2*steps)}
+	for i := range in.Weight {
+		if i%4 != 3 {
+			in.Weight[i] = decodeWeightClasses[1+rng.Intn(len(decodeWeightClasses)-1)]
+		}
+	}
+	in.PinnedPrefix = randBits(rng, 16)
+	in.PinnedSuffix = append(PinnedSuffixZeros(6), randBits(rng, 10)...)
+	return in
+}
+
+// BenchmarkDecodeBeacon times Decode beside the per-state reference on
+// the same beacon-sized input.
+func BenchmarkDecodeBeacon(b *testing.B) {
+	in := beaconDecodeInput()
+	for _, c := range []struct {
+		name   string
+		decode func(Input) ([]byte, error)
+	}{{"butterfly", Decode}, {"reference", referenceDecode}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
