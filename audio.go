@@ -295,8 +295,7 @@ func (a *AudioStream) Send(pcm [][]float64) ([]*AudioTransmission, error) {
 	}
 	if a.gov != nil && a.dropNext {
 		a.dropNext = false
-		a.gov.RecordDropped(1)
-		a.gov.Observe(a2dp.Signal{Slots: a.segSlots}) // a shed packet is a clean observation
+		a.gov.Shed(a.segSlots)
 		return nil, nil
 	}
 	spf := a.sbcCfg.SamplesPerFrame()

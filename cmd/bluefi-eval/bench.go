@@ -2,8 +2,8 @@ package main
 
 // Benchmark regression harness (-bench-json): runs the §4.8
 // packet-generation benches and the Fig 9/10 harnesses under
-// testing.Benchmark and writes BENCH_*.json with ns/op and allocs/op —
-// a committed-format snapshot that successive changes diff against.
+// testing.Benchmark and merges ns/op and allocs/op into BENCH_eval.json
+// — a committed-format snapshot that successive changes diff against.
 
 import (
 	"encoding/json"
@@ -313,9 +313,9 @@ func runAllocGate(path string) error {
 // runBenchJSON executes the suite at GOMAXPROCS 1 and 4 (the -cpu 1,4
 // comparison: serial baseline versus the concurrency layer), skipping
 // any GOMAXPROCS above runtime.NumCPU() — such rows only measure
-// oversubscription — and merges the snapshot into path, keeping the
-// keys the soak, SLO and e2e runs recorded there.
-func runBenchJSON(path string) error {
+// oversubscription — and returns the snapshot, whose top-level keys
+// main merges into -bench-out next to the soak, SLO and e2e rows.
+func runBenchJSON() (*benchSnapshot, error) {
 	snap := &benchSnapshot{
 		Generated: time.Now().UTC().Format(time.RFC3339), //bluefi:nondeterministic-ok snapshot provenance timestamp in BENCH_eval.json
 		GoVersion: runtime.Version(),
@@ -347,25 +347,12 @@ func runBenchJSON(path string) error {
 
 	rows, err := stageBreakdown(10)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	snap.Stages = rows
 	fmt.Printf("stage breakdown (telemetry-sourced, 10 iterations):\n")
 	for _, r := range rows {
 		fmt.Printf("  %-10s %-14s %-9s %12.0f ns mean (n=%d)\n", r.Mode, r.Packet, r.Stage, r.MeanNs, r.Count)
 	}
-
-	for _, f := range []struct {
-		key   string
-		value any
-	}{
-		{"generated", snap.Generated}, {"goVersion", snap.GoVersion}, {"numCPU", snap.NumCPU},
-		{"results", snap.Results}, {"stageBreakdown", snap.Stages},
-	} {
-		if err := mergeBench(path, f.key, f.value, false); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("wrote %s (%d results)\n", path, len(snap.Results))
-	return nil
+	return snap, nil
 }

@@ -3,9 +3,8 @@ package main
 // -e2e: the loopback conformance matrix on the command line. Every
 // synthesis mode goes through the public API, the seeded channel model
 // (clean, CFO-offset, interferer storm) and back through the scanner;
-// the per-channel PDR table prints and a "scannerPDR" snapshot is
-// merged into the benchmark JSON (same non-destructive round-trip as
-// the fault reports).
+// the per-channel PDR table prints and main merges the "scannerPDR"
+// snapshot into the benchmark JSON.
 
 import (
 	"fmt"
@@ -32,27 +31,25 @@ func e2eScenarios() []e2eScenario {
 	}
 }
 
-// runE2E sweeps the conformance matrix and appends the scanner PDR
-// snapshot to the benchmark JSON at path.
-func runE2E(path string, n int) error {
-	if n <= 0 {
-		n = 20
-	}
+// runE2E sweeps the conformance matrix with n captures per cell
+// (0 = 20), gates each leg's PDR and returns the scanner snapshots.
+func runE2E(n int) (map[string]scan.Snapshot, error) {
+	n = orDefault(n, 20)
 	syn, err := bluefi.New(bluefi.Options{Chip: bluefi.AR9331, Mode: bluefi.Quality, WiFiChannel: 3})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ib := bluefi.IBeacon{Major: 0xB1, Minor: 0xF1}
 	pkt, err := syn.Beacon(ib.ADStructures(), [6]byte{0xBF, 1, 2, 3, 4, 5}, 38)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dev := bluefi.Device{LAP: 0x123456, UAP: 0x9A}
 	// Slot clocks whiten differently; pick one the synthesis rehearsal
 	// cleared, as a real scheduler with slot freedom would (DESIGN.md §10).
 	br, brClk, err := rehearsalCleanBR(syn, dev)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// EDR rides the CP-bypass transport leg (ideal phase trajectory, no
 	// PSDU layout): the full-chain DPSK payload does not survive
@@ -60,7 +57,7 @@ func runE2E(path string, n int) error {
 	// matrix measures. The full chain still detects — e2e_test covers it.
 	edrIQ, err := edrTransportIQ(dev)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	type leg struct {
@@ -88,7 +85,7 @@ func runE2E(path string, n int) error {
 				m.CFOHz = sc.cfo
 				iq, err := m.Apply(l.wave)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if sc.storm != nil {
 					st := *sc.storm
@@ -119,7 +116,7 @@ func runE2E(path string, n int) error {
 	for _, kind := range []string{"ble-adv", "br", "edr"} {
 		pdr, ok := legPDR(snaps["clean"], kind)
 		if !ok || pdr < 1 {
-			return fmt.Errorf("clean-channel %s PDR %.2f below 1.00", kind, pdr)
+			return nil, fmt.Errorf("clean-channel %s PDR %.2f below 1.00", kind, pdr)
 		}
 	}
 	for _, check := range []struct {
@@ -128,13 +125,13 @@ func runE2E(path string, n int) error {
 	}{{"offset", 0.9}, {"storm", 0.8}} {
 		pdr, ok := legPDR(snaps[check.scenario], "ble-adv")
 		if !ok {
-			return fmt.Errorf("scenario %q has no ble-adv cell", check.scenario)
+			return nil, fmt.Errorf("scenario %q has no ble-adv cell", check.scenario)
 		}
 		if pdr < check.min {
-			return fmt.Errorf("scenario %q: advertising PDR %.2f below the %.2f floor", check.scenario, pdr, check.min)
+			return nil, fmt.Errorf("scenario %q: advertising PDR %.2f below the %.2f floor", check.scenario, pdr, check.min)
 		}
 	}
-	return mergeBench(path, "scannerPDR", snaps, false)
+	return snaps, nil
 }
 
 // rehearsalCleanBR synthesizes a DM1 packet on successive slot clocks

@@ -15,6 +15,9 @@ import (
 	"bluefi/internal/obs/slo"
 )
 
+// serveWorkers is the -serve workload's pool size.
+const serveWorkers = 2
+
 // runServe exposes the telemetry endpoints (/metrics, /metrics.json,
 // /traces — plus /health, the audio stream's degradation state and
 // report, /debug/slo and /debug/flight) while a continuous synthesis
@@ -28,12 +31,12 @@ import (
 // sums in bluefi_core_stage_seconds must stay within ±5% of it — the
 // consistency contract between the span-fed histograms and the absorbed
 // Timings plumbing.
-func runServe(addr string, workers int, flightDir string) error {
+func runServe(addr, flightDir string) error {
 	reg := bluefi.NewTelemetry()
 	timingsNS := reg.Counter("bluefi_eval_core_timings_nanoseconds_total",
 		"sum of Packet.Timings().Total() over the serve workload")
 
-	pool, err := bluefi.NewPool(bluefi.Options{Mode: bluefi.RealTime, Telemetry: reg}, workers)
+	pool, err := bluefi.NewPool(bluefi.Options{Mode: bluefi.RealTime, Telemetry: reg}, serveWorkers)
 	if err != nil {
 		return err
 	}

@@ -1,13 +1,16 @@
 package main
 
-// SLO replay (-slo): drive the chaos storm scenario through the
+// SLO replay (-slo): drive the chaos storm through the
 // degradation-enabled audio pipeline with the burn-rate engine ticking
 // once per send, and gate on the alerting contract: the storm must
 // page exactly once (fast window catches it, hysteresis keeps it one
 // episode), the page must dump a valid flight bundle, and the SLO must
 // walk back to OK once the fault budget is spent. The episode summary
-// is appended under "sloEpisodes" in the BENCH_eval.json snapshot, so
-// alerting behavior diffs across changes the same way ns/op does.
+// and the stream's degradation report (frames shipped vs dropped, slots
+// spent in each health state, whether it recovered to Healthy) are
+// appended under "sloEpisodes" in the BENCH_eval.json snapshot, so
+// alerting and degradation behavior diff across changes the same way
+// ns/op does.
 //
 // `make slo-gate` runs this in CI; on failure the flight bundle is
 // uploaded as the debugging artifact.
@@ -15,6 +18,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -23,6 +27,12 @@ import (
 	"bluefi/internal/obs/flight"
 	"bluefi/internal/obs/slo"
 )
+
+// stormPlan is the chaos storm the replay drives: worker panics, 2×
+// synthesis latency and 30%-duty interference at once, from a fixed
+// seed — a reproducible experiment, not a dice roll.
+var stormPlan = bluefi.FaultPlan{Seed: 1, WorkerPanicRate: 0.05, LatencyRate: 0.40, LatencyFactor: 2,
+	InterferenceRate: 0.40, InterferenceDuty: 0.30, MaxInjections: 40}
 
 // sloGateSLO is the objective the replay gates on: stream airtime
 // spent Healthy. The storm's governor transitions make its error rate
@@ -67,12 +77,17 @@ type sloReport struct {
 	FinalState string        `json:"finalState"`
 	Episodes   []slo.Episode `json:"episodes"`
 	Bundle     string        `json:"bundle"`
+	// The stream's degradation through the replay.
+	Injected  int64                    `json:"injectedFaults"`
+	ShipFrac  float64                  `json:"shippedFraction"`
+	Recovered bool                     `json:"recoveredToHealthy"`
+	Stream    bluefi.DegradationReport `json:"stream"`
 }
 
-// runSLO replays the storm with the engine in the loop and appends the
-// episode summary to the snapshot at path.
-func runSLO(path, flightDir string) error {
-	plan := faultScenarios["storm"]
+// runSLO replays the storm with the engine in the loop and returns the
+// episode and degradation summary.
+func runSLO(flightDir string) (*sloReport, error) {
+	plan := stormPlan
 	reg := bluefi.NewTelemetry()
 	rec := flight.New(reg, 0)
 	rec.Attach(reg)
@@ -84,7 +99,7 @@ func runSLO(path, flightDir string) error {
 		Retry:     bluefi.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
 	}, 2)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer pool.Close()
 	stream, err := pool.NewAudioStream(bluefi.AudioConfig{
@@ -95,7 +110,7 @@ func runSLO(path, flightDir string) error {
 		SlotBudget: time.Minute,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	eng := slo.NewEngine(reg)
@@ -135,11 +150,11 @@ func runSLO(path, flightDir string) error {
 	done := 0
 	for ; done < 400 && pool.InjectedFaults() < int64(plan.MaxInjections); done++ {
 		if err := send(done * stream.SamplesPerSend()); err != nil {
-			return fmt.Errorf("storm send %d: %w", done, err)
+			return nil, fmt.Errorf("storm send %d: %w", done, err)
 		}
 	}
 	if pool.InjectedFaults() < int64(plan.MaxInjections) {
-		return fmt.Errorf("fault budget not spent after %d sends (%d injected)", done, pool.InjectedFaults())
+		return nil, fmt.Errorf("fault budget not spent after %d sends (%d injected)", done, pool.InjectedFaults())
 	}
 	stormTicks := tick
 
@@ -149,51 +164,56 @@ func runSLO(path, flightDir string) error {
 	const fastWindow = 8
 	for i := 0; i < fastWindow && eng.State(sloGateSLO) != slo.Page; i++ {
 		if err := send(done * stream.SamplesPerSend()); err != nil {
-			return fmt.Errorf("post-storm send %d: %w", done, err)
+			return nil, fmt.Errorf("post-storm send %d: %w", done, err)
 		}
 		done++
 	}
 	if eng.State(sloGateSLO) != slo.Page {
-		return fmt.Errorf("%s is %v one fast window after the storm, want page (snapshot %+v)",
+		return nil, fmt.Errorf("%s is %v one fast window after the storm, want page (snapshot %+v)",
 			sloGateSLO, eng.State(sloGateSLO), eng.Snapshot())
 	}
 
 	// Recovery phase: clean sends until the SLO walks Page→Warn→OK.
 	for i := 0; i < 250 && eng.State(sloGateSLO) != slo.OK; i++ {
 		if err := send(done * stream.SamplesPerSend()); err != nil {
-			return fmt.Errorf("recovery send %d: %w", done, err)
+			return nil, fmt.Errorf("recovery send %d: %w", done, err)
 		}
 		done++
 	}
 	if st := eng.State(sloGateSLO); st != slo.OK {
-		return fmt.Errorf("%s stuck at %v after recovery tail (burns: %+v)", sloGateSLO, st, eng.Snapshot())
+		return nil, fmt.Errorf("%s stuck at %v after recovery tail (burns: %+v)", sloGateSLO, st, eng.Snapshot())
 	}
 
 	episodes := eng.Episodes()
 	if len(episodes) != 1 {
-		return fmt.Errorf("%d page episodes, want exactly 1 (hysteresis must hold the storm together): %+v",
+		return nil, fmt.Errorf("%d page episodes, want exactly 1 (hysteresis must hold the storm together): %+v",
 			len(episodes), episodes)
 	}
 	ep := episodes[0]
 	if ep.Open || ep.StartTick > stormTicks+fastWindow || ep.EndTick <= ep.StartTick {
-		return fmt.Errorf("episode %+v does not bracket the storm (budget spent at tick %d)", ep, stormTicks)
+		return nil, fmt.Errorf("episode %+v does not bracket the storm (budget spent at tick %d)", ep, stormTicks)
 	}
 	if len(bundles) != 1 {
-		return fmt.Errorf("%d flight bundles dumped, want exactly 1", len(bundles))
+		return nil, fmt.Errorf("%d flight bundles dumped, want exactly 1", len(bundles))
 	}
 	var man flight.Manifest
 	data, err := os.ReadFile(filepath.Join(bundles[0], "manifest.json"))
 	if err != nil {
-		return fmt.Errorf("flight bundle invalid: %w", err)
+		return nil, fmt.Errorf("flight bundle invalid: %w", err)
 	}
 	if err := json.Unmarshal(data, &man); err != nil {
-		return fmt.Errorf("flight manifest invalid: %w", err)
+		return nil, fmt.Errorf("flight manifest invalid: %w", err)
 	}
 	if man.Reason != "slo-page:"+sloGateSLO || man.Events == 0 {
-		return fmt.Errorf("flight manifest %+v: want reason slo-page:%s and recorded events", man, sloGateSLO)
+		return nil, fmt.Errorf("flight manifest %+v: want reason slo-page:%s and recorded events", man, sloGateSLO)
 	}
 
-	rep := sloReport{
+	srep := stream.Report()
+	frac := 1.0
+	if total := srep.Shipped + srep.Dropped; total > 0 {
+		frac = float64(srep.Shipped) / float64(total)
+	}
+	rep := &sloReport{
 		Scenario:   "storm",
 		Seed:       plan.Seed,
 		Ticks:      tick,
@@ -202,8 +222,16 @@ func runSLO(path, flightDir string) error {
 		FinalState: eng.State(sloGateSLO).String(),
 		Episodes:   episodes,
 		Bundle:     bundles[0],
+		Injected:   pool.InjectedFaults(),
+		ShipFrac:   math.Round(frac*1000) / 1000,
+		Recovered:  stream.Health() == bluefi.HealthHealthy,
+		Stream:     srep,
 	}
 	fmt.Printf("slo/storm: paged tick %d, recovered tick %d (peak burn %.1f), OK after %d ticks total\n",
 		ep.StartTick, ep.EndTick, ep.PeakBurn, tick)
-	return mergeBench(path, "sloEpisodes", rep, true)
+	fmt.Printf("  %d injected faults, shipped %.1f%% (%d/%d), stream %s, recovered=%v\n",
+		rep.Injected, 100*frac, srep.Shipped, srep.Shipped+srep.Dropped, stream.Health(), rep.Recovered)
+	fmt.Printf("  time in state (slots): healthy=%d degraded=%d shedding=%d, %d transitions\n",
+		srep.TimeInStateSlots[0], srep.TimeInStateSlots[1], srep.TimeInStateSlots[2], srep.Transitions)
+	return rep, nil
 }

@@ -1,8 +1,8 @@
 // bluefi-lint is the repo's multichecker: seven BlueFi-specific
 // analyzers (determinism, poolbalance, lockcheck, scratchalias,
-// alloccheck, leakcheck, obsnames) plus reimplementations of the vet
-// passes the lint tier needs (copylocks, loopclosure, atomicassign,
-// nilness), in one binary invocation.
+// alloccheck, leakcheck, obsnames) plus the two std-style passes
+// `go vet` does not cover here (atomicassign, nilness), in one binary
+// invocation. copylocks and loopclosure come from `go vet ./...`.
 //
 // Usage:
 //
@@ -63,8 +63,6 @@ var all = []*framework.Analyzer{
 	alloccheck.Analyzer,
 	leakcheck.Analyzer,
 	obsnames.Analyzer,
-	stdchecks.Copylocks,
-	stdchecks.Loopclosure,
 	stdchecks.AtomicAssign,
 	stdchecks.Nilness,
 }

@@ -266,10 +266,29 @@ func NewGovernor(cfg PolicyConfig, baseBitpool, baseChannels int) *Governor {
 }
 
 // Observe feeds one observation and returns the decision for the next
-// media packet.
+// media packet. In Shedding the decision asks the ledger for a drop, so
+// a caller that acts on Drop must follow it with RecordDropped.
 func (g *Governor) Observe(sig Signal) Decision {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.observeLocked(sig)
+	return g.decisionLocked(true)
+}
+
+// Shed records one media packet the stream shed on a granted Drop:
+// the packet is charged to the ledger like RecordDropped, and its slots
+// count as a clean observation. Unlike Observe it asks the ledger for
+// nothing, so every ledger grant stays matched by exactly one shed.
+func (g *Governor) Shed(slots int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.dropLocked(1)
+	g.observeLocked(Signal{Slots: slots})
+}
+
+// observeLocked advances the time-in-state accounting and the
+// hysteresis ladder by one observation.
+func (g *Governor) observeLocked(sig Signal) {
 	slots := sig.Slots
 	if slots <= 0 {
 		slots = 1
@@ -292,7 +311,6 @@ func (g *Governor) Observe(sig Signal) Decision {
 			g.transitionLocked(g.state - 1)
 		}
 	}
-	return g.decisionLocked(true)
 }
 
 // transitionLocked moves to a new state and resets the hysteresis
@@ -351,6 +369,10 @@ func (g *Governor) RecordShipped(n int) {
 func (g *Governor) RecordDropped(n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.dropLocked(n)
+}
+
+func (g *Governor) dropLocked(n int) {
 	g.dropped += uint64(n)
 	g.met.drop(int64(n))
 	g.ledger.RecordDropped(g.cfg.SessionID, n)
@@ -364,7 +386,7 @@ func (g *Governor) State() Health {
 }
 
 // Report is a point-in-time summary of the degradation history — what
-// `bluefi-eval -faults` emits.
+// `bluefi-eval -slo` records for the chaos storm.
 type Report struct {
 	State   Health `json:"state"`
 	Shipped uint64 `json:"shipped"`

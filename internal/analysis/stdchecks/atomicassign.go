@@ -1,3 +1,11 @@
+// Package stdchecks holds the two std-style passes `go vet` does not
+// cover for this codebase, on the repo's own analysis framework:
+// atomicassign (vet's atomic pass misses the SwapInt32 form) and a
+// basic nilness (vet does not run nilness). copylocks and loopclosure
+// are left to `go vet ./...`, which `make verify` runs. Each pass is
+// deliberately small: it covers the patterns that occur (or must never
+// occur) in this codebase, not the full generality of the upstream
+// passes.
 package stdchecks
 
 import (

@@ -7,14 +7,6 @@ import (
 	"bluefi/internal/analysis/stdchecks"
 )
 
-func TestCopylocks(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), stdchecks.Copylocks, "copylocks/a")
-}
-
-func TestLoopclosure(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), stdchecks.Loopclosure, "loopclosure/a")
-}
-
 func TestAtomicAssign(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), stdchecks.AtomicAssign, "atomicassign/a")
 }

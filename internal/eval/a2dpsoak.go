@@ -33,7 +33,7 @@ import (
 //     must dump a flight bundle.
 //
 // `bluefi-eval -a2dp-soak` (and `make a2dp-soak`) runs this and gates
-// CI on the knee; the capacity curve lands in BENCH_eval.json under
+// CI with Check; the capacity curve lands in BENCH_eval.json under
 // "a2dpCapacity".
 
 // A2DPSoakConfig sizes the soak.
@@ -49,13 +49,12 @@ type A2DPSoakConfig struct {
 	// ServiceSlots pins the admission projection's per-segment service
 	// estimate (625 µs slots), keeping the knee deterministic.
 	ServiceSlots float64
-	// GlobalShipFloor is the fleet-wide shedding floor (default 0.8).
+	// GlobalShipFloor is the fleet-wide shedding floor.
 	GlobalShipFloor float64
 	// StormSessions is the fleet size for the fault-storm phase
-	// (bounded by the knee; default 4).
+	// (bounded by the knee).
 	StormSessions int
-	// StormRounds bounds the storm phase (default 40 round-robin
-	// rounds).
+	// StormRounds bounds the storm phase in round-robin rounds.
 	StormRounds int
 	// Seed seeds the storm's fault plan.
 	Seed int64
@@ -82,31 +81,6 @@ func DefaultA2DPSoak() A2DPSoakConfig {
 		Seed:              7,
 		Mode:              bluefi.RealTime,
 	}
-}
-
-func (c A2DPSoakConfig) withDefaults() A2DPSoakConfig {
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
-	if c.MaxSessions < 2 {
-		c.MaxSessions = 32
-	}
-	if c.PacketsPerSession < 1 {
-		c.PacketsPerSession = 3
-	}
-	if c.ServiceSlots <= 0 {
-		c.ServiceSlots = 0.4
-	}
-	if c.GlobalShipFloor <= 0 || c.GlobalShipFloor >= 1 {
-		c.GlobalShipFloor = 0.8
-	}
-	if c.StormSessions < 1 {
-		c.StormSessions = 4
-	}
-	if c.StormRounds < 1 {
-		c.StormRounds = 40
-	}
-	return c
 }
 
 // soakAudio is the per-session workload: four SBC frames per DM1
@@ -214,7 +188,6 @@ func flightEventKinds(bundle string) (map[string]int, error) {
 
 // A2DPSoak runs the capacity experiment.
 func A2DPSoak(cfg A2DPSoakConfig) (*A2DPSoakResult, error) {
-	cfg = cfg.withDefaults()
 	res := &A2DPSoakResult{
 		Workers:         cfg.Workers,
 		ServiceSlots:    cfg.ServiceSlots,
@@ -425,6 +398,68 @@ func a2dpStorm(cfg A2DPSoakConfig, knee int) (*A2DPStormOutcome, error) {
 	out.BudgetGrants = budget.Grants
 	out.BudgetDenials = budget.Denials
 	return out, nil
+}
+
+// a2dpMissBudget is the projected deadline-miss ratio an admitted level
+// may carry; the refused candidate must project past it.
+const a2dpMissBudget = 0.05
+
+// a2dpStormShipFloor is the fleet-wide shipped ratio the fault storm
+// must hold.
+const a2dpStormShipFloor = 0.75
+
+// Check applies the soak's pass/fail gates:
+//
+//   - the knee admits at least minKnee sessions;
+//   - the capacity curve is monotone and every admitted level projects
+//     a miss ratio inside the admission budget, while the refused
+//     candidate projects one past it;
+//   - every admitted session ships ≥ the global floor on the clean
+//     pool, with zero deadline misses;
+//   - the ramp's flight bundle carries the admit/reject trail;
+//   - through the storm, at least min(minKnee, storm sessions) sessions
+//     still ship at or above the floor when the first SLO page fires
+//     (or at storm end when none does), and the fleet ships ≥ 0.75.
+func (r *A2DPSoakResult) Check(minKnee int) error {
+	if r.Knee < minKnee {
+		return fmt.Errorf("capacity knee at %d sessions, want ≥ %d", r.Knee, minKnee)
+	}
+	for i, pt := range r.Ramp {
+		if i > 0 && pt.Utilization <= r.Ramp[i-1].Utilization {
+			return fmt.Errorf("capacity curve not monotone at level %d (%.4f after %.4f)",
+				pt.Sessions, pt.Utilization, r.Ramp[i-1].Utilization)
+		}
+		if pt.MissRatio > a2dpMissBudget {
+			return fmt.Errorf("admitted level %d projects miss ratio %.4f over the %.2f budget",
+				pt.Sessions, pt.MissRatio, a2dpMissBudget)
+		}
+	}
+	if r.Rejected.Sessions != r.Knee+1 || r.Rejected.MissRatio <= a2dpMissBudget {
+		return fmt.Errorf("refused candidate's projection %+v does not justify rejection", r.Rejected)
+	}
+	for _, m := range r.Measured {
+		if m.ShippedRatio < r.GlobalShipFloor {
+			return fmt.Errorf("session %s shipped %.3f below the %.2f floor on the clean pool",
+				m.ID, m.ShippedRatio, r.GlobalShipFloor)
+		}
+		if m.DeadlineMisses > 0 {
+			return fmt.Errorf("session %s missed %d deadlines below the knee", m.ID, m.DeadlineMisses)
+		}
+	}
+	if r.RampBundle == "" || r.AdmitEvents != r.Knee || r.RejectEvents < 1 {
+		return fmt.Errorf("ramp flight bundle %q carries %d admit / %d reject events, want %d / ≥1",
+			r.RampBundle, r.AdmitEvents, r.RejectEvents, r.Knee)
+	}
+	st := r.Storm
+	atFloor := min(minKnee, st.Sessions)
+	if st.SessionsAtFloor < atFloor {
+		return fmt.Errorf("only %d/%d storm sessions at the %.2f floor (first page round %d), want ≥ %d",
+			st.SessionsAtFloor, st.Sessions, r.GlobalShipFloor, st.FirstPageRound, atFloor)
+	}
+	if st.ShippedRatio < a2dpStormShipFloor {
+		return fmt.Errorf("storm fleet shipped %.3f, want ≥ %.2f", st.ShippedRatio, a2dpStormShipFloor)
+	}
+	return nil
 }
 
 // FormatA2DPSoak renders the capacity curve and gate figures.

@@ -30,56 +30,36 @@ func TestA2DPSoakSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("\n%s", FormatA2DPSoak(r))
+	// The CLI's gates, with the knee one worker sustains.
+	if err := r.Check(2); err != nil {
+		t.Fatal(err)
+	}
+	// Structure the gates take for granted: one ramp point per admitted
+	// level, the refused candidate extending the curve, and one measured
+	// outcome per admitted session, each of which synthesized segments.
 	if r.Knee < 1 || len(r.Ramp) != r.Knee {
 		t.Fatalf("knee %d with %d ramp points", r.Knee, len(r.Ramp))
 	}
-	// The capacity curve is monotone: every admitted session raises the
-	// projected utilization, and the refused candidate's projection must
-	// be the worst of all.
 	for i, pt := range r.Ramp {
 		if pt.Sessions != i+1 {
 			t.Fatalf("ramp[%d] projects %d sessions", i, pt.Sessions)
 		}
-		if i > 0 && pt.Utilization <= r.Ramp[i-1].Utilization {
-			t.Fatalf("utilization not increasing at level %d: %.4f after %.4f",
-				i+1, pt.Utilization, r.Ramp[i-1].Utilization)
-		}
-		if pt.MissRatio > 0.05 {
-			t.Fatalf("admitted level %d carries projected miss ratio %.4f", i+1, pt.MissRatio)
-		}
 	}
-	last := r.Ramp[len(r.Ramp)-1]
-	if r.Rejected.Sessions != r.Knee+1 || r.Rejected.Utilization <= last.Utilization {
+	if last := r.Ramp[len(r.Ramp)-1]; r.Rejected.Utilization <= last.Utilization {
 		t.Fatalf("rejected projection %+v does not extend the curve past %+v", r.Rejected, last)
 	}
-	if r.Rejected.MissRatio <= 0.05 {
-		t.Fatalf("refused candidate projects miss ratio %.4f — inside the budget", r.Rejected.MissRatio)
-	}
-	// Below the knee every session ships everything on the clean pool.
 	if len(r.Measured) != r.Knee {
 		t.Fatalf("%d measured sessions, knee %d", len(r.Measured), r.Knee)
 	}
 	for _, m := range r.Measured {
-		if m.ShippedRatio < r.GlobalShipFloor {
-			t.Fatalf("session %s shipped %.2f below the floor on a clean pool", m.ID, m.ShippedRatio)
-		}
 		if m.Segments == 0 {
 			t.Fatalf("session %s synthesized no segments", m.ID)
 		}
 	}
-	// The ramp's flight bundle carries the admission trail.
-	if r.RampBundle == "" || r.AdmitEvents != r.Knee || r.RejectEvents < 1 {
-		t.Fatalf("flight bundle %q: %d admit / %d reject events, want %d / ≥1",
-			r.RampBundle, r.AdmitEvents, r.RejectEvents, r.Knee)
-	}
-	// Storm: the budget keeps the fleet shipping.
 	if r.Storm.Sessions < 1 || r.Storm.Rounds < 1 {
 		t.Fatalf("storm did not run: %+v", r.Storm)
 	}
-	if r.Storm.ShippedRatio < 0.5 {
-		t.Fatalf("storm fleet shipped %.2f — coordination collapsed", r.Storm.ShippedRatio)
-	}
-	t.Logf("\n%s", FormatA2DPSoak(r))
 }
 
 // TestA2DPSoakDeterministicCurve: the projected capacity curve is a

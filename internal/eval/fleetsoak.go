@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -21,7 +22,7 @@ import (
 // the load in levels recording the p50/p99/max beacon-slot latency at
 // each (the capacity curve), then runs a churn phase — expiries,
 // re-registrations, payload updates — and measures the steady-state
-// PSDU cache hit rate, which the fleet-soak CI gate holds at ≥90%.
+// PSDU cache hit rate, which Check holds at ≥90%.
 
 // FleetSoakConfig sizes the soak.
 type FleetSoakConfig struct {
@@ -275,6 +276,50 @@ func FleetSoak(cfg FleetSoakConfig) (*FleetSoakResult, error) {
 	res.ScheduleDigest = f.ScheduleDigest()
 	res.Sketches = f.Sketches()
 	return res, nil
+}
+
+// fleetHitRateFloor is the steady-state PSDU cache hit rate the soak
+// must hold.
+const fleetHitRateFloor = 0.90
+
+// Check applies the soak's pass/fail gates: the final ramp level
+// sustains every one of cfg.Beacons registrations with no failures and
+// a recorded p99, the steady-state cache hit rate holds the 0.90 floor,
+// and the O(k) sketches agree with the exact ramp figures.
+func (r *FleetSoakResult) Check(cfg FleetSoakConfig) error {
+	if len(r.Ramp) == 0 {
+		return errors.New("no capacity points recorded")
+	}
+	last := r.Ramp[len(r.Ramp)-1]
+	if last.Failures > 0 {
+		return fmt.Errorf("%d registrations failed at the final level", last.Failures)
+	}
+	if last.Beacons < cfg.Beacons {
+		return fmt.Errorf("sustained %d beacons, want %d", last.Beacons, cfg.Beacons)
+	}
+	if last.P99LatencySeconds <= 0 {
+		return errors.New("no p99 beacon-slot latency recorded")
+	}
+	if r.SteadyStateHitRate < fleetHitRateFloor {
+		return fmt.Errorf("steady-state cache hit rate %.4f under the %.2f floor", r.SteadyStateHitRate, fleetHitRateFloor)
+	}
+	// The quantile sketch promises 1% relative error against any true
+	// sample; churn-phase admissions shift the sketched p99 slightly off
+	// the ramp percentile, so gate at a loose 25% — it catches a broken
+	// sketch, not honest drift.
+	sk := r.Sketches
+	if sk.SlotLatency.N == 0 {
+		return errors.New("slot-latency sketch recorded no samples")
+	}
+	if p99 := sk.SlotLatency.P99; p99 <= 0 ||
+		p99 < last.P99LatencySeconds*0.75 || p99 > last.MaxLatencySeconds*1.25 {
+		return fmt.Errorf("sketched p99 %.6fs implausible against exact p99 %.6fs / max %.6fs",
+			p99, last.P99LatencySeconds, last.MaxLatencySeconds)
+	}
+	if len(sk.HotKeys) == 0 || len(sk.HotShards) == 0 {
+		return errors.New("heavy-hitter sketches empty after the soak")
+	}
+	return nil
 }
 
 // percentile reads the p-quantile from an ascending-sorted slice

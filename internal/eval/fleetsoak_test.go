@@ -22,23 +22,24 @@ func smallSoak(seed int64) FleetSoakConfig {
 }
 
 func TestFleetSoakSmoke(t *testing.T) {
-	r, err := FleetSoak(smallSoak(3))
+	// 10k beacons keep the four cold syntheses and the scheduler's
+	// stragglers well under 1% of the slot-latency samples, so the
+	// sketched p99 is a cache hit like the final level's — the regime
+	// Check's sketch gate is written for. 16 APs keep each AP's load
+	// below the CI soak's.
+	cfg := smallSoak(3)
+	cfg.APs, cfg.Beacons = 16, 10000
+	r, err := FleetSoak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Ramp) == 0 {
-		t.Fatal("no capacity points")
+	t.Logf("\n%s", FormatFleetSoak(r))
+	if err := r.Check(cfg); err != nil {
+		t.Fatal(err)
 	}
-	last := r.Ramp[len(r.Ramp)-1]
-	if last.Beacons != 200 || last.Failures != 0 {
-		t.Fatalf("final level %+v", last)
-	}
-	if last.CacheHitRate < 0.9 {
+	if last := r.Ramp[len(r.Ramp)-1]; last.CacheHitRate < 0.9 {
 		t.Fatalf("cumulative hit rate %.3f with %d beacons over %d payloads — caching broken",
 			last.CacheHitRate, r.Beacons, r.UniquePayloads)
-	}
-	if r.SteadyStateHitRate < 0.9 {
-		t.Fatalf("steady-state hit rate %.3f under the 0.90 gate", r.SteadyStateHitRate)
 	}
 	if r.Syntheses > uint64(r.UniquePayloads) {
 		t.Fatalf("%d syntheses for %d unique payloads — singleflight or keying broken",
@@ -47,11 +48,6 @@ func TestFleetSoakSmoke(t *testing.T) {
 	if r.CacheDigest == "" || r.ScheduleDigest == "" {
 		t.Fatal("empty digests")
 	}
-	// p99 must be a real measurement (spans time even without telemetry).
-	if last.P99LatencySeconds <= 0 {
-		t.Fatalf("p99 latency %g, want > 0", last.P99LatencySeconds)
-	}
-	t.Logf("\n%s", FormatFleetSoak(r))
 }
 
 // TestFleetSoakDeterministicAcrossParallelism is the SweepParallel-style

@@ -1,7 +1,8 @@
 // Package faults is the deterministic fault injector behind the chaos
-// tests and `bluefi-eval -faults` scenarios. Like internal/obs it is
-// nil-disabled: a nil *Injector makes every hook a no-op at the cost of
-// one branch per site, so production builds pay nothing.
+// tests, the `bluefi-eval -slo` storm replay and the soaks. Like
+// internal/obs it is nil-disabled: a nil *Injector makes every hook a
+// no-op at the cost of one branch per site, so production builds pay
+// nothing.
 //
 // Unlike obs, faults sits on the synthesis side of the measurement
 // boundary — whether a fault fires feeds back into what the pipeline

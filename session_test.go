@@ -568,3 +568,54 @@ func FuzzSessionAdmit(f *testing.F) {
 		}
 	})
 }
+
+// TestShedGrantsMatchPolicySheds pins the ledger's grant contract end to
+// end: every grant the stream's governor obtains is followed by exactly
+// one policy shed, so Budget.Grants counts real drops. A one-nanosecond
+// slot budget makes every packet miss its deadline, walking the governor
+// into Shedding with no fault injector, so every (nil, nil) Send is a
+// policy shed.
+func TestShedGrantsMatchPolicySheds(t *testing.T) {
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	sm, err := pool.NewSessionManager(SessionManagerConfig{
+		ServiceSlots:    0.25,
+		GlobalShipFloor: 0.5, // room for a shed every other packet
+		Degrade:         DegradePolicy{MissesToDegrade: 1, MissesToShed: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	audio := lightAudio(0x5ed)
+	audio.FramesPerPacket = 1
+	audio.SlotBudget = time.Nanosecond
+	s, err := sm.Admit(SessionConfig{ID: "shed", Audio: audio})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sheds := uint64(0)
+	for i := 0; i < 16; i++ {
+		out, err := s.Send(chaosTone(s.Stream(), i*s.Stream().SamplesPerSend()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out == nil {
+			sheds++
+		}
+	}
+	if sheds == 0 {
+		t.Fatal("the stream never shed — the test no longer reaches Shedding")
+	}
+	// A grant from the last Send is still pending: its shed is the next
+	// packet's.
+	if s.stream.dropNext {
+		sheds++
+	}
+	if grants := sm.Report().Budget.Grants; grants != sheds {
+		t.Fatalf("ledger granted %d drops for %d policy sheds", grants, sheds)
+	}
+	t.Logf("%d policy sheds in 16 packets, each granted once", sheds)
+}
