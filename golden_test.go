@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,6 +30,9 @@ type goldenVector struct {
 	MCS         int    `json:"mcs"`
 	Mismatches  int    `json:"rehearsalMismatches"`
 	PSDU        string `json:"psduHex"`
+	// Fidelity is %016x of the float64 bits of Packet.Fidelity: the
+	// predicted waveform's in-band phase RMSE, pinned bit for bit.
+	Fidelity string `json:"fidelityBits"`
 }
 
 var goldenChips = map[string]bluefi.ChipModel{
@@ -69,6 +73,8 @@ func goldenBeacon(t *testing.T, chipName, modeName string, bleCh, wifiCh int) *b
 	return pkt
 }
 
+func fidelityBits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
+
 func goldenPath() string { return filepath.Join("testdata", "golden_psdus.json") }
 
 func goldenCases(short bool) []goldenVector {
@@ -97,6 +103,7 @@ func TestGoldenPSDUs(t *testing.T) {
 			c.MCS = pkt.MCS
 			c.Mismatches = pkt.RehearsalMismatches
 			c.PSDU = hex.EncodeToString(pkt.PSDU)
+			c.Fidelity = fidelityBits(pkt.Fidelity)
 			vectors = append(vectors, c)
 		}
 		data, err := json.MarshalIndent(vectors, "", "\t")
@@ -143,6 +150,9 @@ func TestGoldenPSDUs(t *testing.T) {
 			}
 			if pkt.RehearsalMismatches != want.Mismatches {
 				t.Errorf("RehearsalMismatches %d, golden %d", pkt.RehearsalMismatches, want.Mismatches)
+			}
+			if got := fidelityBits(pkt.Fidelity); got != want.Fidelity {
+				t.Errorf("Fidelity bits %s (%g), golden %s", got, pkt.Fidelity, want.Fidelity)
 			}
 			if !bytes.Equal(pkt.PSDU, wantPSDU) {
 				i := 0
