@@ -117,22 +117,47 @@ func phaseSearchBench(parallelism int) func(b *testing.B) {
 		opts := core.DefaultOptions()
 		opts.GFSK = gfsk.BLEConfig()
 		opts.SearchParallelism = parallelism
-		s, err := core.New(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
 		ib := bluefi.IBeacon{Major: 3}
 		adv := &bt.Advertisement{PDUType: bt.AdvNonconnInd, AdvA: [6]byte{1, 2, 3, 4, 5, 6}, Data: ib.ADStructures()}
 		air, err := adv.AirBits(38)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Synthesize(air, 2426); err != nil {
-				b.Fatal(err)
-			}
+		synthBench(b, opts, air)
+	}
+}
+
+// realtimeDM1Bench is the synthesis A2DP runs: DefaultOptions in
+// RealTime mode (dynamic scale, CP and pilot precompensation, the
+// rehearsal-scored phase search) on a 17-byte BR DM1 packet, with the
+// search serial. Unlike the PSDU-only sec48 rows it builds the predicted
+// waveform, so it times the channel filters the rehearsal and fidelity
+// run.
+func realtimeDM1Bench(b *testing.B) {
+	opts := core.DefaultOptions()
+	opts.Mode = core.RealTime
+	opts.GFSK = gfsk.BRConfig()
+	opts.SearchParallelism = 1
+	pkt := &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: make([]byte, 17)}
+	air, err := pkt.AirBits(bt.Device{LAP: 0x123456, UAP: 0x9A})
+	if err != nil {
+		b.Fatal(err)
+	}
+	synthBench(b, opts, air)
+}
+
+// synthBench times Synthesize of air at 2426 MHz on one synthesizer
+// built from opts before the timer starts.
+func synthBench(b *testing.B, opts core.Options, air []byte) {
+	s, err := core.New(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Synthesize(air, 2426); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -339,6 +364,7 @@ func runBenchJSON() (*benchSnapshot, error) {
 		record(snap, "sec48/realtime-1slot-throughput"+tag, sec48Bench(core.RealTime, 17, bt.DM1, true))
 		record(snap, "phase-search/serial"+tag, phaseSearchBench(1))
 		record(snap, "phase-search/parallel"+tag, phaseSearchBench(4))
+		record(snap, "phase-search/realtime-dm1-serial"+tag, realtimeDM1Bench)
 		record(snap, "fig9/serial"+tag, fig9Bench(1))
 		record(snap, "fig9/parallel"+tag, fig9Bench(4))
 		record(snap, "fig10/audio"+tag, fig10Bench())

@@ -216,6 +216,10 @@ type Result struct {
 	// PSDU under the same configuration), including the preamble when
 	// configured.
 	Waveform []complex128
+	// dataWave is the modulated data field (Waveform[DataStart:]). The
+	// search rehearses candidates on it; finish frames Waveform from it
+	// for the returned result only.
+	dataWave []complex128
 	// targetPhase keeps the offset-mixed target for rehearsal scoring.
 	targetPhase []float64
 	// DataStart is the offset of the first data symbol in Waveform;
@@ -256,10 +260,12 @@ type Synthesizer struct {
 	extraLead    int
 	rehearseRx   *btrx.Receiver
 
-	// fitSymbols scratch: the time/frequency buffers, the two
+	// fitSymbols scratch: the time/frequency buffers, one symbol's
+	// sin/cos of the designed phase (shared by every trial scale), the two
 	// interleaved-bit candidate buffers of the per-symbol scale search,
 	// and the per-subcarrier band masks of the last offset.
 	fitBody, fitX        []complex128
+	fitSin, fitCos       []float64
 	fitInter             [2][]byte
 	fitStarve, fitInband []bool
 
@@ -357,6 +363,8 @@ func New(opts Options) (*Synthesizer, error) {
 		predistFIR: predistFIR}
 	s.fitBody = make([]complex128, wifi.FFTSize)
 	s.fitX = make([]complex128, wifi.FFTSize)
+	s.fitSin = make([]float64, wifi.FFTSize)
+	s.fitCos = make([]float64, wifi.FFTSize)
 	s.fitInter[0] = make([]byte, 0, mcs.NCBPS)
 	s.fitInter[1] = make([]byte, 0, mcs.NCBPS)
 	s.fitStarve = make([]bool, len(wifi.HTDataSubcarriers))
@@ -428,6 +436,7 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 	nbpsc := s.mcs.Modulation.BitsPerSymbol()
 	coded = make([]byte, 0, nsym*s.mcs.NCBPS)
 	body, X := s.fitBody, s.fitX
+	sinT, cosT := s.fitSin, s.fitCos
 	single := [1]float64{s.opts.ScaleFactor}
 	scales := single[:]
 	if s.opts.DynamicScale {
@@ -447,10 +456,12 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 		base := k*symbolLen + wifi.ShortGI
 		bestResidue := math.Inf(1)
 		var bestInter []byte
+		for n := range sinT {
+			sinT[n], cosT[n] = math.Sincos(thetaHat[base+n])
+		}
 		for _, A := range scales {
-			for n := 0; n < wifi.FFTSize; n++ {
-				sin, cos := math.Sincos(thetaHat[base+n])
-				body[n] = complex(A*cos, A*sin)
+			for n := range body {
+				body[n] = complex(A*cosT[n], A*sinT[n])
 			}
 			s.plan.ForwardInto(X, body)
 			inter := s.fitInter[curIdx][:0]
@@ -550,11 +561,10 @@ func (s *Synthesizer) invert(coded []byte, weights []float64, nsym int) ([]byte,
 
 // synthPass holds one open-loop synthesis result.
 type synthPass struct {
-	data     []byte         // scrambled-domain data bits
-	coded    []byte         // coded-bit targets
-	reCoded  []byte         // data re-encoded: the coded bits actually sent
-	symbols  [][]complex128 // frequency-domain data symbols
-	dataWave []complex128   // modulated data field (no preamble)
+	data     []byte       // scrambled-domain data bits
+	coded    []byte       // coded-bit targets
+	reCoded  []byte       // data re-encoded: the coded bits actually sent
+	dataWave []complex128 // modulated data field (no preamble)
 	flips    int
 	impFlips int
 	timings  Timings
@@ -602,11 +612,11 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 		}
 	}
 	if !s.opts.PSDUOnly {
-		p.symbols, err = s.tx.SymbolsFromScrambledBits(data)
+		symbols, err := s.tx.SymbolsFromScrambledBits(data)
 		if err != nil {
 			return nil, err
 		}
-		p.dataWave, err = s.mod.Modulate(p.symbols)
+		p.dataWave, err = s.mod.Modulate(symbols)
 		if err != nil {
 			return nil, err
 		}
@@ -854,11 +864,40 @@ func (s *Synthesizer) SynthesizePhase(basebandPhase []float64, btMHz float64) (*
 	}
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	res, err := s.synthesizePhase(ctx, basebandPhase, btMHz)
-	d := sp.End()
 	if err == nil {
-		s.met.observeSynth(d, res.RehearsalMismatches)
+		err = s.finish(res, len(basebandPhase))
 	}
-	return res, err
+	d := sp.End()
+	if err != nil {
+		return nil, err
+	}
+	s.met.observeSynth(d, res.RehearsalMismatches)
+	return res, nil
+}
+
+// finish completes the result SynthesizePhase returns: the framed
+// Waveform (the preamble, when configured, ahead of the data field) and
+// the in-band PhaseRMSE over the packet span. Search candidates are
+// scored on the data field alone, so only the returned one pays for
+// framing and fidelity. A PSDUOnly result has no data field and stays
+// without both.
+func (s *Synthesizer) finish(res *Result, pktLen int) error {
+	if res.dataWave == nil {
+		return nil
+	}
+	waveform, err := s.tx.Frame(res.dataWave, len(res.PSDU))
+	if err != nil {
+		return err
+	}
+	lead := res.GFSKStart
+	if lead+pktLen <= len(res.dataWave) {
+		// The ideal waveform — the offset-mixed target phase itself — is
+		// only realized here, off the PSDUOnly hot path.
+		ideal := dsp.PhaseToIQ(res.targetPhase[lead:lead+pktLen], 1)
+		res.PhaseRMSE = s.inbandPhaseRMSE(ideal, res.dataWave[lead:lead+pktLen], res.Plan.OffsetHz)
+	}
+	res.Waveform, res.dataWave = waveform, nil
+	return nil
 }
 
 // synthesizePhase is SynthesizePhase behind the telemetry span; ctx
@@ -921,11 +960,13 @@ func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float
 // decisions and the worst agreeing decision margin (normalized).
 func (s *Synthesizer) rehearse(res *Result, pktLen int) (mismatches int, minMargin float64) {
 	s.met.observeCandidate()
-	if res.Waveform == nil {
+	if res.dataWave == nil {
 		return 0, 0
 	}
-	start := res.DataStart + res.GFSKStart
-	if start+pktLen > len(res.Waveform) {
+	// The preamble is a whole number of bit periods (720 = 36·20
+	// samples), so bit phase within the data field is the frame's.
+	start := res.GFSKStart
+	if start+pktLen > len(res.dataWave) {
 		return 0, 0
 	}
 	if s.rehearseRx == nil {
@@ -940,7 +981,7 @@ func (s *Synthesizer) rehearse(res *Result, pktLen int) (mismatches int, minMarg
 	defer dsp.PutComplex(ideal)
 	dsp.PhaseToIQInto(ideal, res.targetPhase[res.GFSKStart:res.GFSKStart+pktLen], 1)
 	phase := start % 20
-	predBits, predAcc := s.rehearseRx.DemodAtPhase(res.Waveform[start-phase:start+pktLen], phase)
+	predBits, predAcc := s.rehearseRx.DemodAtPhase(res.dataWave[start-phase:start+pktLen], phase)
 	idealBits, idealAcc := s.rehearseRx.DemodAtPhase(ideal, 0)
 	n := len(idealBits)
 	if len(predBits) < n {
@@ -1012,10 +1053,7 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 		if err != nil {
 			return nil, err
 		}
-		timings.IQGen += pass.timings.IQGen
-		timings.FFTQAM += pass.timings.FFTQAM
-		timings.FEC += pass.timings.FEC
-		timings.Scramble += pass.timings.Scramble
+		timings.add(pass.timings)
 		if it >= iterations {
 			break
 		}
@@ -1034,15 +1072,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 	timings.Scramble += dScramble
 	s.met.observeScramble(dScramble)
 
-	// Predicted waveform: what the chip will emit for this PSDU
-	// (including the preamble when configured).
-	waveform := pass.dataWave
-	if s.opts.Preamble && !s.opts.PSDUOnly {
-		waveform, err = s.tx.TransmitSymbols(pass.symbols, psduLen)
-		if err != nil {
-			return nil, err
-		}
-	}
 	coded := pass.coded
 
 	res := &Result{
@@ -1052,7 +1081,7 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 		CodedBits:      len(coded),
 		Flips:          pass.flips,
 		ImportantFlips: pass.impFlips,
-		Waveform:       waveform,
+		dataWave:       pass.dataWave,
 		DataStart:      s.tx.DataStart(),
 		GFSKStart:      lead,
 		Timings:        timings,
@@ -1068,15 +1097,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 		if pass.reCoded[i] != coded[i] && weights[i] >= WeightImportant {
 			res.PacketImportantFlips++
 		}
-	}
-
-	// In-band phase fidelity over the Bluetooth packet span. The ideal
-	// waveform — the offset-mixed target phase itself — is only realized
-	// here, off the PSDUOnly hot path.
-	start := res.DataStart + lead
-	if !s.opts.PSDUOnly && start+pktLen <= len(waveform) {
-		ideal := dsp.PhaseToIQ(theta[lead:lead+pktLen], 1)
-		res.PhaseRMSE = s.inbandPhaseRMSE(ideal, waveform[start:start+pktLen], plan.OffsetHz)
 	}
 	return res, nil
 }

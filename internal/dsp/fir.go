@@ -62,27 +62,75 @@ func (f *FIR) Apply(x []complex128) []complex128 {
 // length as x (which must not alias x) — the allocation-free variant for
 // hot paths that reuse pooled buffers.
 //
+// Output n is Σ_k Taps[k]·x[n+d−k] over the taps whose input index is in
+// range (d = GroupDelay), summed in tap order k = 0…len(Taps)−1 with
+// separate real and imaginary accumulators. Interior outputs, whose
+// windows need every tap, run four at a time with no per-tap range test;
+// the edge outputs go through firDot. The order of the additions is the
+// same everywhere, so every output is the exact direct-form sum.
+//
 //bluefi:allocfree
 func (f *FIR) ApplyInto(out, x []complex128) {
 	if len(out) != len(x) {
 		panic("dsp: ApplyInto length mismatch")
 	}
-	if len(f.Taps) == 0 {
+	taps := f.Taps
+	nt := len(taps)
+	if nt == 0 {
 		copy(out, x)
 		return
 	}
 	d := f.GroupDelay()
-	for n := range out {
-		var acc complex128
-		for k, t := range f.Taps {
-			idx := n + d - k
-			if idx < 0 || idx >= len(x) {
-				continue
-			}
-			acc += complex(t, 0) * x[idx]
-		}
-		out[n] = acc
+	// Interior outputs n ∈ [lo, hi) have n+d−(nt−1) ≥ 0 and n+d < len(x).
+	lo := min(nt-1-d, len(x))
+	hi := max(len(x)-d, lo)
+	for n := 0; n < lo; n++ {
+		out[n] = firDot(taps, x, n+d)
 	}
+	n := lo
+	for ; n+4 <= hi; n += 4 {
+		// Output n+j reads x[n+j+d−k] = wj[nt−1−k] at tap k.
+		w0 := x[n+d+1-nt : n+d+1]
+		w1 := x[n+d+2-nt : n+d+2]
+		w2 := x[n+d+3-nt : n+d+3]
+		w3 := x[n+d+4-nt : n+d+4]
+		var r0, i0, r1, i1, r2, i2, r3, i3 float64
+		for k, t := range taps {
+			j := nt - 1 - k
+			r0 += t * real(w0[j])
+			i0 += t * imag(w0[j])
+			r1 += t * real(w1[j])
+			i1 += t * imag(w1[j])
+			r2 += t * real(w2[j])
+			i2 += t * imag(w2[j])
+			r3 += t * real(w3[j])
+			i3 += t * imag(w3[j])
+		}
+		o := out[n : n+4]
+		o[0] = complex(r0, i0)
+		o[1] = complex(r1, i1)
+		o[2] = complex(r2, i2)
+		o[3] = complex(r3, i3)
+	}
+	for ; n < len(out); n++ {
+		out[n] = firDot(taps, x, n+d)
+	}
+}
+
+// firDot is one ApplyInto output: Σ taps[k]·x[m−k] over the taps with
+// 0 ≤ m−k < len(x), in tap order.
+//
+//bluefi:allocfree
+func firDot(taps []float64, x []complex128, m int) complex128 {
+	k0 := max(0, m-len(x)+1)
+	k1 := min(len(taps), m+1)
+	var re, im float64
+	for k := k0; k < k1; k++ {
+		v := x[m-k]
+		re += taps[k] * real(v)
+		im += taps[k] * imag(v)
+	}
+	return complex(re, im)
 }
 
 // GaussianPulse returns a unit-area Gaussian pulse for GFSK shaping with

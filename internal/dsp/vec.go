@@ -107,7 +107,8 @@ func Tone(n int, freq, sampleRate, phase0 float64) []complex128 {
 func Mix(x []complex128, freq, sampleRate, phase0 float64) []complex128 {
 	step := 2 * math.Pi * freq / sampleRate
 	for i := range x {
-		x[i] *= cmplx.Exp(complex(0, phase0+step*float64(i)))
+		sin, cos := math.Sincos(phase0 + step*float64(i))
+		x[i] *= complex(cos, sin) // cmplx.Exp(jφ) without its exp(0) factor
 	}
 	return x
 }

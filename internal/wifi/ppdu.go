@@ -133,16 +133,17 @@ func (t *Transmitter) Transmit(psdu []byte) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.TransmitSymbols(symbols, len(psdu))
-}
-
-// TransmitSymbols modulates pre-built frequency-domain symbols (as from
-// SymbolsFromScrambledBits) into the final waveform.
-func (t *Transmitter) TransmitSymbols(symbols [][]complex128, psduLen int) ([]complex128, error) {
 	data, err := t.mod.Modulate(symbols)
 	if err != nil {
 		return nil, err
 	}
+	return t.Frame(data, len(psdu))
+}
+
+// Frame prepends the preamble, when configured, to an already-modulated
+// data field of a psduLen-byte PSDU; without a preamble it returns data
+// itself.
+func (t *Transmitter) Frame(data []complex128, psduLen int) ([]complex128, error) {
 	if !t.cfg.Preamble {
 		return data, nil
 	}
