@@ -104,6 +104,12 @@ golden:
 bench-json:
 	go run ./cmd/bluefi-eval -bench-json
 
+# Size report: non-test Go lines outside bench/ and testdata/ — the net
+# line figure every change reports.
+.PHONY: loc
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^bench/' | grep -v 'testdata/' | xargs cat | wc -l
+
 .PHONY: bench
 bench:
 	go test -bench . -benchmem ./...

@@ -306,17 +306,11 @@ func beaconAir(tb testing.TB, ad []byte) []byte {
 // search the paper found "negligible benefit, significantly higher
 // complexity".
 func BenchmarkAblationScaleFixed(b *testing.B) {
-	benchAblationOption(b, func(o *core.Options) {})
+	benchAblationOption(b, func(o *core.Options) { o.DynamicScale = false })
 }
 
 func BenchmarkAblationScaleDynamic(b *testing.B) {
 	benchAblationOption(b, func(o *core.Options) { o.DynamicScale = true })
-}
-
-// CP construction (§2.4): the paper's piecewise copy versus the phase-
-// averaging alternative (worse, as measured — kept as a negative result).
-func BenchmarkAblationCPBlend(b *testing.B) {
-	benchAblationOption(b, func(o *core.Options) { o.BlendCP = true })
 }
 
 // Pre-compensation extensions (beyond the paper): pilot and CP in-band
@@ -326,9 +320,4 @@ func BenchmarkAblationNoPrecompensation(b *testing.B) {
 		o.PilotPrecompensation = false
 		o.CPPrecompensation = false
 	})
-}
-
-// Don't-care subcarrier starvation (MinimizeJunk extension).
-func BenchmarkAblationMinimizeJunk(b *testing.B) {
-	benchAblationOption(b, func(o *core.Options) { o.MinimizeJunk = true })
 }

@@ -39,7 +39,6 @@ type Receiver struct {
 	spb    int
 	rate   float64
 	window []float64 // per-bit decision weights (matched-pulse shape)
-	taps   map[float64]isiTaps
 }
 
 // NewReceiver builds a receiver; zero-value fields get defaults.
@@ -84,21 +83,7 @@ func NewReceiver(p Profile, offsetHz float64, dev bt.Device) (*Receiver, error) 
 			r.window[k] = 1
 		}
 	}
-	r.taps = make(map[float64]isiTaps)
 	return r, nil
-}
-
-// isiFor returns (calibrating on first use) the ISI taps for a deviation.
-func (r *Receiver) isiFor(deviation float64) (isiTaps, error) {
-	if t, ok := r.taps[deviation]; ok {
-		return t, nil
-	}
-	t, err := r.calibrateISI(deviation)
-	if err != nil {
-		return isiTaps{}, err
-	}
-	r.taps[deviation] = t
-	return t, nil
 }
 
 // accAt returns the signed per-bit integrator outputs at a sample phase.
@@ -108,11 +93,13 @@ func (r *Receiver) accAt(freq []float64, phase int) []float64 {
 		return nil
 	}
 	acc := make([]float64, n)
-	for i := 0; i < n; i++ {
+	for i := range acc {
+		var a float64
 		base := phase + i*r.spb
 		for k, w := range r.window {
-			acc[i] += w * freq[base+k]
+			a += w * freq[base+k]
 		}
+		acc[i] = a
 	}
 	return acc
 }
@@ -176,24 +163,26 @@ func (r *Receiver) discriminate(bb []complex128) []float64 {
 // second return carries each bit's integration magnitude — the eye
 // opening — used to break ties between candidate timing phases.
 func (r *Receiver) sliceBits(freq []float64, phase int) ([]byte, []float64) {
-	n := (len(freq) - phase) / r.spb
-	if n <= 0 {
+	margin := r.accAt(freq, phase)
+	if margin == nil {
 		return nil, nil
 	}
-	out := make([]byte, n)
-	margin := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var acc float64
-		base := phase + i*r.spb
-		for k, w := range r.window {
-			acc += w * freq[base+k]
-		}
-		if acc > 0 {
-			out[i] = 1
-		}
-		margin[i] = math.Abs(acc)
+	out := decide(margin)
+	for i, a := range margin {
+		margin[i] = math.Abs(a)
 	}
 	return out, margin
+}
+
+// decide returns the hard decision (the sign) of each bit integral.
+func decide(acc []float64) []byte {
+	out := make([]byte, len(acc))
+	for i, a := range acc {
+		if a > 0 {
+			out[i] = 1
+		}
+	}
+	return out
 }
 
 // correlate finds the (phase, offset) whose sliced bits best match the
@@ -375,19 +364,6 @@ func (r *Receiver) ReceiveBLEData(iq []complex128, aa uint32, dataChannel int, c
 	return rep, nil
 }
 
-// DetectAtPhase demodulates the stream and returns MLSE bit decisions at
-// a given sample phase — a diagnostic/tooling entry point that skips
-// access-code search.
-func (r *Receiver) DetectAtPhase(iq []complex128, phase int, deviation float64) ([]byte, error) {
-	taps, err := r.isiFor(deviation)
-	if err != nil {
-		return nil, err
-	}
-	bb := r.baseband(iq)
-	freq := r.discriminate(bb)
-	return mlseDetect(r.accAt(freq, phase), taps), nil
-}
-
 // reportRSSI converts filtered in-band power to the device's reported
 // RSSI, applying calibration offset and jitter.
 func (r *Receiver) reportRSSI(bb []complex128) float64 {
@@ -409,25 +385,14 @@ func (r *Receiver) String() string {
 	return fmt.Sprintf("%s@%+.1fMHz", r.Profile.Name, r.ChannelOffsetHz/1e6)
 }
 
-// SliceAtPhase demodulates the stream with the production slicer at a
-// given sample phase — a diagnostic/tooling entry point that skips
-// access-code search.
-func (r *Receiver) SliceAtPhase(iq []complex128, phase int) []byte {
-	bb := r.baseband(iq)
-	freq := r.discriminate(bb)
-	out, _ := r.sliceBits(freq, phase)
-	return out
-}
-
 // DemodAtPhase demodulates the stream with the production slicer at a
 // given sample phase and returns the bit decisions with their signed
 // integration values — the synthesis-time rehearsal entry point.
 func (r *Receiver) DemodAtPhase(iq []complex128, phase int) ([]byte, []float64) {
 	bb := r.baseband(iq)
 	freq := r.discriminate(bb)
-	bits, _ := r.sliceBits(freq, phase)
 	acc := r.accAt(freq, phase)
-	return bits, acc
+	return decide(acc), acc
 }
 
 // ReceiveEDR searches the stream for an EDR packet: the access code and

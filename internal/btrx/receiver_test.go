@@ -2,6 +2,7 @@ package btrx
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"bluefi/internal/bt"
@@ -212,6 +213,60 @@ func TestAdjacentChannelRejection(t *testing.T) {
 	if rep.Detected && rep.Result.OK {
 		t.Fatal("decoded a packet 3 MHz off-channel")
 	}
+}
+
+// DemodAtPhase is the synthesis-time rehearsal receiver: its decisions
+// must be the production slicer's at every sample phase, and each must be
+// the sign of the integral it returns beside it.
+func TestDemodAtPhaseMatchesSlicer(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	air := make([]byte, 400)
+	for i := range air {
+		air[i] = byte(rng.Intn(2))
+	}
+	cfg := gfsk.BLEConfig()
+	cfg.CenterOffset = 2e6
+	iq, err := cfg.Modulate(air)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sigma = 1.5 // wideband noise deep enough to flip some decisions
+	for i := range iq {
+		iq[i] += complex(sigma*rng.NormFloat64(), sigma*rng.NormFloat64())
+	}
+	rcv, err := NewReceiver(Profile{Name: "rehearsal"}, 2e6, bt.Device{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freq := rcv.discriminate(rcv.baseband(iq))
+	start := cfg.PayloadStart()
+	wrong := 0
+	for _, phase := range []int{0, 7, 13, 19} {
+		bits, acc := rcv.DemodAtPhase(iq, phase)
+		want, margin := rcv.sliceBits(freq, phase)
+		if len(bits) != len(want) || len(acc) != len(want) {
+			t.Fatalf("phase %d: %d bits, %d integrals, slicer %d", phase, len(bits), len(acc), len(want))
+		}
+		for i := range want {
+			if bits[i] != want[i] {
+				t.Fatalf("phase %d bit %d: rehearsal %d, slicer %d", phase, i, bits[i], want[i])
+			}
+			if (bits[i] == 1) != (acc[i] > 0) || math.Abs(acc[i]) != margin[i] {
+				t.Fatalf("phase %d bit %d: decision %d from integral %g (slicer margin %g)", phase, i, bits[i], acc[i], margin[i])
+			}
+		}
+		if phase == start%20 {
+			for i, b := range air {
+				if bits[start/20+i] != b {
+					wrong++
+				}
+			}
+		}
+	}
+	if wrong == 0 {
+		t.Fatal("noise flipped no decision at the true bit phase; the test is not exercising noisy decisions")
+	}
+	t.Logf("%d/%d noisy decisions wrong at the true bit phase", wrong, len(air))
 }
 
 func BenchmarkReceiveBRDH1(b *testing.B) {

@@ -29,51 +29,6 @@ import "fmt"
 // (long GI / 802.11g, §5.1) the same construction applies with twice the
 // per-edge corruption, which is why the paper found 802.11g "spotty".
 
-// DesignCPBlend is an alternative construction (an extension beyond the
-// paper): instead of giving each CP/tail sample pair the true value of one
-// side, every pair takes the average of the two unwrapped phases. Each of
-// the 2·G boundary samples then carries half the error instead of G+1
-// samples carrying all of it, and the phase jumps at region edges halve,
-// reducing boundary splatter. Evaluated against the paper's design in the
-// ablation benches.
-func DesignCPBlend(theta []float64, guard int) ([]float64, error) {
-	T := guard + 64
-	if len(theta)%T != 0 {
-		return nil, fmt.Errorf("core: phase signal of %d samples is not a multiple of the %d-sample symbol", len(theta), T)
-	}
-	if guard < 2 || guard > 32 {
-		return nil, fmt.Errorf("core: guard of %d samples out of range", guard)
-	}
-	at := func(i int) float64 {
-		if i >= len(theta) {
-			i = len(theta) - 1
-		}
-		return theta[i]
-	}
-	out := make([]float64, len(theta))
-	copy(out, theta)
-	nsym := len(theta) / T
-	for k := 0; k < nsym; k++ {
-		N := k * T
-		for n := 0; n < guard; n++ {
-			avg := 0.5*theta[N+n] + 0.5*theta[N+n+64]
-			out[N+n] = avg
-			out[N+n+64] = avg
-		}
-	}
-	// Windowing continuity (second pass, after blending): the extension
-	// sample (body[0], index G) must equal the next symbol's first sample.
-	for k := 0; k < nsym; k++ {
-		N := k * T
-		if N+T < len(out) {
-			out[N+guard] = out[N+T]
-		} else {
-			out[N+guard] = at(N + T)
-		}
-	}
-	return out, nil
-}
-
 // DesignCP returns θ̂ for a phase signal whose length is a multiple of the
 // symbol length guard+64.
 func DesignCP(theta []float64, guard int) ([]float64, error) {
@@ -117,7 +72,7 @@ func DesignCP(theta []float64, guard int) ([]float64, error) {
 
 // VerifyCPStructure checks that a phase signal satisfies the CP-equals-
 // tail constraint within tolerance, returning the worst absolute
-// difference. Used by tests and the ablation harness.
+// difference.
 func VerifyCPStructure(theta []float64, guard int) (worst float64, err error) {
 	T := guard + 64
 	if len(theta)%T != 0 {

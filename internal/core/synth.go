@@ -76,11 +76,6 @@ type Options struct {
 	// LeadSymbols of carrier-only padding precede the Bluetooth packet,
 	// keeping the pinned SERVICE-field symbol clear of it (default 2).
 	LeadSymbols int
-	// GlobalPhase rotates the whole target waveform (radians). Bluetooth
-	// receivers are phase-agnostic, but the rotation changes how the
-	// signal lands on the quantization lattice and against the fixed-
-	// phase pilots — a free parameter worth tuning (ablation benches).
-	GlobalPhase float64
 	// PhaseSearch synthesizes the packet at the four phase quadrants
 	// (identical lattice geometry, different pilot-relative phase) and
 	// keeps the one with the lowest in-band phase error — roughly 3×
@@ -88,33 +83,12 @@ type Options struct {
 	// by DefaultOptions; disabled automatically with PSDUOnly (no
 	// waveform to score). An extension beyond the paper.
 	PhaseSearch bool
-	// BlendCP selects the phase-averaging CP construction (DesignCPBlend)
-	// instead of the paper's piecewise copy (an ablation option).
-	BlendCP bool
-	// MinimizeJunk forces don't-care subcarriers (outside the Bluetooth
-	// band and its guard) to minimum-energy constellation points instead
-	// of their quantized FFT values. Those bins only reconstruct the
-	// high-frequency CP-glitch content a Bluetooth receiver filters away,
-	// while their symbol-to-symbol variation splatters into the Bluetooth
-	// band at OFDM boundaries — so starving them lowers in-band
-	// self-interference at no cost (an extension beyond the paper,
-	// ablated in the benches).
-	MinimizeJunk bool
-	// PredistortIterations runs closed-loop pre-distortion: after each
-	// synthesis pass the predicted chip waveform's in-band phase error is
-	// measured through a nominal receiver filter and subtracted from the
-	// target phase before the next pass. Measurements show it chases the
-	// quantization noise (which re-rolls each pass) without converging, so
-	// it is off by default (0 or −1); it remains available for the
-	// ablation benches. This is the global-optimization direction the
-	// paper leaves open (§2.2, A.3).
-	PredistortIterations int
 	// PilotPrecompensation subtracts the pilot tones' predicted in-band
-	// phase perturbation from the target phase before synthesis. Unlike
-	// full pre-distortion this correction is deterministic — the pilot
-	// waveform is fixed by the standard and independent of the data — so
-	// it cancels cleanly. Enabled by DefaultOptions; an extension beyond
-	// the paper, ablated in the benches.
+	// phase perturbation from the target phase before synthesis. The
+	// correction is deterministic — the pilot waveform is fixed by the
+	// standard and independent of the data — so it cancels cleanly.
+	// Enabled by DefaultOptions; an extension beyond the paper, ablated
+	// in the benches.
 	PilotPrecompensation bool
 	// SearchParallelism bounds the worker count of the PhaseSearch
 	// candidate evaluation. 0 sizes the pool to min(GOMAXPROCS, 4) (four
@@ -254,7 +228,7 @@ type Synthesizer struct {
 	plan         *dsp.FFTPlan
 	tx           *wifi.Transmitter
 	mod          *wifi.OFDMModulator
-	predistFIR   *dsp.FIR
+	channelFIR   *dsp.FIR
 	lastOffsetHz float64
 	extraPhase   float64
 	extraLead    int
@@ -263,11 +237,11 @@ type Synthesizer struct {
 	// fitSymbols scratch: the time/frequency buffers, one symbol's
 	// sin/cos of the designed phase (shared by every trial scale), the two
 	// interleaved-bit candidate buffers of the per-symbol scale search,
-	// and the per-subcarrier band masks of the last offset.
-	fitBody, fitX        []complex128
-	fitSin, fitCos       []float64
-	fitInter             [2][]byte
-	fitStarve, fitInband []bool
+	// and the per-subcarrier in-band mask of the last offset.
+	fitBody, fitX  []complex128
+	fitSin, fitCos []float64
+	fitInter       [2][]byte
+	fitInband      []bool
 
 	// workers are the PhaseSearch clones, parked in workerCh between
 	// groups. Built lazily on the first parallel search.
@@ -355,19 +329,18 @@ func New(opts Options) (*Synthesizer, error) {
 	}
 	// The nominal Bluetooth channel filter every in-band correction and
 	// fidelity measure shares.
-	predistFIR, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
+	channelFIR, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
 	if err != nil {
 		return nil, err
 	}
 	s := &Synthesizer{opts: opts, mcs: mcs, il: il, mapper: wifi.NewMapper(mcs.Modulation), plan: plan, tx: tx, mod: mod,
-		predistFIR: predistFIR}
+		channelFIR: channelFIR}
 	s.fitBody = make([]complex128, wifi.FFTSize)
 	s.fitX = make([]complex128, wifi.FFTSize)
 	s.fitSin = make([]float64, wifi.FFTSize)
 	s.fitCos = make([]float64, wifi.FFTSize)
 	s.fitInter[0] = make([]byte, 0, mcs.NCBPS)
 	s.fitInter[1] = make([]byte, 0, mcs.NCBPS)
-	s.fitStarve = make([]bool, len(wifi.HTDataSubcarriers))
 	s.fitInband = make([]bool, len(wifi.HTDataSubcarriers))
 	s.met = newCoreMetrics(opts.Telemetry, opts.Mode)
 	s.vmet = viterbi.NewMetrics(opts.Telemetry)
@@ -423,15 +396,15 @@ func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64) (theta []floa
 			theta[n] = pkt[len(pkt)-1]
 		}
 		// Carrier offset: a linear phase ramp over the whole frame, plus
-		// the free global rotation.
-		theta[n] += slope*float64(n) + s.opts.GlobalPhase + s.extraPhase
+		// the search's global rotation.
+		theta[n] += slope*float64(n) + s.extraPhase
 	}
 	return theta, lead, nsym
 }
 
 // fitSymbols converts the CP-designed phase signal into quantized
 // frequency-domain data points and the coded-bit targets they demap to.
-// offsetHz locates the Bluetooth band for the MinimizeJunk option.
+// offsetHz locates the Bluetooth band the scale search fits.
 func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64) (coded []byte, err error) {
 	nbpsc := s.mcs.Modulation.BitsPerSymbol()
 	coded = make([]byte, 0, nsym*s.mcs.NCBPS)
@@ -442,11 +415,9 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 	if s.opts.DynamicScale {
 		scales = dynamicScales
 	}
-	starve, inband := s.fitStarve, s.fitInband
+	inband := s.fitInband
 	for i, sub := range wifi.HTDataSubcarriers {
-		w := SubcarrierWeight(sub, offsetHz)
-		inband[i] = w >= WeightAdjacent
-		starve[i] = s.opts.MinimizeJunk && w < WeightAdjacent
+		inband[i] = SubcarrierWeight(sub, offsetHz) >= WeightAdjacent
 	}
 	// Two candidate buffers serve the whole scale search: `cur` collects
 	// the candidate being built; on improvement it becomes `bestInter` and
@@ -468,12 +439,7 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 			residue := 0.0
 			for i, sub := range wifi.HTDataSubcarriers {
 				v := X[dsp.SubcarrierBin(sub, wifi.FFTSize)] / GridScale
-				var q complex128
-				if starve[i] {
-					q = complex(sign(real(v)), sign(imag(v))) // minimum-energy point
-				} else {
-					q = s.mapper.Quantize(v)
-				}
+				q := s.mapper.Quantize(v)
 				if inband[i] {
 					// Only the Bluetooth-band fit matters: out-of-band
 					// residue is filtered at the receiver, and the scale
@@ -578,11 +544,7 @@ type synthPass struct {
 // agreement.
 func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int, offsetHz float64) (*synthPass, error) {
 	_, spIQ := obs.StartSpan(ctx, "core.iqgen")
-	design := DesignCP
-	if s.opts.BlendCP {
-		design = DesignCPBlend
-	}
-	thetaHat, err := design(target, wifi.ShortGI)
+	thetaHat, err := DesignCP(target, wifi.ShortGI)
 	dIQGen := spIQ.End()
 	if err != nil {
 		return nil, err
@@ -625,49 +587,6 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 	return p, nil
 }
 
-// predistort measures the in-band phase error of the predicted data
-// waveform against the original target phase theta through a nominal
-// Bluetooth channel filter, and subtracts it (damped) from the working
-// target.
-func (s *Synthesizer) predistort(theta, working []float64, dataWave []complex128) []float64 {
-	n := len(theta)
-	pred := make([]complex128, n)
-	copy(pred, dataWave[:min(n, len(dataWave))])
-	ideal := dsp.PhaseToIQ(theta, 1)
-	// Mix both to the Bluetooth channel and filter.
-	off := s.lastOffsetHz
-	dsp.Mix(pred, -off, wifi.SampleRate, 0)
-	dsp.Mix(ideal, -off, wifi.SampleRate, 0)
-	predIB := s.predistFIR.Apply(pred)
-	idealIB := s.predistFIR.Apply(ideal)
-	// Constant rotation between the two (modulation start phase etc.).
-	var rot complex128
-	for i := range predIB {
-		if predIB[i] == 0 || idealIB[i] == 0 {
-			continue
-		}
-		d := cmplxPhase(predIB[i]) - cmplxPhase(idealIB[i])
-		rot += complex(math.Cos(d), math.Sin(d))
-	}
-	offset := cmplxPhase(rot)
-	out := make([]float64, n)
-	const beta = 0.9  // damping
-	const clip = 0.75 // ignore wild regions (deep amplitude nulls)
-	for i := range out {
-		dphi := 0.0
-		if predIB[i] != 0 && idealIB[i] != 0 {
-			dphi = dsp.WrapAngle(cmplxPhase(predIB[i]) - cmplxPhase(idealIB[i]) - offset)
-		}
-		if dphi > clip {
-			dphi = clip
-		} else if dphi < -clip {
-			dphi = -clip
-		}
-		out[i] = working[i] - beta*dphi
-	}
-	return out
-}
-
 func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
 
 // precompensatePilots subtracts the pilots' predicted in-band phase
@@ -704,7 +623,7 @@ func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, of
 	p := make([]complex128, len(theta))
 	copy(p, pWave[:len(theta)])
 	dsp.Mix(p, -offsetHz, wifi.SampleRate, 0)
-	pIB := s.predistFIR.Apply(p)
+	pIB := s.channelFIR.Apply(p)
 	dsp.Mix(pIB, +offsetHz, wifi.SampleRate, 0)
 	s.pilotIBCache[pilotKey{nsym, offsetHz}] = pIB
 	return s.applyPilotCorrection(theta, working, pIB), nil
@@ -754,8 +673,8 @@ func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64
 	// ideal signal has ≈unit amplitude and phase θ in-band).
 	n := len(theta)
 	dIB := make([]complex128, n)
-	taps := s.predistFIR.Taps
-	delay := s.predistFIR.GroupDelay()
+	taps := s.channelFIR.Taps
+	delay := s.channelFIR.GroupDelay()
 	mixStep := -2 * math.Pi * offsetHz / wifi.SampleRate
 	for i := 0; i < n; i++ {
 		if dsp.WrapAngle(thetaHat[i]-theta[i]) == 0 {
@@ -814,8 +733,8 @@ func (s *Synthesizer) precompensateCPExact(theta, working, thetaHat []float64, o
 	dsp.PhaseToIQInto(b, thetaHat, 1)
 	dsp.Mix(a, -offsetHz, wifi.SampleRate, 0)
 	dsp.Mix(b, -offsetHz, wifi.SampleRate, 0)
-	s.predistFIR.ApplyInto(aIB, a)
-	s.predistFIR.ApplyInto(bIB, b)
+	s.channelFIR.ApplyInto(aIB, a)
+	s.channelFIR.ApplyInto(bIB, b)
 	out := make([]float64, len(theta))
 	const beta = 0.6
 	const clip = 0.2
@@ -1029,10 +948,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 
 	s.lastOffsetHz = plan.OffsetHz
 	theta, lead, nsym := s.layoutPhase(basebandPhase, plan.OffsetHz)
-	iterations := s.opts.PredistortIterations
-	if iterations <= 0 || s.opts.PSDUOnly {
-		iterations = 0 // single open-loop pass (closed loop does not converge)
-	}
 	target := theta
 	if s.opts.CPPrecompensation {
 		target, err = s.precompensateCP(theta, target, plan.OffsetHz)
@@ -1046,19 +961,11 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 			return nil, err
 		}
 	}
-	var pass *synthPass
-	var timings Timings
-	for it := 0; ; it++ {
-		pass, err = s.synthOnce(ctx, target, nsym, plan.OffsetHz)
-		if err != nil {
-			return nil, err
-		}
-		timings.add(pass.timings)
-		if it >= iterations {
-			break
-		}
-		target = s.predistort(theta, target, pass.dataWave)
+	pass, err := s.synthOnce(ctx, target, nsym, plan.OffsetHz)
+	if err != nil {
+		return nil, err
 	}
+	timings := pass.timings
 
 	// Descramble and pack the PSDU.
 	_, spScr := obs.StartSpan(ctx, "core.scramble")
@@ -1119,16 +1026,9 @@ func (s *Synthesizer) inbandPhaseRMSE(ideal, predicted []complex128, offsetHz fl
 	copy(b, predicted)
 	dsp.Mix(a, -offsetHz, wifi.SampleRate, 0)
 	dsp.Mix(b, -offsetHz, wifi.SampleRate, 0)
-	s.predistFIR.ApplyInto(aIB, a)
-	s.predistFIR.ApplyInto(bIB, b)
+	s.channelFIR.ApplyInto(aIB, a)
+	s.channelFIR.ApplyInto(bIB, b)
 	return dsp.PhaseRMSE(aIB, bIB)
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }
 
 // PSDULenForSymbols exposes the frame layout for tests and the chip model.
