@@ -100,7 +100,7 @@ type AudioStream struct {
 	// Degradation state (gov nil without AudioConfig.Degrade). ranked
 	// holds every usable Bluetooth channel best-first, so the governor's
 	// BestChannels target indexes a prefix; dropNext carries a Shedding
-	// drop decision to the next Send.
+	// drop decision, already charged to the ledger, to the next Send.
 	gov         *a2dp.Governor
 	inj         *faults.Injector // nil without Options.Faults
 	ranked      []int
@@ -294,8 +294,7 @@ func (a *AudioStream) Send(pcm [][]float64) ([]*AudioTransmission, error) {
 		return nil, fmt.Errorf("bluefi: %d PCM channels, want %d", len(pcm), a.Channels())
 	}
 	if a.gov != nil && a.dropNext {
-		a.dropNext = false
-		a.gov.Shed(a.segSlots)
+		a.dropNext = false // charged when the ledger granted it
 		return nil, nil
 	}
 	spf := a.sbcCfg.SamplesPerFrame()
@@ -340,6 +339,12 @@ func (a *AudioStream) Send(pcm [][]float64) ([]*AudioTransmission, error) {
 		Slots:            a.segSlots * len(scheduled),
 	})
 	a.applyDecision(dec)
+	if dec.Drop {
+		// Charge the granted shed of the next packet now: a shared
+		// ledger grants other sessions in between, and a charge left
+		// for the next Send let those grants overshoot its floor.
+		a.gov.Shed(a.segSlots)
+	}
 	a.dropNext = dec.Drop
 	if err != nil {
 		if transientErr(err) {
@@ -438,36 +443,18 @@ func (a *AudioStream) applyDecision(dec a2dp.Decision) {
 }
 
 // synthesizeScheduled synthesizes one scheduled segment on the given
-// synthesizer with rehearsal-gated transmission: when synthesis predicts
-// more bit errors than the packet's FEC can absorb, move to the next slot
-// — its clock re-whitens the payload into a fresh waveform. The returned
-// slack is the slot budget minus the segment's (possibly fault-inflated)
-// synthesis time; negative means a live link would have missed the slot.
+// synthesizer with rehearsal-gated transmission (a2dp's SynthesizeGated):
+// a segment the rehearsal predicts its FEC cannot decode moves to the
+// next slot. The returned slack is the slot budget minus the segment's
+// (possibly fault-inflated) synthesis time; negative means a live link
+// would have missed the slot.
 func (a *AudioStream) synthesizeScheduled(syn *Synthesizer, sp *a2dp.ScheduledPacket) (*AudioTransmission, time.Duration, error) {
 	_, span := obs.StartSpan(a.obsCtx, "audio.segment")
-	var res *core.Result
-	var spent core.Timings // across re-slot attempts; reported on the winner
-	for attempt := 0; ; attempt++ {
-		air, err := sp.Packet.AirBits(bt.Device(a.dev))
-		if err != nil {
-			span.End()
-			return nil, 0, err
-		}
-		res, err = syn.br.Synthesize(air, sp.ChannelMHz)
-		if err != nil {
-			span.End()
-			return nil, 0, err
-		}
-		spent.IQGen += res.Timings.IQGen
-		spent.FFTQAM += res.Timings.FFTQAM
-		spent.FEC += res.Timings.FEC
-		spent.Scramble += res.Timings.Scramble
-		if res.RehearsalMismatches <= 4 || attempt >= 3 {
-			break
-		}
-		sp = a.sched.Reslot(sp)
+	sp, res, _, err := a.sched.SynthesizeGated(syn.br, sp)
+	if err != nil {
+		span.End()
+		return nil, 0, err
 	}
-	res.Timings = spent
 	// Deadline slack: how much of the slot budget (packet slots × 625 µs)
 	// the rehearsal-gated synthesis left unused. Negative means the frame
 	// would have missed its slot on a live link. An injected latency

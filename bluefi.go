@@ -240,8 +240,10 @@ type Packet struct {
 	Fidelity float64
 	// RehearsalMismatches counts bit decisions the synthesis-time
 	// reception rehearsal got wrong for the chosen candidate (−1 when no
-	// rehearsal ran). Nonzero predicts failure on a clean link; callers
-	// with scheduling freedom (the audio path) re-slot such packets.
+	// rehearsal ran). For a packet without FEC (BLE, EDR) nonzero
+	// predicts failure on a clean link; a BR packet's FEC corrects a few,
+	// and the audio path re-slots only segments whose mismatches the FEC
+	// cannot correct.
 	RehearsalMismatches int
 	// BLEChannel is set for advertising packets (37–39), −1 otherwise.
 	BLEChannel int
@@ -319,7 +321,7 @@ func (s *Synthesizer) BRPacket(dev Device, pkt *BasebandPacket, btChannel int) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.br.Synthesize(air, bt.ChannelMHz(btChannel))
+	res, err := s.br.SynthesizeFEC(air, bt.ChannelMHz(btChannel), inner.FECLayout(btrx.SyncErrorBudget))
 	if err != nil {
 		return nil, err
 	}

@@ -17,14 +17,19 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_psdus.json from the current synthesis output")
 
 // goldenVector pins one synthesized PSDU: chip model × mode × BLE/WiFi
-// channel pair, for a fixed beacon. The committed vectors make synthesis
-// determinism externally visible — any change to the pipeline that moves
+// channel pair, for a fixed beacon — or, for the BR vectors, a fixed DM1
+// packet whose rehearsal search stops on its FEC layout. The committed
+// vectors make synthesis determinism externally visible — any change to the pipeline that moves
 // a single bit fails this test, and the parallel rehearsal search must
 // reproduce them no matter how many workers it fans over (run with
 // -cpu 1,4,8: GOMAXPROCS sizes the default search parallelism).
 type goldenVector struct {
-	Chip        string `json:"chip"`
-	Mode        string `json:"mode"`
+	Chip string `json:"chip"`
+	Mode string `json:"mode"`
+	// Packet is empty for the beacon vectors and names the BR packet
+	// type ("DM1") sent on BTChannel otherwise.
+	Packet      string `json:"packet,omitempty"`
+	BTChannel   int    `json:"btChannel,omitempty"`
 	BLEChannel  int    `json:"bleChannel"`
 	WiFiChannel int    `json:"wifiChannel"`
 	MCS         int    `json:"mcs"`
@@ -73,6 +78,41 @@ func goldenBeacon(t *testing.T, chipName, modeName string, bleCh, wifiCh int) *b
 	return pkt
 }
 
+// goldenBR synthesizes the fixed DM1 packet of the BR vectors.
+func goldenBR(t *testing.T, chipName, modeName string, btCh, wifiCh int) *bluefi.Packet {
+	t.Helper()
+	syn, err := bluefi.New(bluefi.Options{
+		Chip:        goldenChips[chipName],
+		Mode:        goldenModes[modeName],
+		WiFiChannel: wifiCh,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := syn.BRPacket(bluefi.Device{LAP: 0x2A96EF, UAP: 0x5D}, &bluefi.BasebandPacket{
+		Type: bluefi.DM1, LTAddr: 1, LLID: 2, Payload: []byte("bluefi golden dm1"), Clock: 8,
+	}, btCh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkt
+}
+
+// synthesize builds the vector's packet.
+func (v goldenVector) synthesize(t *testing.T) *bluefi.Packet {
+	if v.Packet != "" {
+		return goldenBR(t, v.Chip, v.Mode, v.BTChannel, v.WiFiChannel)
+	}
+	return goldenBeacon(t, v.Chip, v.Mode, v.BLEChannel, v.WiFiChannel)
+}
+
+func (v goldenVector) name() string {
+	if v.Packet != "" {
+		return fmt.Sprintf("%s/%s/%s-bt%d-wifi%d", v.Chip, v.Mode, v.Packet, v.BTChannel, v.WiFiChannel)
+	}
+	return fmt.Sprintf("%s/%s/ble%d-wifi%d", v.Chip, v.Mode, v.BLEChannel, v.WiFiChannel)
+}
+
 func fidelityBits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(f)) }
 
 func goldenPath() string { return filepath.Join("testdata", "golden_psdus.json") }
@@ -92,14 +132,23 @@ func goldenCases(short bool) []goldenVector {
 	return out
 }
 
+// goldenBRCases pins BR synthesis: the DM1 packet on Bluetooth channel
+// 16 (2418 MHz, a best audio channel of WiFi channel 3) in both modes.
+func goldenBRCases() []goldenVector {
+	return []goldenVector{
+		{Chip: "AR9331", Mode: "Quality", Packet: "DM1", BTChannel: 16, WiFiChannel: 3},
+		{Chip: "AR9331", Mode: "RealTime", Packet: "DM1", BTChannel: 16, WiFiChannel: 3},
+	}
+}
+
 // TestGoldenPSDUs synthesizes every vector and compares byte-for-byte
 // against the committed goldens. Run with -update-golden after an
 // intentional pipeline change; review the diff like any other code.
 func TestGoldenPSDUs(t *testing.T) {
 	if *updateGolden {
 		var vectors []goldenVector
-		for _, c := range goldenCases(false) {
-			pkt := goldenBeacon(t, c.Chip, c.Mode, c.BLEChannel, c.WiFiChannel)
+		for _, c := range append(goldenCases(false), goldenBRCases()...) {
+			pkt := c.synthesize(t)
 			c.MCS = pkt.MCS
 			c.Mismatches = pkt.RehearsalMismatches
 			c.PSDU = hex.EncodeToString(pkt.PSDU)
@@ -130,11 +179,10 @@ func TestGoldenPSDUs(t *testing.T) {
 	}
 	byKey := map[string]goldenVector{}
 	for _, v := range vectors {
-		byKey[fmt.Sprintf("%s/%s/ble%d-wifi%d", v.Chip, v.Mode, v.BLEChannel, v.WiFiChannel)] = v
+		byKey[v.name()] = v
 	}
-	for _, c := range goldenCases(testing.Short()) {
-		c := c
-		name := fmt.Sprintf("%s/%s/ble%d-wifi%d", c.Chip, c.Mode, c.BLEChannel, c.WiFiChannel)
+	for _, c := range append(goldenCases(testing.Short()), goldenBRCases()...) {
+		name := c.name()
 		t.Run(name, func(t *testing.T) {
 			want, ok := byKey[name]
 			if !ok {
@@ -144,7 +192,7 @@ func TestGoldenPSDUs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pkt := goldenBeacon(t, c.Chip, c.Mode, c.BLEChannel, c.WiFiChannel)
+			pkt := c.synthesize(t)
 			if pkt.MCS != want.MCS {
 				t.Errorf("MCS %d, golden %d", pkt.MCS, want.MCS)
 			}

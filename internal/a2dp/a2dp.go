@@ -12,6 +12,8 @@ import (
 	"sync"
 
 	"bluefi/internal/bt"
+	"bluefi/internal/btrx"
+	"bluefi/internal/core"
 	"bluefi/internal/l2cap"
 	"bluefi/internal/obs"
 	"bluefi/internal/sbc"
@@ -329,11 +331,9 @@ func (s *Scheduler) ScheduleMedia(frames [][]byte, timestampTicks uint32) ([]*Sc
 	return out, nil
 }
 
-// Reslot moves a scheduled packet to the next usable slot — the
-// rehearsal-gated transmission path: when synthesis predicts a frame
-// will fail (core.Result.RehearsalMismatches > 0), the scheduler can try
-// the next slot, whose different clock re-whitens the payload into a
-// different waveform.
+// Reslot moves a scheduled packet to the next usable slot, whose
+// different clock re-whitens the payload into a different waveform (see
+// SynthesizeGated).
 func (s *Scheduler) Reslot(sp *ScheduledPacket) *ScheduledPacket {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -352,6 +352,36 @@ func (s *Scheduler) Reslot(sp *ScheduledPacket) *ScheduledPacket {
 		Channel:      ch,
 		ChannelMHz:   bt.ChannelMHz(ch),
 		SkippedSlots: sp.SkippedSlots + skipped,
+	}
+}
+
+// maxReslots bounds how often SynthesizeGated moves one packet: after
+// that many re-slots the last synthesis ships regardless.
+const maxReslots = 3
+
+// SynthesizeGated synthesizes a scheduled packet with rehearsal-gated
+// transmission: while the synthesis-time rehearsal predicts the packet's
+// FEC cannot decode it (core.Result.RehearsalDecodes), it moves the
+// packet to the next slot and synthesizes again. It returns the packet
+// as finally scheduled, its synthesis result — Timings summed over every
+// attempt — and the number of re-slots.
+func (s *Scheduler) SynthesizeGated(syn *core.Synthesizer, sp *ScheduledPacket) (*ScheduledPacket, *core.Result, int, error) {
+	var spent core.Timings
+	for reslots := 0; ; reslots++ {
+		air, err := sp.Packet.AirBits(s.cfg.Device)
+		if err != nil {
+			return nil, nil, reslots, err
+		}
+		res, err := syn.SynthesizeFEC(air, sp.ChannelMHz, sp.Packet.FECLayout(btrx.SyncErrorBudget))
+		if err != nil {
+			return nil, nil, reslots, err
+		}
+		spent.Add(res.Timings)
+		if res.RehearsalDecodes || reslots == maxReslots {
+			res.Timings = spent
+			return sp, res, reslots, nil
+		}
+		sp = s.Reslot(sp)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"bluefi/internal/bt"
+	"bluefi/internal/core"
+	"bluefi/internal/gfsk"
 	"bluefi/internal/l2cap"
 	"bluefi/internal/sbc"
 )
@@ -236,6 +238,57 @@ func TestEndToEndMediaOverL2CAP(t *testing.T) {
 	for _, f := range media.Frames {
 		if _, err := dec.Decode(f); err != nil {
 			t.Fatalf("SBC frame failed to decode after transport: %v", err)
+		}
+	}
+}
+
+// SynthesizeGated ships a segment once the rehearsal predicts its FEC
+// decodes it, re-slotting at most maxReslots times; a synthesizer that
+// rehearses nothing predicts no failure and never re-slots.
+func TestSynthesizeGated(t *testing.T) {
+	s, err := NewScheduler(StreamConfig{
+		Device:        bt.Device{LAP: 0x2A96EF, UAP: 0x5D},
+		WiFiCenterMHz: 2422,
+		PacketType:    bt.DM1,
+		BestChannels:  []int{16, 24, 25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, _ := sbcFrames(t, 1)
+	segs, err := s.ScheduleMedia(frames, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Mode = core.RealTime
+	opts.GFSK = gfsk.BRConfig()
+	gated, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.PhaseSearch = false
+	blind, err := core.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range segs[:3] {
+		got, res, reslots, err := s.SynthesizeGated(gated, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reslots > maxReslots || (!res.RehearsalDecodes && reslots != maxReslots) {
+			t.Errorf("segment %d: %d re-slots, decodes %v", i, reslots, res.RehearsalDecodes)
+		}
+		if moved := got.Clock != sp.Clock; moved != (reslots > 0) || got.Packet.Clock != uint32(got.Clock) {
+			t.Errorf("segment %d: %d re-slots moved clock %d → %d (packet clock %d)", i, reslots, sp.Clock, got.Clock, got.Packet.Clock)
+		}
+		_, res, reslots, err = s.SynthesizeGated(blind, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reslots != 0 || !res.RehearsalDecodes {
+			t.Errorf("segment %d without rehearsal: %d re-slots, decodes %v", i, reslots, res.RehearsalDecodes)
 		}
 	}
 }

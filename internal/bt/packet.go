@@ -201,6 +201,45 @@ func (p *Packet) AirBits(dev Device) ([]byte, error) {
 	return out, nil
 }
 
+// FECBlock is a run of consecutive air bits a receiver decodes as one
+// unit: it recovers the block when at most Correctable of its bits are
+// wrong. Correctable 0 marks bits no code protects.
+type FECBlock struct {
+	Start, Len  int
+	Correctable int
+}
+
+// FECLayout lists a packet's FEC blocks in air-bit order. Air bits in no
+// block (the transmit pads around the packet) decide nothing.
+type FECLayout []FECBlock
+
+// FECLayout maps the packet's air bits onto the codes that protect them:
+// the 72-bit access code, which a correlator accepts with up to
+// syncErrors wrong bits; the header's 18 rate-1/3 repetition triples,
+// one correctable bit each; and the payload — 15-bit FEC(2/3) codewords
+// correcting one bit each for DM types, a single unprotected block for
+// DH types.
+func (p *Packet) FECLayout(syncErrors int) FECLayout {
+	const acBits, headerBits = 72, 54
+	layout := FECLayout{{Start: 0, Len: acBits, Correctable: syncErrors}}
+	for i := acBits; i < acBits+headerBits; i += 3 {
+		layout = append(layout, FECBlock{Start: i, Len: 3, Correctable: 1})
+	}
+	hdrBits := 8
+	if p.Type.multiSlot() {
+		hdrBits = 16
+	}
+	body := hdrBits + 8*len(p.Payload) + 16 // payload header, data, CRC-16
+	start := acBits + headerBits
+	if !p.Type.fecProtected() {
+		return append(layout, FECBlock{Start: start, Len: body})
+	}
+	for i := 0; i < (body+9)/10; i++ {
+		layout = append(layout, FECBlock{Start: start + 15*i, Len: 15, Correctable: 1})
+	}
+	return layout
+}
+
 // SlotBits is the bit budget of one 625 µs slot at 1 Mb/s. A packet must
 // leave time for the hop turnaround, so usable occupancy is lower; the
 // constant is used only as an upper bound.

@@ -11,6 +11,12 @@ import (
 	"bluefi/internal/dsp"
 )
 
+// SyncErrorBudget is the default access-code correlation threshold: bit
+// errors tolerated across the 72-bit BR access code (hardware correlators
+// typically allow a handful). Synthesis uses it as the access code's
+// correction capacity when predicting whether a packet decodes.
+const SyncErrorBudget = 6
+
 // Receiver demodulates one Bluetooth channel out of a 20 Msps IQ stream
 // centered on a WiFi channel.
 type Receiver struct {
@@ -21,9 +27,8 @@ type Receiver struct {
 	ChannelOffsetHz float64
 	// Device provides LAP/UAP for BR access-code correlation and CRCs.
 	Device bt.Device
-	// MaxSyncErrors is the access-code correlation threshold (bit errors
-	// tolerated across the 72-bit access code; hardware correlators
-	// typically allow a handful).
+	// MaxSyncErrors is the access-code correlation threshold (default
+	// SyncErrorBudget).
 	MaxSyncErrors int
 	// FilterHalfBandwidthHz is the channel filter cutoff (600 kHz covers
 	// the 1 MHz Bluetooth channel).
@@ -47,7 +52,7 @@ func NewReceiver(p Profile, offsetHz float64, dev bt.Device) (*Receiver, error) 
 		Profile:               p,
 		ChannelOffsetHz:       offsetHz,
 		Device:                dev,
-		MaxSyncErrors:         6,
+		MaxSyncErrors:         SyncErrorBudget,
 		FilterHalfBandwidthHz: 500e3,
 		Seed:                  7,
 		spb:                   20,

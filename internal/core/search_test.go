@@ -5,28 +5,45 @@ import (
 	"testing"
 
 	"bluefi/internal/bt"
+	"bluefi/internal/btrx"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/obs"
 )
+
+// candidatesScored reads how many search candidates a registry saw.
+func candidatesScored(reg *obs.Registry) int64 {
+	for _, fam := range reg.Snapshot().Families {
+		if fam.Name == "bluefi_core_rehearsal_candidates_total" {
+			return fam.Metrics[0].Value
+		}
+	}
+	return 0
+}
 
 // The parallel rehearsal search must be bit-identical to the serial one:
 // same PSDU, same rehearsal verdict, same plan. Candidates are evaluated
 // concurrently but selected in candidate order, so nothing about worker
-// scheduling may leak into the result.
+// scheduling may leak into the result. The "-fec" cases pass the
+// packet's FEC layout, which stops the search at the first candidate
+// the FEC decodes — earlier than the layout-free rule would.
 func TestParallelSearchMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string
 		mode Mode
-		ble  bool
+		fec  bool
 		bt   *bt.Packet
 		mhz  float64
 	}{
 		{"quality-dm1", Quality, false, &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: []byte("par-search-01")}, 2426},
 		{"realtime-dm1", RealTime, false, &bt.Packet{Type: bt.DM1, LTAddr: 1, SEQN: 1, Payload: []byte("par-search-02")}, 2426},
+		{"realtime-dm1-fec", RealTime, true, &bt.Packet{Type: bt.DM1, LTAddr: 1, SEQN: 1, Payload: []byte("par-search-02")}, 2426},
+		{"quality-dm1-fec", Quality, true, &bt.Packet{Type: bt.DM1, LTAddr: 3, Payload: []byte("par-search-04"), Clock: 8}, 2426},
 		{"realtime-dh1-ch20", RealTime, false, &bt.Packet{Type: bt.DH1, LTAddr: 2, Payload: []byte("par-search-03"), Clock: 4}, 2424},
 		{"quality-dm1-ch24", Quality, false, &bt.Packet{Type: bt.DM1, LTAddr: 3, Payload: []byte("par-search-04"), Clock: 8}, 2428},
+		{"realtime-dm1-fec-ch16", RealTime, true, &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: []byte("par-search-05"), Clock: 12}, 2418},
 	}
 	if testing.Short() {
-		cases = cases[:2]
+		cases = cases[:3]
 	}
 	dev := bt.Device{LAP: 0x123456, UAP: 0x9A}
 	for _, tc := range cases {
@@ -35,28 +52,36 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mk := func(par int) *Result {
+			mk := func(par int, layout bt.FECLayout) (*Result, int64) {
 				opts := DefaultOptions()
 				opts.Mode = tc.mode
 				opts.GFSK = gfsk.BRConfig()
 				opts.SearchParallelism = par
+				opts.Telemetry = obs.NewRegistry()
 				s, err := New(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := s.Synthesize(air, tc.mhz)
+				res, err := s.SynthesizeFEC(air, tc.mhz, layout)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res
+				return res, candidatesScored(opts.Telemetry)
 			}
-			serial := mk(1)
-			parallel := mk(4)
+			var layout bt.FECLayout
+			if tc.fec {
+				layout = tc.bt.FECLayout(btrx.SyncErrorBudget)
+			}
+			serial, serialScored := mk(1, layout)
+			parallel, _ := mk(4, layout)
 			if !bytes.Equal(serial.PSDU, parallel.PSDU) {
 				t.Errorf("parallel search PSDU differs from serial (%d vs %d bytes)", len(parallel.PSDU), len(serial.PSDU))
 			}
 			if serial.RehearsalMismatches != parallel.RehearsalMismatches {
 				t.Errorf("RehearsalMismatches: serial %d, parallel %d", serial.RehearsalMismatches, parallel.RehearsalMismatches)
+			}
+			if serial.RehearsalDecodes != parallel.RehearsalDecodes {
+				t.Errorf("RehearsalDecodes: serial %v, parallel %v", serial.RehearsalDecodes, parallel.RehearsalDecodes)
 			}
 			if serial.Symbols != parallel.Symbols {
 				t.Errorf("Symbols: serial %d, parallel %d", serial.Symbols, parallel.Symbols)
@@ -66,6 +91,16 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 			}
 			if serial.PhaseRMSE != parallel.PhaseRMSE {
 				t.Errorf("PhaseRMSE: serial %g, parallel %g", serial.PhaseRMSE, parallel.PhaseRMSE)
+			}
+			if !tc.fec {
+				return
+			}
+			if !serial.RehearsalDecodes || serial.RehearsalMismatches == 0 {
+				t.Errorf("FEC search chose a candidate with %d mismatches, decodes %v; want a decodable one the FEC must correct",
+					serial.RehearsalMismatches, serial.RehearsalDecodes)
+			}
+			if _, plainScored := mk(1, nil); serialScored >= plainScored {
+				t.Errorf("FEC search scored %d candidates, the layout-free search %d: no early stop", serialScored, plainScored)
 			}
 		})
 	}

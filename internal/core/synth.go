@@ -155,11 +155,11 @@ type Timings struct {
 // Total sums the per-stage timings.
 func (t Timings) Total() time.Duration { return t.IQGen + t.FFTQAM + t.FEC + t.Scramble }
 
-// add accumulates another pass's stage timings. The PhaseSearch paths
+// Add accumulates another pass's stage timings. The PhaseSearch paths
 // use it so a searched Result reports the time of every candidate it
 // evaluated, keeping Timings consistent with the per-candidate stage
-// histograms.
-func (t *Timings) add(o Timings) {
+// histograms; re-slotting callers sum their attempts the same way.
+func (t *Timings) Add(o Timings) {
 	t.IQGen += o.IQGen
 	t.FFTQAM += o.FFTQAM
 	t.FEC += o.FEC
@@ -194,18 +194,24 @@ type Result struct {
 	// search rehearses candidates on it; finish frames Waveform from it
 	// for the returned result only.
 	dataWave []complex128
-	// targetPhase keeps the offset-mixed target for rehearsal scoring.
+	// targetPhase keeps the offset-mixed target for rehearsal scoring
+	// and fidelity; finish drops it.
 	targetPhase []float64
 	// DataStart is the offset of the first data symbol in Waveform;
 	// GFSKStart is the offset of the Bluetooth packet's first air bit
 	// within the data region.
 	DataStart, GFSKStart int
 	// RehearsalMismatches counts bit decisions the synthesis-time
-	// reception rehearsal got wrong at the best search candidate (−1 when
-	// no rehearsal ran). A nonzero value predicts the packet will fail on
-	// a clean link — callers with scheduling freedom (the audio path) can
-	// re-slot instead of transmitting a known-bad frame.
+	// reception rehearsal got wrong at the chosen search candidate (−1
+	// when no rehearsal ran).
 	RehearsalMismatches int
+	// RehearsalDecodes reports whether those mismatches fit the packet's
+	// FEC layout (see SynthesizeFEC): the rehearsal predicts a receiver
+	// decodes the packet on a clean link. Callers with scheduling freedom
+	// (the audio path) re-slot instead of transmitting a frame predicted
+	// to fail. With no rehearsal (RehearsalMismatches −1) nothing
+	// predicts a failure, and it is true.
+	RehearsalDecodes bool
 	// Timings records the per-stage execution time. With PhaseSearch it
 	// covers every candidate the search evaluated — where the packet's
 	// synthesis time actually went — matching the per-candidate
@@ -243,10 +249,9 @@ type Synthesizer struct {
 	fitInter       [2][]byte
 	fitInband      []bool
 
-	// workers are the PhaseSearch clones, parked in workerCh between
-	// groups. Built lazily on the first parallel search.
-	workers  []*Synthesizer
-	workerCh chan *Synthesizer
+	// workers are the PhaseSearch clones, built lazily on the first
+	// parallel search.
+	workers []*Synthesizer
 
 	// pilotIBCache memoizes the in-band pilot waveform per (nsym,
 	// offset): it is data-independent, so audio streams reuse it.
@@ -755,8 +760,18 @@ func (s *Synthesizer) precompensateCPExact(theta, working, thetaHat []float64, o
 
 // Synthesize converts Bluetooth air bits at carrier frequency btMHz into
 // a WiFi PSDU, choosing the best covering WiFi channel unless the options
-// pin one (then the pinned channel must cover btMHz).
+// pin one (then the pinned channel must cover btMHz). The rehearsal
+// search treats the packet as unprotected by FEC — right for BLE; BR
+// packets go through SynthesizeFEC.
 func (s *Synthesizer) Synthesize(airBits []byte, btMHz float64) (*Result, error) {
+	return s.SynthesizeFEC(airBits, btMHz, nil)
+}
+
+// SynthesizeFEC is Synthesize for a packet whose air bits the FEC layout
+// protects (bt.Packet.FECLayout): the rehearsal search stops at the
+// first candidate whose mismatches every block's code corrects. A nil
+// layout is Synthesize.
+func (s *Synthesizer) SynthesizeFEC(airBits []byte, btMHz float64, layout bt.FECLayout) (*Result, error) {
 	if len(airBits) == 0 {
 		return nil, fmt.Errorf("core: no air bits")
 	}
@@ -769,7 +784,16 @@ func (s *Synthesizer) Synthesize(airBits []byte, btMHz float64) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return s.SynthesizePhase(pkt, btMHz)
+	if layout != nil {
+		// The rehearsal counts bits from the start of the trajectory,
+		// which opens with the transmit pad.
+		pad := g.PadBits
+		layout = append(bt.FECLayout(nil), layout...)
+		for i := range layout {
+			layout[i].Start += pad
+		}
+	}
+	return s.synthesize(pkt, btMHz, layout)
 }
 
 // SynthesizePhase converts an arbitrary baseband Bluetooth phase
@@ -778,11 +802,27 @@ func (s *Synthesizer) Synthesize(airBits []byte, btMHz float64) (*Result, error)
 // DPSK payloads of §5.3. The trajectory should include the transmit
 // pads; PhaseRMSE and GFSKStart treat the whole trajectory as the packet.
 func (s *Synthesizer) SynthesizePhase(basebandPhase []float64, btMHz float64) (*Result, error) {
+	return s.synthesize(basebandPhase, btMHz, nil)
+}
+
+// synthesize is the common entry point behind the telemetry span: the
+// rehearsal search when configured, else one pass. layout is in
+// rehearsed-bit coordinates.
+func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout bt.FECLayout) (*Result, error) {
 	if len(basebandPhase) == 0 {
 		return nil, fmt.Errorf("core: empty phase trajectory")
 	}
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
-	res, err := s.synthesizePhase(ctx, basebandPhase, btMHz)
+	var res *Result
+	var err error
+	if s.opts.PhaseSearch && !s.opts.PSDUOnly {
+		res, err = s.search(ctx, basebandPhase, btMHz, layout)
+	} else {
+		res, err = s.synthesizeShifted(ctx, basebandPhase, btMHz, 0, 0)
+		if err == nil {
+			res.RehearsalMismatches, res.RehearsalDecodes = -1, true
+		}
+	}
 	if err == nil {
 		err = s.finish(res, len(basebandPhase))
 	}
@@ -801,6 +841,8 @@ func (s *Synthesizer) SynthesizePhase(basebandPhase []float64, btMHz float64) (*
 // framing and fidelity. A PSDUOnly result has no data field and stays
 // without both.
 func (s *Synthesizer) finish(res *Result, pktLen int) error {
+	target := res.targetPhase
+	res.targetPhase = nil // callers may keep the result; they never need it
 	if res.dataWave == nil {
 		return nil
 	}
@@ -812,86 +854,32 @@ func (s *Synthesizer) finish(res *Result, pktLen int) error {
 	if lead+pktLen <= len(res.dataWave) {
 		// The ideal waveform — the offset-mixed target phase itself — is
 		// only realized here, off the PSDUOnly hot path.
-		ideal := dsp.PhaseToIQ(res.targetPhase[lead:lead+pktLen], 1)
+		ideal := dsp.PhaseToIQ(target[lead:lead+pktLen], 1)
 		res.PhaseRMSE = s.inbandPhaseRMSE(ideal, res.dataWave[lead:lead+pktLen], res.Plan.OffsetHz)
 	}
 	res.Waveform, res.dataWave = waveform, nil
 	return nil
 }
 
-// synthesizePhase is SynthesizePhase behind the telemetry span; ctx
-// carries the registry and the enclosing span for stage spans.
-func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float64, btMHz float64) (*Result, error) {
-	if !s.opts.PhaseSearch || s.opts.PSDUOnly {
-		res, err := s.synthesizeShifted(ctx, basebandPhase, btMHz, 0, 0)
-		if err == nil {
-			res.RehearsalMismatches = -1
-		}
-		return res, err
-	}
-	// Phase search: the square constellation is invariant under π/2
-	// rotations, but the pilots' fixed phase is not — the four quadrants
-	// put the deterministic pilot interference in different relative
-	// positions. Score each candidate by REHEARSING reception: demodulate
-	// the predicted waveform with a nominal receiver chain and compare
-	// per-bit decisions against the ideal waveform's (cf. the Recitation
-	// idea the paper cites [39]); RMS phase error does not localize the
-	// damage to weak bits, rehearsal does.
-	// A second free axis: extra lead padding shifts how bit boundaries
-	// align with the OFDM symbol corruption pattern (the alignment cycles
-	// every lcm(20, 72) samples). Extra leads are only tried when the
-	// plain rotations still rehearse dirty.
-	if s.searchParallelism() > 1 {
-		return s.searchParallel(ctx, basebandPhase, btMHz)
-	}
-	var best *Result
-	var searched Timings // all candidates' stage time, reported on the winner
-	bestMis, bestMargin := int(^uint(0)>>1), math.Inf(-1)
-	for _, extraLead := range searchLeads {
-		for _, rot := range searchRotations {
-			res, err := s.synthesizeShifted(ctx, basebandPhase, btMHz, rot, extraLead)
-			if err != nil {
-				return nil, err
-			}
-			searched.add(res.Timings)
-			mis, margin := s.rehearse(res, len(basebandPhase))
-			res.RehearsalMismatches = mis
-			if best == nil || mis < bestMis || (mis == bestMis && margin > bestMargin) {
-				best, bestMis, bestMargin = res, mis, margin
-			}
-			if mis == 0 && margin > searchCleanMargin {
-				best.Timings = searched
-				return best, nil // comfortably clean
-			}
-		}
-		if bestMis == 0 {
-			break
-		}
-	}
-	best.Timings = searched
-	return best, nil
-}
-
 // rehearse demodulates the predicted waveform's packet region with the
 // actual receiver implementation (noise-free) and compares bit decisions
 // against the ideal target waveform's — synthesis-time reception
-// rehearsal, cf. Recitation [39]. It returns the number of mismatched
-// decisions and the worst agreeing decision margin (normalized).
-func (s *Synthesizer) rehearse(res *Result, pktLen int) (mismatches int, minMargin float64) {
+// rehearsal, cf. Recitation [39].
+func (s *Synthesizer) rehearse(res *Result, pktLen int) rehearsal {
 	s.met.observeCandidate()
 	if res.dataWave == nil {
-		return 0, 0
+		return rehearsal{}
 	}
 	// The preamble is a whole number of bit periods (720 = 36·20
 	// samples), so bit phase within the data field is the frame's.
 	start := res.GFSKStart
 	if start+pktLen > len(res.dataWave) {
-		return 0, 0
+		return rehearsal{}
 	}
 	if s.rehearseRx == nil {
 		rcv, err := btrx.NewReceiver(btrx.Profile{Name: "rehearsal"}, s.lastOffsetHz, bt.Device{})
 		if err != nil {
-			return 0, 0
+			return rehearsal{}
 		}
 		s.rehearseRx = rcv
 	}
@@ -916,23 +904,23 @@ func (s *Synthesizer) rehearse(res *Result, pktLen int) (mismatches int, minMarg
 	// GFSK zero-crossing instants at unlucky phases) have near-zero
 	// integrals whose signs are meaningless.
 	floor := 0.15 * scale
-	minMargin = math.Inf(1)
+	r := rehearsal{margins: make([]float64, n)}
 	for i := 0; i < n; i++ {
+		r.margins[i] = math.Inf(1)
 		if math.Abs(idealAcc[i]) < floor {
 			continue
 		}
 		if predBits[i] != idealBits[i] {
-			mismatches++
+			r.mismatches = append(r.mismatches, i)
 			continue
 		}
-		if m := math.Abs(predAcc[i]); m < minMargin {
-			minMargin = m
+		m := math.Abs(predAcc[i])
+		if scale > 0 {
+			m /= scale
 		}
+		r.margins[i] = m
 	}
-	if scale > 0 && !math.IsInf(minMargin, 1) {
-		minMargin /= scale
-	}
-	return mismatches, minMargin
+	return r
 }
 
 // synthesizeShifted runs the pipeline once with an extra global rotation

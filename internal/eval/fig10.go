@@ -33,6 +33,27 @@ type AudioResult struct {
 	// counts rehearsal-gated slot retries.
 	SkippedSlots int
 	Reslotted    int
+	// Prediction scores the shipped segments' rehearsal verdicts against
+	// the receiver's decodes.
+	Prediction Confusion
+}
+
+// Confusion counts predicted-vs-received decode outcomes: TP predicted a
+// decode that happened, FP predicted one that failed, FN flagged a packet
+// that decoded anyway, TN flagged one that failed.
+type Confusion struct{ TP, FP, FN, TN int }
+
+func (c *Confusion) add(predicted, received bool) {
+	switch {
+	case predicted && received:
+		c.TP++
+	case predicted:
+		c.FP++
+	case received:
+		c.FN++
+	default:
+		c.TN++
+	}
 }
 
 // Fig10Config sizes the run.
@@ -174,28 +195,13 @@ func audioRunN(cfg Fig10Config, pt bt.PacketType, sbcCfg sbc.Config, fppOverride
 				firstClock = sp.Clock
 			}
 
-			// Rehearsal-gated transmission: when synthesis predicts the
-			// frame will fail on a clean link, try the next slot — its
-			// clock re-whitens the payload into a different waveform.
-			var sr *core.Result
-			for attempt := 0; ; attempt++ {
-				air, err := sp.Packet.AirBits(evalDevice)
-				if err != nil {
-					return nil, err
-				}
-				sr, err = synth.Synthesize(air, sp.ChannelMHz)
-				if err != nil {
-					return nil, err
-				}
-				// DM packets correct one error per 15-bit FEC block, so a
-				// few scattered rehearsal mismatches are survivable; only
-				// clearly-bad realizations are worth a new slot.
-				if sr.RehearsalMismatches <= 4 || attempt >= 3 {
-					break
-				}
-				sp = sched.Reslot(sp)
-				res.Reslotted++
+			// Rehearsal-gated transmission: a segment the rehearsal
+			// predicts its FEC cannot decode moves to the next slot.
+			sp, sr, reslots, err := sched.SynthesizeGated(synth, sp)
+			if err != nil {
+				return nil, err
 			}
+			res.Reslotted += reslots
 			lastClock = sp.Clock
 			res.SkippedSlots += sp.SkippedSlots
 			chModel := channel.Default(18, 1.5)
@@ -215,6 +221,7 @@ func audioRunN(cfg Fig10Config, pt bt.PacketType, sbcCfg sbc.Config, fppOverride
 			pc := perCh[sp.Channel]
 			pc.Sent++
 			res.Sent++
+			res.Prediction.add(sr.RehearsalDecodes, rep.Detected && rep.Result.OK)
 			switch {
 			case !rep.Detected:
 				pc.Lost++
@@ -255,6 +262,9 @@ func FormatAudio(r *AudioResult) string {
 	out := FormatChannelPER("Fig 10 — PER with 5-slot audio packets", r.PerChannel)
 	out += fmt.Sprintf("  overall: PER=%.0f%% throughput=%.1f kbps goodput=%.1f kbps (skipped %d off-channel slots, %d rehearsal re-slots)\n",
 		100*r.OverallPER, r.ThroughputKbps, r.GoodputKbps, r.SkippedSlots, r.Reslotted)
+	c := r.Prediction
+	out += fmt.Sprintf("  rehearsal vs receiver: predicted-decode %d decoded / %d failed; predicted-fail %d decoded / %d failed\n",
+		c.TP, c.FP, c.FN, c.TN)
 	return out
 }
 

@@ -142,7 +142,7 @@ func fig9Channel(cfg Fig9Config, s *core.Synthesizer, ci, btCh int) (ChannelPER,
 		if err != nil {
 			return ChannelPER{}, err
 		}
-		synth, err := s.Synthesize(air, freq)
+		synth, err := s.SynthesizeFEC(air, freq, pkt.FECLayout(btrx.SyncErrorBudget))
 		if err != nil {
 			return ChannelPER{}, err
 		}
