@@ -15,6 +15,7 @@ import (
 
 	"bluefi"
 	"bluefi/internal/bt"
+	"bluefi/internal/btrx"
 	"bluefi/internal/core"
 	"bluefi/internal/eval"
 	"bluefi/internal/gfsk"
@@ -123,14 +124,15 @@ func phaseSearchBench(parallelism int) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		synthBench(b, opts, air)
+		synthBench(b, opts, air, nil)
 	}
 }
 
 // realtimeDM1Bench is the synthesis A2DP runs: DefaultOptions in
 // RealTime mode (dynamic scale, CP and pilot precompensation, the
 // rehearsal-scored phase search) on a 17-byte BR DM1 packet, with the
-// search serial. Unlike the PSDU-only sec48 rows it builds the predicted
+// search serial and stopping on the packet's FEC layout as the audio
+// path's does. Unlike the PSDU-only sec48 rows it builds the predicted
 // waveform, so it times the channel filters the rehearsal and fidelity
 // run.
 func realtimeDM1Bench(b *testing.B) {
@@ -143,12 +145,13 @@ func realtimeDM1Bench(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	synthBench(b, opts, air)
+	synthBench(b, opts, air, pkt.FECLayout(btrx.SyncErrorBudget))
 }
 
-// synthBench times Synthesize of air at 2426 MHz on one synthesizer
-// built from opts before the timer starts.
-func synthBench(b *testing.B, opts core.Options, air []byte) {
+// synthBench times SynthesizeFEC of air at 2426 MHz under layout (nil
+// for an unprotected packet) on one synthesizer built from opts before
+// the timer starts.
+func synthBench(b *testing.B, opts core.Options, air []byte, layout bt.FECLayout) {
 	s, err := core.New(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -156,7 +159,7 @@ func synthBench(b *testing.B, opts core.Options, air []byte) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Synthesize(air, 2426); err != nil {
+		if _, err := s.SynthesizeFEC(air, 2426, layout); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +219,10 @@ func poolBeaconBench() func(b *testing.B) {
 
 // stageBreakdown runs the §4.8 timing scenario with a telemetry registry
 // attached and reads the per-stage breakdown back out of the
-// bluefi_core_stage_seconds histograms.
+// bluefi_core_stage_seconds histograms. The "searched" rows add the
+// synthesis A2DP runs — the predicted waveform and the serial rehearsal
+// search stopping on the packet's FEC layout — whose precomp and
+// rehearse stages the PSDU-only scenario never reaches.
 func stageBreakdown(iterations int) ([]stageRow, error) {
 	var rows []stageRow
 	for _, mode := range []core.Mode{core.Quality, core.RealTime} {
@@ -224,29 +230,39 @@ func stageBreakdown(iterations int) ([]stageRow, error) {
 			name       string
 			pt         bt.PacketType
 			payloadLen int
+			searched   bool
 		}{
-			{"1-slot (DM1)", bt.DM1, 17},
-			{"5-slot (DM5)", bt.DM5, 224},
+			{"1-slot (DM1)", bt.DM1, 17, false},
+			{"5-slot (DM5)", bt.DM5, 224, false},
+			{"1-slot (DM1) searched", bt.DM1, 17, true},
 		} {
 			reg := obs.NewRegistry()
 			opts := core.DefaultOptions()
 			opts.Mode = mode
 			opts.GFSK = gfsk.BRConfig()
-			opts.PSDUOnly = true
-			opts.DynamicScale = false
+			if pc.searched {
+				opts.SearchParallelism = 1
+			} else {
+				opts.PSDUOnly = true
+				opts.DynamicScale = false
+			}
 			opts.Telemetry = reg
 			s, err := core.New(opts)
 			if err != nil {
 				return nil, err
 			}
 			pkt := &bt.Packet{Type: pc.pt, LTAddr: 1, Payload: make([]byte, pc.payloadLen)}
+			var layout bt.FECLayout
+			if pc.searched {
+				layout = pkt.FECLayout(btrx.SyncErrorBudget)
+			}
 			for i := 0; i < iterations; i++ {
 				pkt.Clock = uint32(4 * i)
 				air, err := pkt.AirBits(bt.Device{LAP: 0x123456, UAP: 0x9A})
 				if err != nil {
 					return nil, err
 				}
-				if _, err := s.Synthesize(air, 2426); err != nil {
+				if _, err := s.SynthesizeFEC(air, 2426, layout); err != nil {
 					return nil, err
 				}
 			}
@@ -378,7 +394,7 @@ func runBenchJSON() (*benchSnapshot, error) {
 	snap.Stages = rows
 	fmt.Printf("stage breakdown (telemetry-sourced, 10 iterations):\n")
 	for _, r := range rows {
-		fmt.Printf("  %-10s %-14s %-9s %12.0f ns mean (n=%d)\n", r.Mode, r.Packet, r.Stage, r.MeanNs, r.Count)
+		fmt.Printf("  %-10s %-22s %-9s %12.0f ns mean (n=%d)\n", r.Mode, r.Packet, r.Stage, r.MeanNs, r.Count)
 	}
 	return snap, nil
 }

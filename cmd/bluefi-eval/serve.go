@@ -27,10 +27,11 @@ const serveWorkers = 2
 // stage histograms fill.
 //
 // bluefi_eval_core_timings_nanoseconds_total accumulates
-// Packet.Timings().Total() across the workload; the per-stage histogram
-// sums in bluefi_core_stage_seconds must stay within ±5% of it — the
-// consistency contract between the span-fed histograms and the absorbed
-// Timings plumbing.
+// Packet.Timings().Total() across the workload; the histogram sums of
+// the four §4.8 stages in bluefi_core_stage_seconds (iqgen, fftqam, fec,
+// scramble — not the histogram-only precomp and rehearse) must stay
+// within ±5% of it — the consistency contract between the span-fed
+// histograms and the absorbed Timings plumbing.
 func runServe(addr, flightDir string) error {
 	reg := bluefi.NewTelemetry()
 	timingsNS := reg.Counter("bluefi_eval_core_timings_nanoseconds_total",

@@ -62,7 +62,6 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	s.lastOffsetHz = plan.OffsetHz
 	theta, lead, nsym, err := s.buildTargetPhase(airBits, plan.OffsetHz)
 	if err != nil {
 		return nil, err

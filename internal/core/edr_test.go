@@ -46,7 +46,7 @@ func TestEndToEndEDRThroughBlueFi(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, lead, _ := s.layoutPhase(theta, plan.OffsetHz)
+		full, lead, _ := s.layoutPhase(theta, plan.OffsetHz, 0, 0)
 		ch := channel.Default(18, 1.5)
 		rx, _ := ch.Apply(dsp.PhaseToIQ(full, 1))
 		rcv, _ := btrx.NewReceiver(btrx.Sniffer, plan.OffsetHz, dev)
@@ -72,7 +72,7 @@ func TestEndToEndEDRThroughBlueFi(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan, _ := PlanForChannel(2426, 3)
-		full, lead, _ := s.layoutPhase(theta, plan.OffsetHz)
+		full, lead, _ := s.layoutPhase(theta, plan.OffsetHz, 0, 0)
 		hat, err := DesignCP(full, wifi.ShortGI)
 		if err != nil {
 			t.Fatal(err)

@@ -11,14 +11,19 @@ import (
 // no-ops after one branch, so instrumentation sites never check a flag
 // and a Synthesizer built without Options.Telemetry pays nothing.
 //
-// The per-stage histograms record the same durations that fill
-// Result.Timings (both come from the same span measurements), so the
-// exported stage sums always agree with the Timings totals callers see.
+// The four §4.8 stage histograms (iqgen, fftqam, fec, scramble) record
+// the same durations that fill Result.Timings (both come from the same
+// span measurements), so those stage sums always agree with the Timings
+// totals callers see. The precomp and rehearse stages time the search's
+// remaining work — the target corrections and the reception rehearsal —
+// and are histogram-only: Timings keeps the paper's breakdown.
 type coreMetrics struct {
 	stageIQGen    *obs.Histogram
 	stageFFTQAM   *obs.Histogram
 	stageFEC      *obs.Histogram
 	stageScramble *obs.Histogram
+	stagePrecomp  *obs.Histogram
+	stageRehearse *obs.Histogram
 	synthSeconds  *obs.Histogram
 	synths        *obs.Counter
 	candidates    *obs.Counter
@@ -42,6 +47,8 @@ func newCoreMetrics(r *obs.Registry, mode Mode) *coreMetrics {
 		stageFFTQAM:   stage("fftqam"),
 		stageFEC:      stage("fec"),
 		stageScramble: stage("scramble"),
+		stagePrecomp:  stage("precomp"),
+		stageRehearse: stage("rehearse"),
 		synthSeconds: r.Histogram("bluefi_core_synth_seconds",
 			"end-to-end packet synthesis latency", obs.ExpBuckets(1e-4, 3, 12), m),
 		synths: r.Counter("bluefi_core_synth_total", "packets synthesized", m),
@@ -68,6 +75,25 @@ func (m *coreMetrics) observeScramble(d time.Duration) {
 		return
 	}
 	m.stageScramble.Observe(d.Seconds())
+}
+
+// observePrecomp records one candidate's CP and pilot precompensation,
+// including the lead group's shared CP phase error when this candidate
+// computed it.
+func (m *coreMetrics) observePrecomp(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stagePrecomp.Observe(d.Seconds())
+}
+
+// observeRehearse records one candidate's reception rehearsal, including
+// the search's shared ideal demodulation when this candidate ran it.
+func (m *coreMetrics) observeRehearse(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stageRehearse.Observe(d.Seconds())
 }
 
 // observeSynth records one completed end-to-end synthesis.

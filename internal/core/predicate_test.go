@@ -146,14 +146,17 @@ func TestPredicateAgreesWithReceiver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mhz := bt.ChannelMHz(audioChannels[rng.Intn(len(audioChannels))])
+		plan, err := PlanForChannel(bt.ChannelMHz(audioChannels[rng.Intn(len(audioChannels))]), opts.WiFiChannel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := &searchShared{pkt: phase, plan: plan}
 		for k := 0; k < len(searchLeads)*len(searchRotations); k++ {
-			res, err := s.synthesizeShifted(context.Background(), phase, mhz,
-				searchRotations[k%len(searchRotations)], searchLeads[k/len(searchRotations)])
+			res, err := s.synthesizeCandidate(context.Background(), sh, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := s.rehearse(res, len(phase))
+			r := s.rehearse(context.Background(), sh, k, res)
 			if err := s.finish(res, len(phase)); err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
 
 	"bluefi/internal/bt"
 )
@@ -11,17 +12,21 @@ import (
 // Rehearsal search. The square constellation is invariant under π/2
 // rotations, but the pilots' fixed phase is not — the four quadrants put
 // the deterministic pilot interference in different relative positions.
-// A second free axis: extra lead padding shifts how bit boundaries align
-// with the OFDM symbol corruption pattern (the alignment cycles every
-// lcm(20, 72) samples). Each candidate is scored by REHEARSING reception:
+// A second free axis: extra lead padding. The lead grows by whole
+// 72-sample symbols, so bit boundaries meet the CP corruption at the same
+// places in every lead group; what a group changes is the OFDM symbol
+// index each part of the packet lands in (pilot polarity and scrambler
+// bits), the symbol count, and the carrier phase (slope·72 per extra
+// symbol). Each candidate is scored by REHEARSING reception:
 // demodulate the predicted waveform with a nominal receiver chain and
 // compare per-bit decisions against the ideal waveform's (cf. the
 // Recitation idea the paper cites [39]). RMS phase error does not
 // localize the damage to weak bits; rehearsal does, and only located
 // damage can be weighed against the packet's FEC.
 //
-// Each PhaseSearch candidate — a (rotation, extra-lead) pair — is an
-// independent synth+demod pass, so the search hands them out
+// Each PhaseSearch candidate — a (rotation, extra-lead) pair — is a
+// synth+demod pass independent of the others but for the work they all
+// share (searchShared), so the search hands them out
 // in candidate order to a bounded pool of worker synthesizers (the
 // synthesizer itself when serial). Determinism is the contract:
 // candidates are evaluated concurrently but SELECTED strictly in
@@ -34,9 +39,31 @@ import (
 // extra-lead group, further groups only when the previous ones still
 // rehearse dirty.
 var (
-	searchRotations = []float64{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2}
-	searchLeads     = []int{0, 1, 2}
+	searchRotations = [...]float64{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2}
+	searchLeads     = [...]int{0, 1, 2}
 )
+
+// searchShared is the work every candidate of one search reads but none
+// needs to repeat: the channel plan, the CP phase error of each lead
+// group and the ideal waveform's rehearsal. Each value is computed once,
+// by the first candidate that asks, under its sync.Once, and is
+// read-only afterwards, so worker clones share it without further
+// locking and every parallelism sees the same floats. The unsearched
+// path synthesizes candidate 0 through the same struct.
+type searchShared struct {
+	pkt   []float64 // baseband phase trajectory, transmit pads included
+	plan  ChannelPlan
+	leads [len(searchLeads)]struct {
+		once sync.Once
+		dphi []float64 // clipped CP phase error of the rotation-0 layout
+		err  error
+	}
+	ideal struct {
+		once sync.Once
+		bits []byte
+		acc  []float64
+	}
+}
 
 // searchCleanMargin is the decision-margin threshold an FEC-unprotected
 // block's agreeing bits must clear for the block to count as decoding.
@@ -177,7 +204,7 @@ type searchDone struct {
 // contiguous completed prefix the selection replays, and once the replay
 // stops no further candidate starts. The serial search is the same loop
 // with the synthesizer as its only worker.
-func (s *Synthesizer) search(ctx context.Context, basebandPhase []float64, btMHz float64, layout bt.FECLayout) (*Result, error) {
+func (s *Synthesizer) search(ctx context.Context, sh *searchShared, layout bt.FECLayout) (*Result, error) {
 	free := []*Synthesizer{s}
 	if p := s.searchParallelism(); p > 1 {
 		if err := s.ensureWorkers(p); err != nil {
@@ -198,11 +225,9 @@ func (s *Synthesizer) search(ctx context.Context, basebandPhase []float64, btMHz
 			free = free[:len(free)-1]
 			running++
 			go func(d *searchDone) {
-				rot := searchRotations[d.k%len(searchRotations)]
-				lead := searchLeads[d.k/len(searchRotations)]
-				d.res, d.err = d.w.synthesizeShifted(ctx, basebandPhase, btMHz, rot, lead)
+				d.res, d.err = d.w.synthesizeCandidate(ctx, sh, d.k)
 				if d.err == nil {
-					d.r = d.w.rehearse(d.res, len(basebandPhase))
+					d.r = d.w.rehearse(ctx, sh, d.k, d.res)
 				}
 				results <- d
 			}(&searchDone{k: next, w: w})

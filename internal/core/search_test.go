@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"bluefi/internal/bt"
@@ -25,7 +26,9 @@ func candidatesScored(reg *obs.Registry) int64 {
 // concurrently but selected in candidate order, so nothing about worker
 // scheduling may leak into the result. The "-fec" cases pass the
 // packet's FEC layout, which stops the search at the first candidate
-// the FEC decodes — earlier than the layout-free rule would.
+// the FEC decodes — earlier than the layout-free rule would. The
+// "-lead2" case decodes only in the last lead group, so its workers
+// share the CP phase error of all three groups.
 func TestParallelSearchMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name string
@@ -37,13 +40,14 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 		{"quality-dm1", Quality, false, &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: []byte("par-search-01")}, 2426},
 		{"realtime-dm1", RealTime, false, &bt.Packet{Type: bt.DM1, LTAddr: 1, SEQN: 1, Payload: []byte("par-search-02")}, 2426},
 		{"realtime-dm1-fec", RealTime, true, &bt.Packet{Type: bt.DM1, LTAddr: 1, SEQN: 1, Payload: []byte("par-search-02")}, 2426},
+		{"realtime-dm1-fec-lead2", RealTime, true, &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: []byte("par-search-06"), Clock: 88}, 2426},
 		{"quality-dm1-fec", Quality, true, &bt.Packet{Type: bt.DM1, LTAddr: 3, Payload: []byte("par-search-04"), Clock: 8}, 2426},
 		{"realtime-dh1-ch20", RealTime, false, &bt.Packet{Type: bt.DH1, LTAddr: 2, Payload: []byte("par-search-03"), Clock: 4}, 2424},
 		{"quality-dm1-ch24", Quality, false, &bt.Packet{Type: bt.DM1, LTAddr: 3, Payload: []byte("par-search-04"), Clock: 8}, 2428},
 		{"realtime-dm1-fec-ch16", RealTime, true, &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: []byte("par-search-05"), Clock: 12}, 2418},
 	}
 	if testing.Short() {
-		cases = cases[:3]
+		cases = cases[:4]
 	}
 	dev := bt.Device{LAP: 0x123456, UAP: 0x9A}
 	for _, tc := range cases {
@@ -98,6 +102,9 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 			if !serial.RehearsalDecodes || serial.RehearsalMismatches == 0 {
 				t.Errorf("FEC search chose a candidate with %d mismatches, decodes %v; want a decodable one the FEC must correct",
 					serial.RehearsalMismatches, serial.RehearsalDecodes)
+			}
+			if strings.HasSuffix(tc.name, "-lead2") && serialScored <= int64(2*len(searchRotations)) {
+				t.Errorf("serial search stopped after %d candidates, before lead group 2", serialScored)
 			}
 			if _, plainScored := mk(1, nil); serialScored >= plainScored {
 				t.Errorf("FEC search scored %d candidates, the layout-free search %d: no early stop", serialScored, plainScored)

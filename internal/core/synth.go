@@ -227,26 +227,25 @@ type Result struct {
 // single-threaded; for concurrent multi-packet workloads, use one
 // Synthesizer per goroutine (the root package's Pool does exactly that).
 type Synthesizer struct {
-	opts         Options
-	mcs          wifi.MCS
-	il           *wifi.Interleaver
-	mapper       *wifi.Mapper
-	plan         *dsp.FFTPlan
-	tx           *wifi.Transmitter
-	mod          *wifi.OFDMModulator
-	channelFIR   *dsp.FIR
-	lastOffsetHz float64
-	extraPhase   float64
-	extraLead    int
-	rehearseRx   *btrx.Receiver
+	opts       Options
+	mcs        wifi.MCS
+	il         *wifi.Interleaver
+	mapper     *wifi.Mapper
+	plan       *dsp.FFTPlan
+	tx         *wifi.Transmitter
+	mod        *wifi.OFDMModulator
+	channelFIR *dsp.FIR
+	rehearseRx *btrx.Receiver
 
 	// fitSymbols scratch: the time/frequency buffers, one symbol's
-	// sin/cos of the designed phase (shared by every trial scale), the two
-	// interleaved-bit candidate buffers of the per-symbol scale search,
-	// and the per-subcarrier in-band mask of the last offset.
+	// sin/cos of the designed phase (shared by every trial scale), the
+	// winning scale's data-subcarrier FFT values, the interleaved bits
+	// they demap to, and the per-subcarrier in-band mask of the last
+	// offset.
 	fitBody, fitX  []complex128
 	fitSin, fitCos []float64
-	fitInter       [2][]byte
+	fitBest        []complex128
+	fitInter       []byte
 	fitInband      []bool
 
 	// workers are the PhaseSearch clones, built lazily on the first
@@ -344,8 +343,8 @@ func New(opts Options) (*Synthesizer, error) {
 	s.fitX = make([]complex128, wifi.FFTSize)
 	s.fitSin = make([]float64, wifi.FFTSize)
 	s.fitCos = make([]float64, wifi.FFTSize)
-	s.fitInter[0] = make([]byte, 0, mcs.NCBPS)
-	s.fitInter[1] = make([]byte, 0, mcs.NCBPS)
+	s.fitBest = make([]complex128, len(wifi.HTDataSubcarriers))
+	s.fitInter = make([]byte, mcs.NCBPS)
 	s.fitInband = make([]bool, len(wifi.HTDataSubcarriers))
 	s.met = newCoreMetrics(opts.Telemetry, opts.Mode)
 	s.vmet = viterbi.NewMetrics(opts.Telemetry)
@@ -377,7 +376,7 @@ func (s *Synthesizer) buildTargetPhase(airBits []byte, offsetHz float64) (theta 
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	theta, lead, nsym = s.layoutPhase(pkt, offsetHz)
+	theta, lead, nsym = s.layoutPhase(pkt, offsetHz, 0, 0)
 	return theta, lead, nsym, nil
 }
 
@@ -385,8 +384,10 @@ func (s *Synthesizer) buildTargetPhase(airBits []byte, offsetHz float64) (theta 
 // lays it into a whole number of OFDM symbols, extending the carrier-only
 // slope before and after the packet. The mixing happens here — before CP
 // design — because offset mixing and CP insertion do not commute (§2.3).
-func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64) (theta []float64, lead, nsym int) {
-	lead = (s.opts.LeadSymbols + s.extraLead) * symbolLen
+// extraLead symbols pad the lead and rot rotates the whole frame: the
+// two axes of the rehearsal search.
+func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64, extraLead int, rot float64) (theta []float64, lead, nsym int) {
+	lead = (s.opts.LeadSymbols + extraLead) * symbolLen
 	total := lead + len(pkt) + symbolLen // one tail symbol of slack
 	nsym = (total + symbolLen - 1) / symbolLen
 	theta = make([]float64, nsym*symbolLen)
@@ -402,18 +403,20 @@ func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64) (theta []floa
 		}
 		// Carrier offset: a linear phase ramp over the whole frame, plus
 		// the search's global rotation.
-		theta[n] += slope*float64(n) + s.extraPhase
+		theta[n] += slope*float64(n) + rot
 	}
 	return theta, lead, nsym
 }
 
 // fitSymbols converts the CP-designed phase signal into quantized
 // frequency-domain data points and the coded-bit targets they demap to.
-// offsetHz locates the Bluetooth band the scale search fits.
+// offsetHz locates the Bluetooth band the scale search fits. Each trial
+// scale is scored on its in-band bins alone; only the winner's data
+// subcarriers are quantized and demapped.
 func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64) (coded []byte, err error) {
 	nbpsc := s.mcs.Modulation.BitsPerSymbol()
-	coded = make([]byte, 0, nsym*s.mcs.NCBPS)
-	body, X := s.fitBody, s.fitX
+	coded = make([]byte, nsym*s.mcs.NCBPS)
+	body, X, best, inter := s.fitBody, s.fitX, s.fitBest, s.fitInter
 	sinT, cosT := s.fitSin, s.fitCos
 	single := [1]float64{s.opts.ScaleFactor}
 	scales := single[:]
@@ -424,14 +427,9 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 	for i, sub := range wifi.HTDataSubcarriers {
 		inband[i] = SubcarrierWeight(sub, offsetHz) >= WeightAdjacent
 	}
-	// Two candidate buffers serve the whole scale search: `cur` collects
-	// the candidate being built; on improvement it becomes `bestInter` and
-	// the other buffer takes over — no per-scale allocation.
-	curIdx := 0
 	for k := 0; k < nsym; k++ {
 		base := k*symbolLen + wifi.ShortGI
 		bestResidue := math.Inf(1)
-		var bestInter []byte
 		for n := range sinT {
 			sinT[n], cosT[n] = math.Sincos(thetaHat[base+n])
 		}
@@ -440,35 +438,34 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 				body[n] = complex(A*cosT[n], A*sinT[n])
 			}
 			s.plan.ForwardInto(X, body)
-			inter := s.fitInter[curIdx][:0]
+			// Only the Bluetooth-band fit matters: out-of-band residue is
+			// filtered at the receiver, and the scale search should not
+			// chase it.
 			residue := 0.0
 			for i, sub := range wifi.HTDataSubcarriers {
-				v := X[dsp.SubcarrierBin(sub, wifi.FFTSize)] / GridScale
-				q := s.mapper.Quantize(v)
 				if inband[i] {
-					// Only the Bluetooth-band fit matters: out-of-band
-					// residue is filtered at the receiver, and the scale
-					// search should not chase it.
-					d := v - q
+					v := X[dsp.SubcarrierBin(sub, wifi.FFTSize)] / GridScale
+					d := v - s.mapper.Quantize(v)
 					residue += real(d)*real(d) + imag(d)*imag(d)
 				}
-				inter = inter[:len(inter)+nbpsc]
-				if !s.mapper.DemapInto(inter[len(inter)-nbpsc:], q) {
-					return nil, fmt.Errorf("core: %v demap: point (%g,%g) off grid", s.mcs.Modulation, real(q), imag(q))
-				}
 			}
-			s.fitInter[curIdx] = inter[:0]
 			if residue /= A * A; residue < bestResidue {
 				bestResidue = residue
-				bestInter = inter
-				curIdx ^= 1 // keep the winner; build the next try elsewhere
+				for i, sub := range wifi.HTDataSubcarriers {
+					best[i] = X[dsp.SubcarrierBin(sub, wifi.FFTSize)]
+				}
 			}
 		}
-		if len(bestInter) != s.mcs.NCBPS {
-			return nil, fmt.Errorf("core: symbol %d produced %d bits, want %d (nbpsc %d)", k, len(bestInter), s.mcs.NCBPS, nbpsc)
+		if math.IsInf(bestResidue, 1) {
+			return nil, fmt.Errorf("core: symbol %d: no trial scale has a finite residue", k)
 		}
-		coded = coded[:len(coded)+s.mcs.NCBPS]
-		s.il.DeinterleaveInto(coded[len(coded)-s.mcs.NCBPS:], bestInter)
+		for i, x := range best {
+			q := s.mapper.Quantize(x / GridScale)
+			if !s.mapper.DemapInto(inter[i*nbpsc:(i+1)*nbpsc], q) {
+				return nil, fmt.Errorf("core: %v demap: point (%g,%g) off grid", s.mcs.Modulation, real(q), imag(q))
+			}
+		}
+		s.il.DeinterleaveInto(coded[k*s.mcs.NCBPS:(k+1)*s.mcs.NCBPS], inter)
 	}
 	return coded, nil
 }
@@ -594,20 +591,49 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 
 func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
 
-// precompensatePilots subtracts the pilots' predicted in-band phase
-// perturbation from the target phase. The pilot waveform is fixed by the
-// standard (tones at ±7, ±21 with the known polarity sequence), so its
-// interference with the Bluetooth signal through any reasonable channel
-// filter is deterministic: for a small additive interferer p on a
-// unit-modulus signal s = a·e^{jθ}, the received phase error is
+// precompensate builds search candidate k's synthesis target from its
+// laid-out phase θ: θ less the damped CP-design phase error of k's lead
+// group, less the pilots' predicted perturbation. With neither
+// correction enabled the target is θ itself.
+func (s *Synthesizer) precompensate(sh *searchShared, k int, theta []float64, nsym int) ([]float64, error) {
+	if !s.opts.CPPrecompensation && !s.opts.PilotPrecompensation {
+		return theta, nil
+	}
+	target := make([]float64, len(theta))
+	if s.opts.CPPrecompensation {
+		dphi, err := s.cpPhaseError(sh, k, theta)
+		if err != nil {
+			return nil, err
+		}
+		for n := range target {
+			target[n] = theta[n] - cpBeta*dphi[n]
+		}
+	} else {
+		copy(target, theta)
+	}
+	if s.opts.PilotPrecompensation {
+		if err := s.precompensatePilots(theta, target, nsym, sh.plan.OffsetHz); err != nil {
+			return nil, err
+		}
+	}
+	return target, nil
+}
+
+// precompensatePilots subtracts, in place, the pilots' predicted in-band
+// phase perturbation from the target phase. The pilot waveform is fixed
+// by the standard (tones at ±7, ±21 with the known polarity sequence), so
+// its interference with the Bluetooth signal through any reasonable
+// channel filter is deterministic: for a small additive interferer p on
+// a unit-modulus signal s = a·e^{jθ}, the received phase error is
 // Im(p·e^{−jθ})/a. Pre-rotating the target by its negative cancels the
 // perturbation at the receiver.
-func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, offsetHz float64) ([]float64, error) {
+func (s *Synthesizer) precompensatePilots(theta, target []float64, nsym int, offsetHz float64) error {
 	if s.pilotIBCache == nil {
 		s.pilotIBCache = make(map[pilotKey][]complex128)
 	}
 	if pIB, ok := s.pilotIBCache[pilotKey{nsym, offsetHz}]; ok {
-		return s.applyPilotCorrection(theta, working, pIB), nil
+		s.applyPilotCorrection(theta, target, pIB)
+		return nil
 	}
 	// Pilot-only symbols in grid units, modulated like the data field.
 	pilotAmp := wifi.PilotAmplitude(s.mcs.Modulation)
@@ -616,13 +642,13 @@ func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, of
 	for k := 0; k < nsym; k++ {
 		sym, err := wifi.BuildSymbol(empty, wifi.DataPolarityBase+k, pilotAmp)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		symbols[k] = sym
 	}
 	pWave, err := s.mod.Modulate(symbols)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// In-band pilot component at the Bluetooth channel.
 	p := make([]complex128, len(theta))
@@ -631,16 +657,16 @@ func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, of
 	pIB := s.channelFIR.Apply(p)
 	dsp.Mix(pIB, +offsetHz, wifi.SampleRate, 0)
 	s.pilotIBCache[pilotKey{nsym, offsetHz}] = pIB
-	return s.applyPilotCorrection(theta, working, pIB), nil
+	s.applyPilotCorrection(theta, target, pIB)
+	return nil
 }
 
 // applyPilotCorrection subtracts the pilots' first-order phase
-// perturbation from the working target.
-func (s *Synthesizer) applyPilotCorrection(theta, working []float64, pIB []complex128) []float64 {
+// perturbation from the target.
+func (s *Synthesizer) applyPilotCorrection(theta, target []float64, pIB []complex128) {
 	// Transmitted in-band signal amplitude in the same grid units.
 	a := s.opts.ScaleFactor / GridScale
-	out := make([]float64, len(theta))
-	for n := range out {
+	for n := range target {
 		sin, cos := math.Sincos(theta[n])
 		dphi := (imag(pIB[n])*cos - real(pIB[n])*sin) / a
 		// The small-interferer approximation breaks if |p| approaches a.
@@ -649,33 +675,91 @@ func (s *Synthesizer) applyPilotCorrection(theta, working []float64, pIB []compl
 		} else if dphi < -0.5 {
 			dphi = -0.5
 		}
-		out[n] = working[n] - dphi
+		target[n] -= dphi
 	}
-	return out
 }
 
-// precompensateCP subtracts the CP construction's own in-band phase error
-// from the working target: Δφ[n] is the phase difference between the
-// CP-designed waveform and the true waveform after the nominal channel
-// filter. It is structural — no quantization involved — so subtracting it
-// pre-cancels most of the in-band residue the paper's §2.4 design leaves.
-func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64) ([]float64, error) {
-	thetaHat, err := DesignCP(theta, wifi.ShortGI)
-	if err != nil {
-		return nil, err
+// The CP correction subtracts cpBeta·Δφ, Δφ clipped to ±cpClip: damped,
+// because the CP construction re-applies to the warped target, and
+// clipped, because glitch regions exceed the first-order model.
+const (
+	cpBeta = 0.6
+	cpClip = 0.2
+)
+
+// cpPhaseError returns the clipped CP-design phase error Δφ of search
+// candidate k's lead group, computing it on the group's first request.
+// DesignCP only copies samples, so it commutes with a constant rotation
+// r; both waveforms the correction compares then carry the same e^{jr},
+// the channel filter is linear, and r cancels in their phase difference.
+// Every rotation of a lead group therefore shares the Δφ of its
+// rotation-0 layout. theta is k's own layout, used as is when k is a
+// rotation-0 candidate and rebuilt unrotated otherwise.
+func (s *Synthesizer) cpPhaseError(sh *searchShared, k int, theta []float64) ([]float64, error) {
+	g := k / len(searchRotations)
+	l := &sh.leads[g]
+	l.once.Do(func() {
+		unrotated := theta
+		if searchRotations[k%len(searchRotations)] != 0 {
+			unrotated, _, _ = s.layoutPhase(sh.pkt, sh.plan.OffsetHz, searchLeads[g], 0)
+		}
+		thetaHat, err := DesignCP(unrotated, wifi.ShortGI)
+		if err != nil {
+			l.err = err
+			return
+		}
+		if s.opts.PSDUOnly {
+			l.dphi = s.cpPhaseErrorSparse(unrotated, thetaHat, sh.plan.OffsetHz)
+		} else {
+			l.dphi = s.cpPhaseErrorExact(unrotated, thetaHat, sh.plan.OffsetHz)
+		}
+	})
+	return l.dphi, l.err
+}
+
+// cpPhaseErrorExact is the waveform path's CP phase error: the in-band
+// phase difference between the CP-designed and ideal waveforms through
+// the nominal channel filter. It is structural — no quantization
+// involved — so subtracting it pre-cancels most of the in-band residue
+// the paper's §2.4 design leaves. Δφ overwrites thetaHat, which is dead
+// once its waveform is built, and is returned.
+func (s *Synthesizer) cpPhaseErrorExact(theta, thetaHat []float64, offsetHz float64) []float64 {
+	a := dsp.GetComplex(len(theta))
+	b := dsp.GetComplex(len(thetaHat))
+	aIB := dsp.GetComplex(len(theta))
+	bIB := dsp.GetComplex(len(thetaHat))
+	defer func() {
+		dsp.PutComplex(a)
+		dsp.PutComplex(b)
+		dsp.PutComplex(aIB)
+		dsp.PutComplex(bIB)
+	}()
+	dsp.PhaseToIQInto(a, theta, 1)
+	dsp.PhaseToIQInto(b, thetaHat, 1)
+	dsp.Mix(a, -offsetHz, wifi.SampleRate, 0)
+	dsp.Mix(b, -offsetHz, wifi.SampleRate, 0)
+	s.channelFIR.ApplyInto(aIB, a)
+	s.channelFIR.ApplyInto(bIB, b)
+	dphi := thetaHat
+	for n := range dphi {
+		var d float64
+		if aIB[n] != 0 && bIB[n] != 0 {
+			d = dsp.WrapAngle(cmplxPhase(bIB[n]) - cmplxPhase(aIB[n]))
+		}
+		dphi[n] = max(-cpClip, min(cpClip, d))
 	}
-	if !s.opts.PSDUOnly {
-		// The exact correction filters both waveforms and takes the
-		// in-band phase difference; the sparse first-order version below
-		// is reserved for the PSDU-only hot path.
-		return s.precompensateCPExact(theta, working, thetaHat, offsetHz)
-	}
-	// The difference e^{jθ̂}−e^{jθ} is nonzero only at the ≈9 corrupted
-	// samples per 72-sample symbol, so its in-band component comes from a
-	// sparse convolution with the channel-filter taps — an order of
-	// magnitude cheaper than filtering both full waveforms. To first
-	// order the received phase error is Im(d_ib·e^{−jθ}) (the filtered
-	// ideal signal has ≈unit amplitude and phase θ in-band).
+	return dphi
+}
+
+// cpPhaseErrorSparse is the PSDU-only hot path's first-order CP phase
+// error. The difference e^{jθ̂}−e^{jθ} is nonzero only at the ≈9
+// corrupted samples per 72-sample symbol, so its in-band component comes
+// from a sparse convolution with the channel-filter taps — an order of
+// magnitude cheaper than filtering both full waveforms. To first order
+// the received phase error is Im(d_ib·e^{−jθ}) (the filtered ideal
+// signal has ≈unit amplitude and phase θ in-band). Like the exact path,
+// it returns Δφ in thetaHat's storage.
+func (s *Synthesizer) cpPhaseErrorSparse(theta, thetaHat []float64, offsetHz float64) []float64 {
 	n := len(theta)
 	dIB := make([]complex128, n)
 	taps := s.channelFIR.Taps
@@ -701,61 +785,15 @@ func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64
 			dIB[j] += complex(t, 0) * d
 		}
 	}
-	out := make([]float64, n)
-	const beta = 0.6 // damped: the CP construction re-applies to the warped target
-	const clip = 0.2 // glitch regions exceed the first-order model
-	for i := range out {
+	dphi := thetaHat
+	for i := range dphi {
 		// Mix back up and project onto the phase direction.
 		sm, cm := math.Sincos(-mixStep * float64(i))
 		d := dIB[i] * complex(cm, sm)
 		sinT, cosT := math.Sincos(theta[i])
-		dphi := imag(d)*cosT - real(d)*sinT
-		if dphi > clip {
-			dphi = clip
-		} else if dphi < -clip {
-			dphi = -clip
-		}
-		out[i] = working[i] - beta*dphi
+		dphi[i] = max(-cpClip, min(cpClip, imag(d)*cosT-real(d)*sinT))
 	}
-	return out, nil
-}
-
-// precompensateCPExact is the quality-mode correction: in-band phase
-// difference between the CP-designed and ideal waveforms through the
-// nominal channel filter.
-func (s *Synthesizer) precompensateCPExact(theta, working, thetaHat []float64, offsetHz float64) ([]float64, error) {
-	a := dsp.GetComplex(len(theta))
-	b := dsp.GetComplex(len(thetaHat))
-	aIB := dsp.GetComplex(len(theta))
-	bIB := dsp.GetComplex(len(thetaHat))
-	defer func() {
-		dsp.PutComplex(a)
-		dsp.PutComplex(b)
-		dsp.PutComplex(aIB)
-		dsp.PutComplex(bIB)
-	}()
-	dsp.PhaseToIQInto(a, theta, 1)
-	dsp.PhaseToIQInto(b, thetaHat, 1)
-	dsp.Mix(a, -offsetHz, wifi.SampleRate, 0)
-	dsp.Mix(b, -offsetHz, wifi.SampleRate, 0)
-	s.channelFIR.ApplyInto(aIB, a)
-	s.channelFIR.ApplyInto(bIB, b)
-	out := make([]float64, len(theta))
-	const beta = 0.6
-	const clip = 0.2
-	for n := range out {
-		var dphi float64
-		if aIB[n] != 0 && bIB[n] != 0 {
-			dphi = dsp.WrapAngle(cmplxPhase(bIB[n]) - cmplxPhase(aIB[n]))
-		}
-		if dphi > clip {
-			dphi = clip
-		} else if dphi < -clip {
-			dphi = -clip
-		}
-		out[n] = working[n] - beta*dphi
-	}
-	return out, nil
+	return dphi
 }
 
 // Synthesize converts Bluetooth air bits at carrier frequency btMHz into
@@ -806,19 +844,23 @@ func (s *Synthesizer) SynthesizePhase(basebandPhase []float64, btMHz float64) (*
 }
 
 // synthesize is the common entry point behind the telemetry span: the
-// rehearsal search when configured, else one pass. layout is in
-// rehearsed-bit coordinates.
+// rehearsal search when configured, else search candidate 0 alone.
+// layout is in rehearsed-bit coordinates.
 func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout bt.FECLayout) (*Result, error) {
 	if len(basebandPhase) == 0 {
 		return nil, fmt.Errorf("core: empty phase trajectory")
 	}
+	plan, err := PlanForChannel(btMHz, s.opts.WiFiChannel)
+	if err != nil {
+		return nil, err
+	}
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	var res *Result
-	var err error
 	if s.opts.PhaseSearch && !s.opts.PSDUOnly {
-		res, err = s.search(ctx, basebandPhase, btMHz, layout)
+		res, err = s.search(ctx, &searchShared{pkt: basebandPhase, plan: plan}, layout)
 	} else {
-		res, err = s.synthesizeShifted(ctx, basebandPhase, btMHz, 0, 0)
+		sh := searchShared{pkt: basebandPhase, plan: plan}
+		res, err = s.synthesizeCandidate(ctx, &sh, 0)
 		if err == nil {
 			res.RehearsalMismatches, res.RehearsalDecodes = -1, true
 		}
@@ -861,39 +903,35 @@ func (s *Synthesizer) finish(res *Result, pktLen int) error {
 	return nil
 }
 
-// rehearse demodulates the predicted waveform's packet region with the
-// actual receiver implementation (noise-free) and compares bit decisions
-// against the ideal target waveform's — synthesis-time reception
-// rehearsal, cf. Recitation [39].
-func (s *Synthesizer) rehearse(res *Result, pktLen int) rehearsal {
+// rehearse demodulates search candidate k's predicted waveform over the
+// packet region with the actual receiver implementation (noise-free) and
+// compares bit decisions against the ideal target waveform's —
+// synthesis-time reception rehearsal, cf. Recitation [39].
+func (s *Synthesizer) rehearse(ctx context.Context, sh *searchShared, k int, res *Result) rehearsal {
 	s.met.observeCandidate()
 	if res.dataWave == nil {
 		return rehearsal{}
 	}
 	// The preamble is a whole number of bit periods (720 = 36·20
 	// samples), so bit phase within the data field is the frame's.
-	start := res.GFSKStart
+	start, pktLen := res.GFSKStart, len(sh.pkt)
 	if start+pktLen > len(res.dataWave) {
 		return rehearsal{}
 	}
+	_, sp := obs.StartSpan(ctx, "core.rehearse")
+	defer func() { s.met.observeRehearse(sp.End()) }()
 	if s.rehearseRx == nil {
-		rcv, err := btrx.NewReceiver(btrx.Profile{Name: "rehearsal"}, s.lastOffsetHz, bt.Device{})
+		rcv, err := btrx.NewReceiver(btrx.Profile{Name: "rehearsal"}, sh.plan.OffsetHz, bt.Device{})
 		if err != nil {
 			return rehearsal{}
 		}
 		s.rehearseRx = rcv
 	}
-	s.rehearseRx.ChannelOffsetHz = s.lastOffsetHz
-	ideal := dsp.GetComplex(pktLen)
-	defer dsp.PutComplex(ideal)
-	dsp.PhaseToIQInto(ideal, res.targetPhase[res.GFSKStart:res.GFSKStart+pktLen], 1)
+	s.rehearseRx.ChannelOffsetHz = sh.plan.OffsetHz
+	idealBits, idealAcc := s.idealRehearsal(sh, k, res)
 	phase := start % 20
 	predBits, predAcc := s.rehearseRx.DemodAtPhase(res.dataWave[start-phase:start+pktLen], phase)
-	idealBits, idealAcc := s.rehearseRx.DemodAtPhase(ideal, 0)
-	n := len(idealBits)
-	if len(predBits) < n {
-		n = len(predBits)
-	}
+	n := min(len(idealBits), len(predBits))
 	var scale float64
 	for i := 0; i < n; i++ {
 		if m := math.Abs(idealAcc[i]); m > scale {
@@ -923,31 +961,40 @@ func (s *Synthesizer) rehearse(res *Result, pktLen int) rehearsal {
 	return r
 }
 
-// synthesizeShifted runs the pipeline once with an extra global rotation
-// and the lead padded by extraLead symbols.
-func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []float64, btMHz float64, rot float64, extraLead int) (*Result, error) {
-	plan, err := PlanForChannel(btMHz, s.opts.WiFiChannel)
+// idealRehearsal returns the ideal waveform's bit decisions and
+// integrals, demodulating them on the search's first request. The
+// receiver mixes, filters linearly and discriminates arg(x[n]·x*[n−1]),
+// so neither a candidate's rotation nor its lead's constant carrier
+// phase reaches the decisions: every candidate shares the demodulation
+// of the lead-0, rotation-0 layout — candidate 0's own target, rebuilt
+// when another candidate asks first.
+func (s *Synthesizer) idealRehearsal(sh *searchShared, k int, res *Result) ([]byte, []float64) {
+	sh.ideal.once.Do(func() {
+		theta, lead := res.targetPhase, res.GFSKStart
+		if k != 0 {
+			theta, lead, _ = s.layoutPhase(sh.pkt, sh.plan.OffsetHz, searchLeads[0], searchRotations[0])
+		}
+		pktLen := len(sh.pkt)
+		ideal := dsp.GetComplex(pktLen)
+		defer dsp.PutComplex(ideal)
+		dsp.PhaseToIQInto(ideal, theta[lead:lead+pktLen], 1)
+		sh.ideal.bits, sh.ideal.acc = s.rehearseRx.DemodAtPhase(ideal, 0)
+	})
+	return sh.ideal.bits, sh.ideal.acc
+}
+
+// synthesizeCandidate runs the pipeline once for search candidate k: the
+// packet laid out with k's extra lead and rotation, precompensated, and
+// synthesized.
+func (s *Synthesizer) synthesizeCandidate(ctx context.Context, sh *searchShared, k int) (*Result, error) {
+	plan := sh.plan
+	theta, lead, nsym := s.layoutPhase(sh.pkt, plan.OffsetHz,
+		searchLeads[k/len(searchRotations)], searchRotations[k%len(searchRotations)])
+	_, spPre := obs.StartSpan(ctx, "core.precomp")
+	target, err := s.precompensate(sh, k, theta, nsym)
+	s.met.observePrecomp(spPre.End())
 	if err != nil {
 		return nil, err
-	}
-	s.extraPhase = rot
-	s.extraLead = extraLead
-	defer func() { s.extraPhase = 0; s.extraLead = 0 }()
-
-	s.lastOffsetHz = plan.OffsetHz
-	theta, lead, nsym := s.layoutPhase(basebandPhase, plan.OffsetHz)
-	target := theta
-	if s.opts.CPPrecompensation {
-		target, err = s.precompensateCP(theta, target, plan.OffsetHz)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if s.opts.PilotPrecompensation {
-		target, err = s.precompensatePilots(theta, target, nsym, plan.OffsetHz)
-		if err != nil {
-			return nil, err
-		}
 	}
 	pass, err := s.synthOnce(ctx, target, nsym, plan.OffsetHz)
 	if err != nil {
@@ -984,7 +1031,7 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 
 	res.targetPhase = theta
 	// Restrict the important-flip count to symbols carrying the packet.
-	pktLen := len(basebandPhase)
+	pktLen := len(sh.pkt)
 	firstSym := lead / symbolLen
 	lastSym := (lead + pktLen + symbolLen - 1) / symbolLen
 	weights := s.codedBitWeights(plan.OffsetHz, nsym)
