@@ -854,13 +854,13 @@ func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout 
 	if err != nil {
 		return nil, err
 	}
+	sh := &searchShared{pkt: basebandPhase, plan: plan}
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	var res *Result
 	if s.opts.PhaseSearch && !s.opts.PSDUOnly {
-		res, err = s.search(ctx, &searchShared{pkt: basebandPhase, plan: plan}, layout)
+		res, err = s.search(ctx, sh, layout)
 	} else {
-		sh := searchShared{pkt: basebandPhase, plan: plan}
-		res, err = s.synthesizeCandidate(ctx, &sh, 0)
+		res, err = s.synthesizeCandidate(ctx, sh, 0)
 		if err == nil {
 			res.RehearsalMismatches, res.RehearsalDecodes = -1, true
 		}
