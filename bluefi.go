@@ -175,9 +175,12 @@ type Options struct {
 // channel. A Synthesizer's methods must not be called concurrently — but
 // concurrency is available one level up: Pool owns a fleet of independent
 // Synthesizers behind a work queue (SynthesizeBatch / BeaconBatch), and
-// inside each Synthesizer the rehearsal-scored phase search fans out over
-// a bounded worker pool with deterministic, order-independent candidate
-// selection, so parallel synthesis stays bit-identical to serial.
+// inside each Synthesizer the rehearsal-scored phase search fans out onto
+// CPUs no other synthesis is using: the Synthesizer runs the first
+// candidate itself and lazily built clones run more beside it while the
+// process has idle CPUs, so a saturated Pool searches serially.
+// Candidate selection is deterministic and order-independent, so
+// parallel synthesis stays bit-identical to serial.
 type Synthesizer struct {
 	opts    Options
 	chip    *chip.Chip

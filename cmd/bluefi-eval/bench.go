@@ -351,9 +351,9 @@ func runAllocGate(path string) error {
 	return nil
 }
 
-// runBenchJSON executes the suite at GOMAXPROCS 1 and 4 (the -cpu 1,4
-// comparison: serial baseline versus the concurrency layer), skipping
-// any GOMAXPROCS above runtime.NumCPU() — such rows only measure
+// runBenchJSON executes the suite at GOMAXPROCS 1, 2 and 4 (the -cpu
+// 1,2,4 comparison: serial baseline versus the concurrency layer),
+// skipping any GOMAXPROCS above runtime.NumCPU() — such rows only measure
 // oversubscription — and returns the snapshot, whose top-level keys
 // main merges into -bench-out next to the soak, SLO and e2e rows.
 func runBenchJSON() (*benchSnapshot, error) {
@@ -365,7 +365,7 @@ func runBenchJSON() (*benchSnapshot, error) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		if procs > snap.NumCPU {
 			fmt.Printf("bench-json: skipping GOMAXPROCS=%d (NumCPU %d)\n", procs, snap.NumCPU)
 			continue

@@ -11,7 +11,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"bluefi/internal/bt"
@@ -60,6 +62,24 @@ func corpusDigest(res *Result) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
+// readCorpus loads the committed digests, keyed by packet name.
+func readCorpus(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(corpusPath())
+	if err != nil {
+		t.Fatalf("missing corpus digest (regenerate with -update-corpus): %v", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if name, digest, ok := strings.Cut(sc.Text(), " "); ok {
+			want[name] = digest
+		}
+	}
+	return want
+}
+
 // corpusPacket draws a group's next packet: a random DM1 packet on a
 // random Bluetooth channel WiFi channel 3 covers, sent with its FEC
 // layout, or a random non-connectable advertisement on channel 38.
@@ -96,17 +116,7 @@ func corpusPacket(t *testing.T, g corpusGroup, rng *rand.Rand) (air []byte, mhz 
 func TestSynthesisCorpus(t *testing.T) {
 	want := map[string]string{}
 	if !*updateCorpus {
-		f, err := os.Open(corpusPath())
-		if err != nil {
-			t.Fatalf("missing corpus digest (regenerate with -update-corpus): %v", err)
-		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			if name, digest, ok := strings.Cut(sc.Text(), " "); ok {
-				want[name] = digest
-			}
-		}
-		f.Close()
+		want = readCorpus(t)
 	}
 	var lines []string
 	for _, g := range corpusGroups {
@@ -148,5 +158,67 @@ func TestSynthesisCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %d corpus digests to %s", len(lines), corpusPath())
+	}
+}
+
+// TestSearchDeterministicUnderContention synthesizes the corpus's
+// RealTime DM1 packets on GOMAXPROCS+1 concurrent synthesizers, each
+// free to fan its search out. The syntheses alone hold more slots than
+// there are CPUs, so search helpers are granted only some of the time,
+// and whatever mix of serial and concurrent candidates each search gets,
+// every packet must match the serial run's committed digest. Afterwards
+// no slot may stay held.
+func TestSearchDeterministicUnderContention(t *testing.T) {
+	want := readCorpus(t)
+	g := corpusGroups[0]
+	if g.name != "realtime-dm1" {
+		t.Fatalf("corpus group 0 is %s, want realtime-dm1", g.name)
+	}
+	n := g.n
+	if testing.Short() {
+		n = g.short
+	}
+	type packet struct {
+		air    []byte
+		mhz    float64
+		layout bt.FECLayout
+	}
+	rng := rand.New(rand.NewSource(g.seed))
+	pkts := make([]packet, n)
+	for i := range pkts {
+		pkts[i].air, pkts[i].mhz, pkts[i].layout = corpusPacket(t, g, rng)
+	}
+	synths := runtime.GOMAXPROCS(0) + 1
+	got := make([]string, n)
+	var wg sync.WaitGroup
+	for w := 0; w < synths; w++ {
+		opts := DefaultOptions()
+		opts.Mode = g.mode
+		opts.GFSK = gfsk.BRConfig()
+		s, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += synths {
+				res, err := s.SynthesizeFEC(pkts[i].air, pkts[i].mhz, pkts[i].layout)
+				if err != nil {
+					t.Errorf("%s/%03d: %v", g.name, i, err)
+					return
+				}
+				got[i] = corpusDigest(res)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, d := range got {
+		if name := fmt.Sprintf("%s/%03d", g.name, i); d != want[name] {
+			t.Errorf("%s: digest %s under contention, serial corpus %q", name, d, want[name])
+		}
+	}
+	if held := busySlots.Load(); held != 0 {
+		t.Errorf("%d slots still held after every synthesis returned", held)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"bluefi/internal/bt"
 )
@@ -26,13 +27,18 @@ import (
 //
 // Each PhaseSearch candidate — a (rotation, extra-lead) pair — is a
 // synth+demod pass independent of the others but for the work they all
-// share (searchShared), so the search hands them out
-// in candidate order to a bounded pool of worker synthesizers (the
-// synthesizer itself when serial). Determinism is the contract:
-// candidates are evaluated concurrently but SELECTED strictly in
-// candidate order, replaying the serial rules over the completed prefix,
-// so every parallelism returns a bit-identical PSDU (and identical
-// RehearsalMismatches). Parallelism only adds wasted work: candidates
+// share (searchShared), so the search hands them out in candidate order
+// to worker synthesizers: the synthesizer itself first, then at most
+// p−1 lazily built clones. Determinism is the contract: candidates are
+// evaluated concurrently but SELECTED strictly in candidate order,
+// replaying the serial rules over the completed prefix, so every
+// parallelism returns a bit-identical PSDU (and identical
+// RehearsalMismatches). Parallelism only borrows CPUs that are idle
+// (busySlots): the first running candidate uses the caller's own CPU,
+// and each further one starts only on a slot no other synthesis holds.
+// A saturated process — a pool with every worker busy — therefore
+// searches serially and evaluates nothing past the winner; idle CPUs
+// turn into concurrent candidates, whose only waste is the candidates
 // already running when the winner becomes known.
 
 // The candidate grid of the rehearsal search: four phase quadrants per
@@ -155,10 +161,10 @@ func (sel *selection) offer(k int, res *Result, r rehearsal) bool {
 	return (k+1)%len(searchRotations) == 0 && sel.bestMis == 0
 }
 
-// searchParallelism resolves Options.SearchParallelism: 0 sizes the pool
-// to GOMAXPROCS, and anything larger than the rotation-group width is
-// clamped — the search usually stops within the first group, so extra
-// workers would mostly evaluate candidates past the winner.
+// searchParallelism resolves Options.SearchParallelism: 0 bounds the
+// search by GOMAXPROCS, and anything larger than the rotation-group width
+// is clamped — the search usually stops within the first group, so more
+// concurrent candidates would mostly run past the winner.
 func (s *Synthesizer) searchParallelism() int {
 	p := s.opts.SearchParallelism
 	if p == 0 {
@@ -170,67 +176,110 @@ func (s *Synthesizer) searchParallelism() int {
 	return p
 }
 
-// ensureWorkers builds the worker clones on first use. Each worker is a
-// full Synthesizer with the same options (forced serial so workers never
-// recurse into their own pools): every piece of mutable scratch — FFT
-// buffers, FIR state, pilot cache, rehearsal receiver — is private to one
-// worker, so candidates share no buffers. The FFT twiddle tables are
-// process-shared read-only state (dsp.PlanFor).
-func (s *Synthesizer) ensureWorkers(n int) error {
-	opts := s.opts
-	opts.SearchParallelism = 1
-	for len(s.workers) < n {
-		w, err := New(opts)
-		if err != nil {
-			return err
+// busySlots counts the syntheses and search helpers running in the
+// process. A synthesis holds one slot, its caller's CPU, for its whole
+// duration, taken unconditionally. A search helper — a candidate running
+// beside the search's first — holds a slot only if takeIdleSlot found one
+// free under GOMAXPROCS, and gives it back when its candidate finishes.
+var busySlots atomic.Int64
+
+// takeIdleSlot claims a slot for a search helper when fewer than
+// GOMAXPROCS are held. It never blocks: with every CPU taken the search
+// continues serially on its caller's slot.
+func takeIdleSlot() bool {
+	limit := int64(runtime.GOMAXPROCS(0))
+	for {
+		n := busySlots.Load()
+		if n >= limit {
+			return false
 		}
-		s.workers = append(s.workers, w)
+		if busySlots.CompareAndSwap(n, n+1) {
+			return true
+		}
 	}
-	return nil
 }
 
-// searchDone is one evaluated candidate, with the worker that ran it.
+// candidateFault, when set, is asked before each search candidate runs
+// and fails the candidate with the error it returns: the test hook for a
+// candidate failing mid-search.
+var candidateFault func(k int) error
+
+// newWorker builds a worker clone: a full Synthesizer with the same
+// options (forced serial so clones never search on their own). Every
+// piece of mutable scratch — FFT buffers, FIR state, pilot cache,
+// rehearsal receiver — is private to one worker, so candidates share no
+// buffers. The FFT twiddle tables are process-shared read-only state
+// (dsp.PlanFor).
+func (s *Synthesizer) newWorker() (*Synthesizer, error) {
+	opts := s.opts
+	opts.SearchParallelism = 1
+	return New(opts)
+}
+
+// searchDone is one evaluated candidate, with the worker that ran it and
+// whether it ran on a helper slot rather than the caller's.
 type searchDone struct {
-	k   int
-	w   *Synthesizer
-	res *Result
-	r   rehearsal
-	err error
+	k      int
+	w      *Synthesizer
+	helper bool
+	res    *Result
+	r      rehearsal
+	err    error
 }
 
 // search runs the rehearsal-scored candidate search for a packet with the
 // given FEC layout (rehearsed-bit coordinates). Candidates go out in
-// candidate order, one per free worker; each completion extends the
-// contiguous completed prefix the selection replays, and once the replay
-// stops no further candidate starts. The serial search is the same loop
-// with the synthesizer as its only worker.
+// candidate order: one on the caller's slot, more beside it while
+// searchParallelism allows and takeIdleSlot finds idle CPUs. Each
+// completion extends the contiguous completed prefix the selection
+// replays, and once the replay stops no further candidate starts. With
+// no idle CPU the search is the serial loop on the synthesizer alone.
 func (s *Synthesizer) search(ctx context.Context, sh *searchShared, layout bt.FECLayout) (*Result, error) {
-	free := []*Synthesizer{s}
-	if p := s.searchParallelism(); p > 1 {
-		if err := s.ensureWorkers(p); err != nil {
-			return nil, err
-		}
-		free = append([]*Synthesizer(nil), s.workers[:p]...)
-	}
+	p := s.searchParallelism()
+	free := append(append(make([]*Synthesizer, 0, p), s.workers...), s) // s goes out first
 	total := len(searchLeads) * len(searchRotations)
 	done := make([]*searchDone, total)
-	results := make(chan *searchDone, len(free)) // one slot per worker: no send blocks
+	results := make(chan *searchDone, p) // one slot per running candidate: no send blocks
 	sel := selection{layout: layout, bestMis: math.MaxInt, bestMargin: math.Inf(-1)}
 	var searched Timings // all candidates' stage time, reported on the winner
 	var err error
 	next, replayed, running, stopped := 0, 0, 0, false
+	callerBusy := false // a candidate is running on the caller's slot
 	for {
-		for ; !stopped && next < total && len(free) > 0; next++ {
-			w := free[len(free)-1]
+		for ; !stopped && next < total && running < p; next++ {
+			helper := callerBusy
+			if helper && !takeIdleSlot() {
+				break // no idle CPU: wait for the running candidate
+			}
+			if len(free) == 0 {
+				w, werr := s.newWorker()
+				if werr != nil {
+					if helper {
+						busySlots.Add(-1)
+					}
+					err, stopped = werr, true
+					break
+				}
+				s.workers = append(s.workers, w)
+				free = append(free, w)
+			}
+			d := &searchDone{k: next, w: free[len(free)-1], helper: helper}
 			free = free[:len(free)-1]
+			callerBusy = true
 			running++
+			s.searchPeak = max(s.searchPeak, running)
 			go func(d *searchDone) {
-				d.res, d.err = d.w.synthesizeCandidate(ctx, sh, d.k)
+				if candidateFault != nil {
+					d.err = candidateFault(d.k)
+				}
+				if d.err == nil {
+					d.res, d.err = d.w.synthesizeCandidate(ctx, sh, d.k)
+				}
 				if d.err == nil {
 					d.r = d.w.rehearse(ctx, sh, d.k, d.res)
 				}
 				results <- d
-			}(&searchDone{k: next, w: w})
+			}(d)
 		}
 		if running == 0 {
 			break
@@ -238,6 +287,11 @@ func (s *Synthesizer) search(ctx context.Context, sh *searchShared, layout bt.FE
 		d := <-results
 		running--
 		free = append(free, d.w)
+		if d.helper {
+			busySlots.Add(-1)
+		} else {
+			callerBusy = false
+		}
 		if d.res != nil {
 			searched.Add(d.res.Timings)
 		}

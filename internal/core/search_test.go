@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +26,10 @@ func candidatesScored(reg *obs.Registry) int64 {
 // The parallel rehearsal search must be bit-identical to the serial one:
 // same PSDU, same rehearsal verdict, same plan. Candidates are evaluated
 // concurrently but selected in candidate order, so nothing about worker
-// scheduling may leak into the result. The "-fec" cases pass the
+// scheduling may leak into the result. With more than one CPU the
+// parallel side must really have run candidates side by side — an
+// idle-CPU check that never grants a helper would otherwise reduce the
+// test to serial against serial. The "-fec" cases pass the
 // packet's FEC layout, which stops the search at the first candidate
 // the FEC decodes — earlier than the layout-free rule would. The
 // "-lead2" case decodes only in the last lead group, so its workers
@@ -56,7 +61,7 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mk := func(par int, layout bt.FECLayout) (*Result, int64) {
+			mk := func(par int, layout bt.FECLayout) (*Result, int64, *Synthesizer) {
 				opts := DefaultOptions()
 				opts.Mode = tc.mode
 				opts.GFSK = gfsk.BRConfig()
@@ -70,14 +75,17 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, candidatesScored(opts.Telemetry)
+				return res, candidatesScored(opts.Telemetry), s
 			}
 			var layout bt.FECLayout
 			if tc.fec {
 				layout = tc.bt.FECLayout(btrx.SyncErrorBudget)
 			}
-			serial, serialScored := mk(1, layout)
-			parallel, _ := mk(4, layout)
+			serial, serialScored, _ := mk(1, layout)
+			parallel, _, ps := mk(4, layout)
+			if runtime.GOMAXPROCS(0) >= 2 && ps.searchPeak < 2 {
+				t.Errorf("parallel search ran at most %d candidate at once on %d CPUs", ps.searchPeak, runtime.GOMAXPROCS(0))
+			}
 			if !bytes.Equal(serial.PSDU, parallel.PSDU) {
 				t.Errorf("parallel search PSDU differs from serial (%d vs %d bytes)", len(parallel.PSDU), len(serial.PSDU))
 			}
@@ -106,7 +114,7 @@ func TestParallelSearchMatchesSerial(t *testing.T) {
 			if strings.HasSuffix(tc.name, "-lead2") && serialScored <= int64(2*len(searchRotations)) {
 				t.Errorf("serial search stopped after %d candidates, before lead group 2", serialScored)
 			}
-			if _, plainScored := mk(1, nil); serialScored >= plainScored {
+			if _, plainScored, _ := mk(1, nil); serialScored >= plainScored {
 				t.Errorf("FEC search scored %d candidates, the layout-free search %d: no early stop", serialScored, plainScored)
 			}
 		})
@@ -153,5 +161,62 @@ func TestParallelSearchStatelessAcrossPackets(t *testing.T) {
 	}
 	if first.RehearsalMismatches != again.RehearsalMismatches {
 		t.Errorf("RehearsalMismatches drifted: %d then %d", first.RehearsalMismatches, again.RehearsalMismatches)
+	}
+}
+
+// A candidate failing mid-search fails the synthesis with its error,
+// and the search still waits for every candidate it started: no helper
+// slot stays held, and the synthesizer and its clones synthesize the
+// next packet exactly as a fresh one does.
+func TestSearchCandidateErrorReleasesSlots(t *testing.T) {
+	dev := bt.Device{LAP: 0x123456, UAP: 0x9A}
+	pkt := &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: []byte("par-search-06"), Clock: 88}
+	air, err := pkt.AirBits(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := pkt.FECLayout(btrx.SyncErrorBudget)
+	injected := errors.New("injected candidate failure")
+	for _, par := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Mode = RealTime
+		opts.GFSK = gfsk.BRConfig()
+		opts.SearchParallelism = par
+		s, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidateFault = func(k int) error {
+			if k == 2 {
+				return injected
+			}
+			return nil
+		}
+		_, err = s.SynthesizeFEC(air, 2426, layout)
+		candidateFault = nil
+		if !errors.Is(err, injected) {
+			t.Errorf("parallelism %d: search returned %v, want the injected failure", par, err)
+		}
+		if held := busySlots.Load(); held != 0 {
+			t.Errorf("parallelism %d: %d slots held after the failed search", par, held)
+		}
+		got, err := s.SynthesizeFEC(air, 2426, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held := busySlots.Load(); held != 0 {
+			t.Errorf("parallelism %d: %d slots held after the search", par, held)
+		}
+		fresh, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.SynthesizeFEC(air, 2426, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.PSDU, want.PSDU) || got.RehearsalMismatches != want.RehearsalMismatches {
+			t.Errorf("parallelism %d: the search after a failure differs from a fresh synthesizer's", par)
+		}
 	}
 }

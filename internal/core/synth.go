@@ -90,13 +90,17 @@ type Options struct {
 	// Enabled by DefaultOptions; an extension beyond the paper, ablated
 	// in the benches.
 	PilotPrecompensation bool
-	// SearchParallelism bounds the worker count of the PhaseSearch
-	// candidate evaluation. 0 sizes the pool to min(GOMAXPROCS, 4) (four
-	// rotations per search group); 1 forces the serial search; larger
-	// values are capped at the group width. Parallel and serial searches
-	// are guaranteed to select the same candidate — ties break by
-	// candidate order, not completion order — so the synthesized PSDU is
-	// bit-identical either way.
+	// SearchParallelism bounds how many PhaseSearch candidates run at
+	// once. 0 bounds it by min(GOMAXPROCS, 4) (four rotations per search
+	// group); 1 forces the serial search; larger values are capped at the
+	// group width. The bound is an upper limit, not a reservation: the
+	// synthesizer runs the first candidate on its caller's CPU and adds
+	// a concurrent one only while the process has an idle CPU (fewer
+	// running syntheses and search helpers than GOMAXPROCS), else it
+	// searches serially. Parallel and serial searches are guaranteed to
+	// select the same candidate — ties break by candidate order, not
+	// completion order — so the synthesized PSDU is bit-identical either
+	// way.
 	SearchParallelism int
 	// PSDUOnly skips predicted-waveform generation: Result.Waveform is
 	// nil and PhaseRMSE is zero. The paper's pipeline emits only the
@@ -222,10 +226,13 @@ type Result struct {
 // Synthesizer converts Bluetooth air bits into WiFi PSDUs.
 //
 // A Synthesizer is not safe for concurrent use. The PhaseSearch candidate
-// evaluation parallelizes internally (see Options.SearchParallelism) over
-// private worker clones, so callers still treat the whole object as
-// single-threaded; for concurrent multi-packet workloads, use one
-// Synthesizer per goroutine (the root package's Pool does exactly that).
+// evaluation parallelizes internally (see Options.SearchParallelism): the
+// synthesizer is its own first worker, and private clones, built only
+// when a search first borrows an idle CPU, serve as helpers. Callers
+// still treat the whole object as single-threaded; for concurrent
+// multi-packet workloads, use one Synthesizer per goroutine (the root
+// package's Pool does exactly that, and with every pool worker busy the
+// searches run serially).
 type Synthesizer struct {
 	opts       Options
 	mcs        wifi.MCS
@@ -248,9 +255,12 @@ type Synthesizer struct {
 	fitInter       []byte
 	fitInband      []bool
 
-	// workers are the PhaseSearch clones, built lazily on the first
-	// parallel search.
+	// workers are the PhaseSearch helper clones, built lazily when a
+	// search first runs more candidates at once than it has workers;
+	// the synthesizer itself is the first worker.
 	workers []*Synthesizer
+	// searchPeak is the most candidates one search has run at once.
+	searchPeak int
 
 	// pilotIBCache memoizes the in-band pilot waveform per (nsym,
 	// offset): it is data-independent, so audio streams reuse it.
@@ -576,7 +586,7 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 		}
 	}
 	if !s.opts.PSDUOnly {
-		symbols, err := s.tx.SymbolsFromScrambledBits(data)
+		symbols, err := s.tx.SymbolsFromCoded(p.reCoded)
 		if err != nil {
 			return nil, err
 		}
@@ -855,6 +865,8 @@ func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout 
 		return nil, err
 	}
 	sh := &searchShared{pkt: basebandPhase, plan: plan}
+	busySlots.Add(1) // the caller's own CPU; search helpers borrow only idle ones
+	defer busySlots.Add(-1)
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	var res *Result
 	if s.opts.PhaseSearch && !s.opts.PSDUOnly {

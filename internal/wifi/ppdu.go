@@ -88,17 +88,23 @@ func (t *Transmitter) DataSymbols(psdu []byte) ([][]complex128, error) {
 
 // SymbolsFromScrambledBits runs coding, interleaving and mapping over an
 // already-scrambled data-field bit stream whose length is a multiple of
-// NDBPS. BlueFi uses this entry point: its synthesis pipeline produces
-// scrambled-domain bits directly.
+// NDBPS.
 func (t *Transmitter) SymbolsFromScrambledBits(scrambled []byte) ([][]complex128, error) {
 	if len(scrambled)%t.mcs.NDBPS != 0 {
 		return nil, fmt.Errorf("wifi: %d scrambled bits not a multiple of NDBPS %d", len(scrambled), t.mcs.NDBPS)
 	}
-	coded := EncodeRate(scrambled, t.mcs.Rate)
-	nsym := len(scrambled) / t.mcs.NDBPS
-	if len(coded) != nsym*t.mcs.NCBPS {
-		return nil, fmt.Errorf("wifi: coded %d bits, want %d", len(coded), nsym*t.mcs.NCBPS)
+	return t.SymbolsFromCoded(EncodeRate(scrambled, t.mcs.Rate))
+}
+
+// SymbolsFromCoded runs interleaving and mapping over an already-encoded
+// coded-bit stream whose length is a multiple of NCBPS. BlueFi uses this
+// entry point: its synthesis pipeline re-encodes the scrambled-domain bits
+// it produces anyway, to count the coded bits the inversion flipped.
+func (t *Transmitter) SymbolsFromCoded(coded []byte) ([][]complex128, error) {
+	if len(coded)%t.mcs.NCBPS != 0 {
+		return nil, fmt.Errorf("wifi: %d coded bits not a multiple of NCBPS %d", len(coded), t.mcs.NCBPS)
 	}
+	nsym := len(coded) / t.mcs.NCBPS
 	nbpsc := t.mcs.Modulation.BitsPerSymbol()
 	pilotAmp := PilotAmplitude(t.mcs.Modulation)
 	symbols := make([][]complex128, nsym)
