@@ -118,8 +118,7 @@ func benchSec48(b *testing.B, mode core.Mode, payloadLen int, pt bt.PacketType) 
 	opts := core.DefaultOptions()
 	opts.Mode = mode
 	opts.GFSK = gfsk.BRConfig()
-	opts.PSDUOnly = true      // the paper's pipeline emits only the PSDU
-	opts.DynamicScale = false // and uses the fixed §2.5 scale factor
+	opts.PSDUOnly = true // the paper's pipeline: PSDU only, fixed §2.5 scale
 	pkt := &bt.Packet{Type: pt, LTAddr: 1, Payload: make([]byte, payloadLen)}
 	air, err := pkt.AirBits(bt.Device{LAP: 0x123456, UAP: 0x9A})
 	if err != nil {
@@ -195,7 +194,6 @@ func BenchmarkSynthesize(b *testing.B) {
 			opts.Mode = core.RealTime
 			opts.GFSK = gfsk.BRConfig()
 			opts.PSDUOnly = true
-			opts.DynamicScale = false
 			opts.Telemetry = bench.reg
 			s, err := core.New(opts)
 			if err != nil {
@@ -242,9 +240,9 @@ func BenchmarkPoolBeaconBatch(b *testing.B) {
 	}
 }
 
-// The rehearsal-search benches isolate the tentpole: the full
-// PhaseSearch (synth + rehearsal demod per candidate) serial versus
-// fanned over the in-synthesizer worker pool.
+// The rehearsal-search benches: the full search (synth + rehearsal
+// demod per candidate) serial versus fanned over the in-synthesizer
+// worker pool.
 func benchPhaseSearch(b *testing.B, parallelism int) {
 	opts := core.DefaultOptions()
 	opts.GFSK = gfsk.BLEConfig()
@@ -267,31 +265,6 @@ func benchPhaseSearch(b *testing.B, parallelism int) {
 func BenchmarkPhaseSearchSerial(b *testing.B)   { benchPhaseSearch(b, 1) }
 func BenchmarkPhaseSearchParallel(b *testing.B) { benchPhaseSearch(b, 4) }
 
-// --- ablation benches for DESIGN.md's design choices -----------------------
-
-func benchAblationOption(b *testing.B, tweak func(*core.Options)) {
-	opts := core.DefaultOptions()
-	opts.GFSK = gfsk.BLEConfig()
-	tweak(&opts)
-	s, err := core.New(opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ib := bluefi.IBeacon{Major: 3}
-	air := beaconAir(b, ib.ADStructures())
-	b.ReportAllocs()
-	b.ResetTimer()
-	var fidelity float64
-	for i := 0; i < b.N; i++ {
-		res, err := s.Synthesize(air, 2426)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fidelity = res.PhaseRMSE
-	}
-	b.ReportMetric(fidelity, "rad-inband-RMSE")
-}
-
 func beaconAir(tb testing.TB, ad []byte) []byte {
 	tb.Helper()
 	adv := &bt.Advertisement{PDUType: bt.AdvNonconnInd, AdvA: [6]byte{1, 2, 3, 4, 5, 6}, Data: ad}
@@ -300,24 +273,4 @@ func beaconAir(tb testing.TB, ad []byte) []byte {
 		tb.Fatal(err)
 	}
 	return air
-}
-
-// Scale-factor choice (§2.5): fixed A = 1/2 versus the per-symbol dynamic
-// search the paper found "negligible benefit, significantly higher
-// complexity".
-func BenchmarkAblationScaleFixed(b *testing.B) {
-	benchAblationOption(b, func(o *core.Options) { o.DynamicScale = false })
-}
-
-func BenchmarkAblationScaleDynamic(b *testing.B) {
-	benchAblationOption(b, func(o *core.Options) { o.DynamicScale = true })
-}
-
-// Pre-compensation extensions (beyond the paper): pilot and CP in-band
-// corrections on/off.
-func BenchmarkAblationNoPrecompensation(b *testing.B) {
-	benchAblationOption(b, func(o *core.Options) {
-		o.PilotPrecompensation = false
-		o.CPPrecompensation = false
-	})
 }

@@ -75,7 +75,6 @@ func sec48Bench(mode core.Mode, payloadLen int, pt bt.PacketType, parallel bool)
 		opts.Mode = mode
 		opts.GFSK = gfsk.BRConfig()
 		opts.PSDUOnly = true
-		opts.DynamicScale = false
 		pkt := &bt.Packet{Type: pt, LTAddr: 1, Payload: make([]byte, payloadLen)}
 		air, err := pkt.AirBits(bt.Device{LAP: 0x123456, UAP: 0x9A})
 		if err != nil {
@@ -244,7 +243,6 @@ func stageBreakdown(iterations int) ([]stageRow, error) {
 				opts.SearchParallelism = 1
 			} else {
 				opts.PSDUOnly = true
-				opts.DynamicScale = false
 			}
 			opts.Telemetry = reg
 			s, err := core.New(opts)

@@ -33,7 +33,6 @@ func runObsOverhead() error {
 		opts.Mode = core.RealTime
 		opts.GFSK = gfsk.BRConfig()
 		opts.PSDUOnly = true
-		opts.DynamicScale = false
 		opts.Telemetry = reg
 		return core.New(opts)
 	}

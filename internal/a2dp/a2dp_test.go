@@ -267,7 +267,7 @@ func TestSynthesizeGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.PhaseSearch = false
+	opts.PSDUOnly = true // no rehearsal: nothing predicts a failure
 	blind, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)

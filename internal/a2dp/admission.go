@@ -35,6 +35,11 @@ type SessionDemand struct {
 	PhaseSlots float64
 }
 
+// admissionSlackSlots is the queueing allowance added to every segment
+// deadline: how far past its nominal slot a segment may land before the
+// projection calls it a miss.
+const admissionSlackSlots = 4
+
 // AdmissionConfig parameterizes a headroom projection.
 type AdmissionConfig struct {
 	// Workers is the pool's worker count (minimum 1).
@@ -47,11 +52,6 @@ type AdmissionConfig struct {
 	// slots (default 1). Live callers derive it from the pool's job
 	// latency histogram; the soak pins it for determinism.
 	ServiceSlots float64
-	// SlackSlots is the queueing allowance added to every segment
-	// deadline: how far past its nominal slot a segment may land before
-	// the projection calls it a miss (0 = default 4; negative = no
-	// allowance).
-	SlackSlots float64
 	// HorizonPackets is how many media packets per session the
 	// projection replays (default 16).
 	HorizonPackets int
@@ -69,11 +69,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.ServiceSlots <= 0 {
 		c.ServiceSlots = 1
-	}
-	if c.SlackSlots == 0 {
-		c.SlackSlots = 4
-	} else if c.SlackSlots < 0 {
-		c.SlackSlots = 0
 	}
 	if c.HorizonPackets <= 0 {
 		c.HorizonPackets = 16
@@ -154,7 +149,7 @@ func BuildJobs(demands []SessionDemand, cfg AdmissionConfig) []SlotJob {
 					Session:      d.ID,
 					Seq:          seq,
 					ArrivalSlot:  arrival,
-					DeadlineSlot: arrival + float64((k+1)*segSlots) + cfg.SlackSlots,
+					DeadlineSlot: arrival + float64((k+1)*segSlots) + admissionSlackSlots,
 					ServiceSlots: cfg.ServiceSlots,
 				})
 				seq++

@@ -12,6 +12,18 @@ import (
 // can be measured at a receiver. The paper transmitted these with a USRP;
 // here they feed the channel/receiver simulation directly.
 
+// ablationToggles switch off serving extensions only the ablation
+// benches and tests measure without. The zero value is the serving
+// pipeline; worker clones copy the toggles of their synthesizer.
+type ablationToggles struct {
+	// noPrecomp skips the pilot and CP precompensation.
+	noPrecomp bool
+	// fixedScale synthesizes at the fixed §2.5 scale factor while the
+	// rehearsal search still runs (PSDUOnly fixes the scale and drops the
+	// search together).
+	fixedScale bool
+}
+
 // Stage identifies one cumulative impairment level.
 type Stage int
 
@@ -88,7 +100,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	wave, err := s.modulateSymbols(quantized)
+	wave, err := s.mod.Modulate(quantized)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +110,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	wave, err = s.modulateSymbols(piloted)
+	wave, err = s.mod.Modulate(piloted)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +130,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	wave, err = s.modulateSymbols(symbols)
+	wave, err = s.mod.Modulate(symbols)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +154,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 // otherwise they keep the unquantized FFT content (as an SDR could
 // transmit).
 func (s *Synthesizer) ablationSymbols(thetaHat []float64, nsym int, offsetHz float64, forcePilots bool) ([][]complex128, error) {
-	A := s.opts.ScaleFactor
+	A := scaleFactor
 	body := make([]complex128, wifi.FFTSize)
 	symbols := make([][]complex128, nsym)
 	for k := 0; k < nsym; k++ {
@@ -174,14 +186,4 @@ func (s *Synthesizer) ablationSymbols(thetaHat []float64, nsym int, offsetHz flo
 		symbols[k] = sym
 	}
 	return symbols, nil
-}
-
-// modulateSymbols runs the OFDM modulator with the synthesizer's
-// windowing setting.
-func (s *Synthesizer) modulateSymbols(symbols [][]complex128) ([]complex128, error) {
-	mod, err := wifi.NewOFDMModulator(wifi.ShortGI, s.opts.Windowing)
-	if err != nil {
-		return nil, err
-	}
-	return mod.Modulate(symbols)
 }

@@ -13,7 +13,7 @@ import (
 // TestTelemetryStageConsistency checks the acceptance contract of the
 // telemetry layer: the per-stage histogram sums must agree with the
 // accumulated Result.Timings, because both are fed by the same span
-// durations. The §4.8 configuration (no phase search, fixed scale) has
+// durations. The §4.8 pipeline (PSDUOnly: no search, fixed scale) has
 // exactly one synthesis pass per packet, so agreement is exact up to
 // float conversion; we assert the ±5% documented bound.
 func TestTelemetryStageConsistency(t *testing.T) {
@@ -21,8 +21,7 @@ func TestTelemetryStageConsistency(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Mode = RealTime
 	opts.GFSK = gfsk.BRConfig()
-	opts.DynamicScale = false
-	opts.PhaseSearch = false
+	opts.PSDUOnly = true
 	opts.Telemetry = reg
 	s, err := New(opts)
 	if err != nil {

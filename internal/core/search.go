@@ -25,7 +25,7 @@ import (
 // localize the damage to weak bits; rehearsal does, and only located
 // damage can be weighed against the packet's FEC.
 //
-// Each PhaseSearch candidate — a (rotation, extra-lead) pair — is a
+// Each search candidate — a (rotation, extra-lead) pair — is a
 // synth+demod pass independent of the others but for the work they all
 // share (searchShared), so the search hands them out in candidate order
 // to worker synthesizers: the synthesizer itself first, then at most
@@ -205,15 +205,20 @@ func takeIdleSlot() bool {
 var candidateFault func(k int) error
 
 // newWorker builds a worker clone: a full Synthesizer with the same
-// options (forced serial so clones never search on their own). Every
-// piece of mutable scratch — FFT buffers, FIR state, pilot cache,
-// rehearsal receiver — is private to one worker, so candidates share no
-// buffers. The FFT twiddle tables are process-shared read-only state
-// (dsp.PlanFor).
+// options and ablation toggles (forced serial so clones never search on
+// their own). Every piece of mutable scratch — FFT buffers, FIR state,
+// pilot cache, rehearsal receiver — is private to one worker, so
+// candidates share no buffers. The FFT twiddle tables are process-shared
+// read-only state (dsp.PlanFor).
 func (s *Synthesizer) newWorker() (*Synthesizer, error) {
 	opts := s.opts
 	opts.SearchParallelism = 1
-	return New(opts)
+	w, err := New(opts)
+	if err != nil {
+		return nil, err
+	}
+	w.ablate = s.ablate
+	return w, nil
 }
 
 // searchDone is one evaluated candidate, with the worker that ran it and

@@ -18,7 +18,6 @@ import (
 func TestStageByStageReception(t *testing.T) {
 	opts := DefaultOptions()
 	opts.GFSK = gfsk.BLEConfig()
-	opts.Preamble = false
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

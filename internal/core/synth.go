@@ -45,7 +45,11 @@ func (m Mode) MCS() int {
 	return 7 // 64-QAM rate 5/6
 }
 
-// Options configures a Synthesizer.
+// Options configures a Synthesizer. Everything else in the pipeline is
+// fixed: per-symbol OFDM windowing and the mixed-format preamble, as COTS
+// chips emit them; scaleFactor and leadSymbols; and, unless PSDUOnly, the
+// serving extensions beyond the paper — the dynamic §2.5 scale search,
+// pilot and CP precompensation, and the rehearsal search.
 type Options struct {
 	// Mode selects Quality (default) or RealTime synthesis.
 	Mode Mode
@@ -53,45 +57,11 @@ type Options struct {
 	WiFiChannel int
 	// ScramblerSeed must match the chip's (fixed or predicted) seed.
 	ScramblerSeed uint8
-	// Windowing mirrors COTS-chip per-symbol OFDM windowing (default
-	// true via New; setting it false models SDR output).
-	Windowing bool
-	// Preamble includes the mixed-format preamble in predicted waveforms.
-	Preamble bool
 	// GFSK carries the Bluetooth modulation parameters; CenterOffset is
 	// overwritten by frequency planning.
 	GFSK gfsk.Config
-	// ScaleFactor is the §2.5 amplitude A applied before the FFT
-	// (default 1/2, placing two-tone splits near grid magnitude 32≈7·5).
-	ScaleFactor float64
-	// DynamicScale searches a small per-symbol scale grid for the lowest
-	// in-band quantization residue instead of the fixed factor. The paper
-	// found dynamic scaling "negligible benefit, significantly higher
-	// complexity" (§2.5) on its hardware receivers; against this
-	// repository's simulated discriminator it is decisive (PER 65 % →
-	// 8 % combined with PhaseSearch), so DefaultOptions enables it. Set
-	// false for the paper's exact configuration (the §4.8 timing
-	// experiment does).
-	DynamicScale bool
-	// LeadSymbols of carrier-only padding precede the Bluetooth packet,
-	// keeping the pinned SERVICE-field symbol clear of it (default 2).
-	LeadSymbols int
-	// PhaseSearch synthesizes the packet at the four phase quadrants
-	// (identical lattice geometry, different pilot-relative phase) and
-	// keeps the one with the lowest in-band phase error — roughly 3×
-	// fewer packet errors at 4× synthesis cost in measurements. Enabled
-	// by DefaultOptions; disabled automatically with PSDUOnly (no
-	// waveform to score). An extension beyond the paper.
-	PhaseSearch bool
-	// PilotPrecompensation subtracts the pilot tones' predicted in-band
-	// phase perturbation from the target phase before synthesis. The
-	// correction is deterministic — the pilot waveform is fixed by the
-	// standard and independent of the data — so it cancels cleanly.
-	// Enabled by DefaultOptions; an extension beyond the paper, ablated
-	// in the benches.
-	PilotPrecompensation bool
-	// SearchParallelism bounds how many PhaseSearch candidates run at
-	// once. 0 bounds it by min(GOMAXPROCS, 4) (four rotations per search
+	// SearchParallelism bounds how many rehearsal-search candidates run
+	// at once. 0 bounds it by min(GOMAXPROCS, 4) (four rotations per search
 	// group); 1 forces the serial search; larger values are capped at the
 	// group width. The bound is an upper limit, not a reservation: the
 	// synthesizer runs the first candidate on its caller's CPU and adds
@@ -102,16 +72,19 @@ type Options struct {
 	// completion order — so the synthesized PSDU is bit-identical either
 	// way.
 	SearchParallelism int
-	// PSDUOnly skips predicted-waveform generation: Result.Waveform is
-	// nil and PhaseRMSE is zero. The paper's pipeline emits only the
-	// PSDU; this option makes the §4.8 timing comparison apples-to-apples
-	// and is what a driver integration wants on the hot path.
+	// PSDUOnly selects the paper's §4.8 pipeline: the fixed §2.5 scale
+	// factor, no rehearsal search and no predicted waveform
+	// (Result.Waveform is nil and PhaseRMSE is zero). The paper's
+	// pipeline emits only the PSDU; this is what the §4.8 timing
+	// comparison measures and what a driver integration wants on the hot
+	// path. Precompensation stays on, its CP correction on a sparse
+	// first-order path.
 	PSDUOnly bool
 	// Telemetry, when non-nil, receives per-stage latency histograms,
 	// synthesis spans and rehearsal counters (see internal/obs). The
 	// instrumentation records timing and counts only — it never feeds the
 	// synthesized bits — and a nil registry costs one branch per record.
-	// Worker clones of the parallel phase search share the registry.
+	// Worker clones of the parallel search share the registry.
 	Telemetry *obs.Registry
 	// Faults, when non-nil, is consulted once per Synthesize call and
 	// may fail it with an injected error — the chaos-test hook for
@@ -119,34 +92,27 @@ type Options struct {
 	// bits: with a nil (or non-firing) injector the output is
 	// bit-identical to an uninstrumented run.
 	Faults *faults.Injector
-	// CPPrecompensation likewise subtracts the CP-design construction's
-	// own in-band phase error (θ̂ vs θ through the nominal channel
-	// filter) from the target. The CP corruption is structural and fully
-	// known before any quantization, so this correction also cancels
-	// cleanly to first order. Enabled by DefaultOptions; an extension
-	// beyond the paper, ablated in the benches.
-	CPPrecompensation bool
 }
 
-// DefaultOptions returns the configuration used throughout the paper's
-// evaluation: quality mode on WiFi channel 3 with SGI, windowing on.
+// DefaultOptions returns the serving configuration: quality mode on
+// WiFi channel 3 with the BR modulation.
 func DefaultOptions() Options {
 	return Options{
 		Mode:          Quality,
 		WiFiChannel:   3,
 		ScramblerSeed: 71, // RTL8811AU's constant; AR9331 pinned to 1
-		Windowing:     true,
-		Preamble:      true,
 		GFSK:          gfsk.BRConfig(),
-		ScaleFactor:   0.5,
-		DynamicScale:  true,
-		LeadSymbols:   2,
-
-		PilotPrecompensation: true,
-		CPPrecompensation:    true,
-		PhaseSearch:          true,
 	}
 }
+
+// scaleFactor is the §2.5 amplitude A applied before the FFT: 1/2 places
+// two-tone splits near grid magnitude 32≈7·5. It is the scale of the
+// PSDUOnly pipeline and the reference amplitude of the pilot correction.
+const scaleFactor = 0.5
+
+// leadSymbols of carrier-only padding precede the Bluetooth packet,
+// keeping the pinned SERVICE-field symbol clear of it.
+const leadSymbols = 2
 
 // Timings breaks down where synthesis time goes (§4.8).
 type Timings struct {
@@ -159,8 +125,8 @@ type Timings struct {
 // Total sums the per-stage timings.
 func (t Timings) Total() time.Duration { return t.IQGen + t.FFTQAM + t.FEC + t.Scramble }
 
-// Add accumulates another pass's stage timings. The PhaseSearch paths
-// use it so a searched Result reports the time of every candidate it
+// Add accumulates another pass's stage timings. The rehearsal search
+// uses it so a searched Result reports the time of every candidate it
 // evaluated, keeping Timings consistent with the per-candidate stage
 // histograms; re-slotting callers sum their attempts the same way.
 func (t *Timings) Add(o Timings) {
@@ -191,8 +157,7 @@ type Result struct {
 	// receiver actually experiences.
 	PhaseRMSE float64
 	// Waveform is the predicted chip output (what hardware will emit for
-	// PSDU under the same configuration), including the preamble when
-	// configured.
+	// PSDU under the same configuration), preamble included.
 	Waveform []complex128
 	// dataWave is the modulated data field (Waveform[DataStart:]). The
 	// search rehearses candidates on it; finish frames Waveform from it
@@ -216,8 +181,8 @@ type Result struct {
 	// to fail. With no rehearsal (RehearsalMismatches −1) nothing
 	// predicts a failure, and it is true.
 	RehearsalDecodes bool
-	// Timings records the per-stage execution time. With PhaseSearch it
-	// covers every candidate the search evaluated — where the packet's
+	// Timings records the per-stage execution time. With the rehearsal
+	// search it covers every candidate the search evaluated — where the packet's
 	// synthesis time actually went — matching the per-candidate
 	// bluefi_core_stage_seconds histograms by construction.
 	Timings Timings
@@ -225,8 +190,8 @@ type Result struct {
 
 // Synthesizer converts Bluetooth air bits into WiFi PSDUs.
 //
-// A Synthesizer is not safe for concurrent use. The PhaseSearch candidate
-// evaluation parallelizes internally (see Options.SearchParallelism): the
+// A Synthesizer is not safe for concurrent use. The rehearsal search's
+// candidate evaluation parallelizes internally (see Options.SearchParallelism): the
 // synthesizer is its own first worker, and private clones, built only
 // when a search first borrows an idle CPU, serve as helpers. Callers
 // still treat the whole object as single-threaded; for concurrent
@@ -235,6 +200,7 @@ type Result struct {
 // searches run serially).
 type Synthesizer struct {
 	opts       Options
+	ablate     ablationToggles
 	mcs        wifi.MCS
 	il         *wifi.Interleaver
 	mapper     *wifi.Mapper
@@ -255,7 +221,7 @@ type Synthesizer struct {
 	fitInter       []byte
 	fitInband      []bool
 
-	// workers are the PhaseSearch helper clones, built lazily when a
+	// workers are the rehearsal search's helper clones, built lazily when a
 	// search first runs more candidates at once than it has workers;
 	// the synthesizer itself is the first worker.
 	workers []*Synthesizer
@@ -294,18 +260,6 @@ func New(opts Options) (*Synthesizer, error) {
 	if _, err := wifi.Channel2GHzCenter(opts.WiFiChannel); err != nil {
 		return nil, err
 	}
-	if opts.ScaleFactor == 0 {
-		opts.ScaleFactor = 0.5
-	}
-	if opts.ScaleFactor < 0.05 || opts.ScaleFactor > 1 {
-		return nil, fmt.Errorf("core: scale factor %g out of range", opts.ScaleFactor)
-	}
-	if opts.LeadSymbols == 0 {
-		opts.LeadSymbols = 2
-	}
-	if opts.LeadSymbols < 1 || opts.LeadSymbols > 16 {
-		return nil, fmt.Errorf("core: lead of %d symbols out of range", opts.LeadSymbols)
-	}
 	if opts.GFSK.SampleRate == 0 {
 		opts.GFSK = gfsk.BRConfig()
 	}
@@ -331,13 +285,13 @@ func New(opts Options) (*Synthesizer, error) {
 		MCS:           opts.Mode.MCS(),
 		ShortGI:       true,
 		ScramblerSeed: opts.ScramblerSeed,
-		Windowing:     opts.Windowing,
-		Preamble:      opts.Preamble,
+		Windowing:     true,
+		Preamble:      true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	mod, err := wifi.NewOFDMModulator(wifi.ShortGI, opts.Windowing)
+	mod, err := wifi.NewOFDMModulator(wifi.ShortGI, true)
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +351,7 @@ func (s *Synthesizer) buildTargetPhase(airBits []byte, offsetHz float64) (theta 
 // extraLead symbols pad the lead and rot rotates the whole frame: the
 // two axes of the rehearsal search.
 func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64, extraLead int, rot float64) (theta []float64, lead, nsym int) {
-	lead = (s.opts.LeadSymbols + extraLead) * symbolLen
+	lead = (leadSymbols + extraLead) * symbolLen
 	total := lead + len(pkt) + symbolLen // one tail symbol of slack
 	nsym = (total + symbolLen - 1) / symbolLen
 	theta = make([]float64, nsym*symbolLen)
@@ -428,9 +382,9 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 	coded = make([]byte, nsym*s.mcs.NCBPS)
 	body, X, best, inter := s.fitBody, s.fitX, s.fitBest, s.fitInter
 	sinT, cosT := s.fitSin, s.fitCos
-	single := [1]float64{s.opts.ScaleFactor}
+	single := [1]float64{scaleFactor}
 	scales := single[:]
-	if s.opts.DynamicScale {
+	if !s.opts.PSDUOnly && !s.ablate.fixedScale {
 		scales = dynamicScales
 	}
 	inband := s.fitInband
@@ -480,7 +434,11 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 	return coded, nil
 }
 
-// dynamicScales is the DynamicScale candidate grid of §2.5.
+// dynamicScales is the candidate grid of the per-symbol scale search:
+// the §2.5 dynamic scaling the paper found "negligible benefit,
+// significantly higher complexity" on its hardware receivers. Against
+// this repository's simulated discriminator it is decisive together
+// with the rehearsal search, so every pipeline but PSDUOnly runs it.
 var dynamicScales = []float64{0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65}
 
 // codedBitWeights returns the memoized CodedBitWeights for this
@@ -603,28 +561,25 @@ func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
 
 // precompensate builds search candidate k's synthesis target from its
 // laid-out phase θ: θ less the damped CP-design phase error of k's lead
-// group, less the pilots' predicted perturbation. With neither
-// correction enabled the target is θ itself.
+// group, less the pilots' predicted perturbation. Both corrections are
+// extensions beyond the paper: the CP corruption and the pilot waveform
+// are structural and known before any quantization, so they cancel
+// cleanly to first order. Without them (the ablation) the target is θ
+// itself.
 func (s *Synthesizer) precompensate(sh *searchShared, k int, theta []float64, nsym int) ([]float64, error) {
-	if !s.opts.CPPrecompensation && !s.opts.PilotPrecompensation {
+	if s.ablate.noPrecomp {
 		return theta, nil
 	}
-	target := make([]float64, len(theta))
-	if s.opts.CPPrecompensation {
-		dphi, err := s.cpPhaseError(sh, k, theta)
-		if err != nil {
-			return nil, err
-		}
-		for n := range target {
-			target[n] = theta[n] - cpBeta*dphi[n]
-		}
-	} else {
-		copy(target, theta)
+	dphi, err := s.cpPhaseError(sh, k, theta)
+	if err != nil {
+		return nil, err
 	}
-	if s.opts.PilotPrecompensation {
-		if err := s.precompensatePilots(theta, target, nsym, sh.plan.OffsetHz); err != nil {
-			return nil, err
-		}
+	target := make([]float64, len(theta))
+	for n := range target {
+		target[n] = theta[n] - cpBeta*dphi[n]
+	}
+	if err := s.precompensatePilots(theta, target, nsym, sh.plan.OffsetHz); err != nil {
+		return nil, err
 	}
 	return target, nil
 }
@@ -675,7 +630,7 @@ func (s *Synthesizer) precompensatePilots(theta, target []float64, nsym int, off
 // perturbation from the target.
 func (s *Synthesizer) applyPilotCorrection(theta, target []float64, pIB []complex128) {
 	// Transmitted in-band signal amplitude in the same grid units.
-	a := s.opts.ScaleFactor / GridScale
+	a := scaleFactor / GridScale
 	for n := range target {
 		sin, cos := math.Sincos(theta[n])
 		dphi := (imag(pIB[n])*cos - real(pIB[n])*sin) / a
@@ -854,7 +809,7 @@ func (s *Synthesizer) SynthesizePhase(basebandPhase []float64, btMHz float64) (*
 }
 
 // synthesize is the common entry point behind the telemetry span: the
-// rehearsal search when configured, else search candidate 0 alone.
+// rehearsal search, or search candidate 0 alone for PSDUOnly.
 // layout is in rehearsed-bit coordinates.
 func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout bt.FECLayout) (*Result, error) {
 	if len(basebandPhase) == 0 {
@@ -869,7 +824,7 @@ func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout 
 	defer busySlots.Add(-1)
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	var res *Result
-	if s.opts.PhaseSearch && !s.opts.PSDUOnly {
+	if !s.opts.PSDUOnly {
 		res, err = s.search(ctx, sh, layout)
 	} else {
 		res, err = s.synthesizeCandidate(ctx, sh, 0)
@@ -889,7 +844,7 @@ func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout 
 }
 
 // finish completes the result SynthesizePhase returns: the framed
-// Waveform (the preamble, when configured, ahead of the data field) and
+// Waveform (the preamble ahead of the data field) and
 // the in-band PhaseRMSE over the packet span. Search candidates are
 // scored on the data field alone, so only the returned one pays for
 // framing and fidelity. A PSDUOnly result has no data field and stays

@@ -149,8 +149,6 @@ func TestSubcarrierWeightBands(t *testing.T) {
 func TestNewValidatesOptions(t *testing.T) {
 	bad := []Options{
 		{WiFiChannel: 99},
-		{WiFiChannel: 3, ScaleFactor: 3},
-		{WiFiChannel: 3, LeadSymbols: 99},
 		{WiFiChannel: 3, GFSK: gfsk.Config{SampleRate: 10e6, BitRate: 1e6, Deviation: 160e3, BT: 0.5}},
 	}
 	for i, o := range bad {
@@ -163,7 +161,7 @@ func TestNewValidatesOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Options().WiFiChannel != 3 || s.Options().ScaleFactor != 0.5 || s.Options().LeadSymbols != 2 {
+	if s.Options().WiFiChannel != 3 {
 		t.Fatalf("defaults not applied: %+v", s.Options())
 	}
 }
@@ -366,7 +364,6 @@ func TestSynthesizeErrors(t *testing.T) {
 func TestDynamicScaleStillDecodes(t *testing.T) {
 	opts := DefaultOptions()
 	opts.GFSK = gfsk.BLEConfig()
-	opts.DynamicScale = true
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -446,28 +443,27 @@ func TestGFSKStartAlignment(t *testing.T) {
 }
 
 func TestPSDUOnlyMode(t *testing.T) {
-	// PSDUOnly skips waveform prediction; with the exact CP correction
-	// disabled (PSDUOnly switches it to the sparse fast path), the PSDU
+	// PSDUOnly skips waveform prediction; for the same pipeline — fixed
+	// scale, search candidate 0 alone, and no precompensation (PSDUOnly
+	// switches the CP correction to its sparse fast path) — the PSDU
 	// must be identical to the full run's.
 	air := beaconAirBits(t, 38)
-	mk := func(psduOnly bool) *Result {
+	mk := func(psduOnly bool) *Synthesizer {
 		opts := DefaultOptions()
 		opts.GFSK = gfsk.BLEConfig()
-		opts.CPPrecompensation = false
-		opts.PhaseSearch = false // PSDUOnly disables it; match configurations
 		opts.PSDUOnly = psduOnly
 		s, err := New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Synthesize(air, 2426)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		s.ablate = ablationToggles{noPrecomp: true, fixedScale: true}
+		return s
 	}
-	full := mk(false)
-	fast := mk(true)
+	full := synthesizeCandidateZero(t, mk(false), air, 2426)
+	fast, err := mk(true).Synthesize(air, 2426)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(full.PSDU) != string(fast.PSDU) {
 		t.Fatal("PSDUOnly changed the synthesized PSDU")
 	}
@@ -482,7 +478,6 @@ func TestPSDUOnlyMode(t *testing.T) {
 func TestAblationStagesProduceWaveforms(t *testing.T) {
 	opts := DefaultOptions()
 	opts.GFSK = gfsk.BLEConfig()
-	opts.Preamble = false
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

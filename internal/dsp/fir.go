@@ -215,24 +215,53 @@ func ConvolveReal(x, taps []float64) []float64 {
 // ConvolveRealInto is ConvolveReal writing into a caller-provided buffer
 // of the same length as x (which must not alias x).
 //
+// Output n is Σ_k taps[k]·x[n+d−k] summed in tap order from +0, with
+// d = (len(taps)−1)/2 and the input index clamped to [0, len(x)): the
+// edge values are held, as the frequency signal is flat outside. Like
+// FIR.ApplyInto, the interior outputs, whose windows need no clamp, run
+// four at a time without the per-tap test; every output keeps its own
+// accumulator and tap order, so it is bit-identical to the clamped form.
+//
 //bluefi:allocfree
 func ConvolveRealInto(out, x, taps []float64) {
 	if len(out) != len(x) {
 		panic("dsp: ConvolveRealInto length mismatch")
 	}
-	d := (len(taps) - 1) / 2
-	for n := range out {
-		var acc float64
-		for k, t := range taps {
-			idx := n + d - k
-			if idx < 0 {
-				idx = 0 // hold edge values: frequency signal is flat outside
-			}
-			if idx >= len(x) {
-				idx = len(x) - 1
-			}
-			acc += t * x[idx]
-		}
-		out[n] = acc
+	nt := len(taps)
+	d := (nt - 1) / 2
+	// Interior outputs n have n+d−(nt−1) ≥ 0 and n+d < len(x).
+	lo := min(max(nt-1-d, 0), len(x))
+	hi := max(len(x)-d, lo)
+	for n := 0; n < lo; n++ {
+		out[n] = convolveHeld(x, taps, n+d)
 	}
+	n := lo
+	for ; n+4 <= hi; n += 4 {
+		// Output n+i reads x[n+i+d−k] = w[i+nt−1−k] at tap k.
+		w := x[n+d+1-nt : n+d+4]
+		var a0, a1, a2, a3 float64
+		for k, t := range taps {
+			j := nt - 1 - k
+			a0 += t * w[j]
+			a1 += t * w[j+1]
+			a2 += t * w[j+2]
+			a3 += t * w[j+3]
+		}
+		out[n], out[n+1], out[n+2], out[n+3] = a0, a1, a2, a3
+	}
+	for ; n < len(out); n++ {
+		out[n] = convolveHeld(x, taps, n+d)
+	}
+}
+
+// convolveHeld is one output of ConvolveRealInto outside its blocked
+// interior: Σ_k taps[k]·x[c−k] with the index clamped to x.
+//
+//bluefi:allocfree
+func convolveHeld(x, taps []float64, c int) float64 {
+	var acc float64
+	for k, t := range taps {
+		acc += t * x[min(max(c-k, 0), len(x)-1)]
+	}
+	return acc
 }

@@ -317,3 +317,79 @@ func BenchmarkFIRApply(b *testing.B) {
 		})
 	}
 }
+
+// referenceConvolveReal is the clamped form ConvolveRealInto must
+// reproduce bit for bit: every tap's input index clamped to x, summed in
+// tap order.
+func referenceConvolveReal(out, x, taps []float64) {
+	d := (len(taps) - 1) / 2
+	for n := range out {
+		var acc float64
+		for k, t := range taps {
+			idx := min(max(n+d-k, 0), len(x)-1)
+			acc += t * x[idx]
+		}
+		out[n] = acc
+	}
+}
+
+func TestConvolveRealMatchesClampedForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	filters := map[string][]float64{
+		"gfsk-br-61":  GaussianPulse(0.5, 20, 3),
+		"gfsk-ble-61": GaussianPulse(0.5, 20, 3)[1:], // even count
+		"none":        nil,
+		"one-tap":     {0.75},
+		"two-tap":     {0.25, -1.5},
+		"odd-5":       {0.1, -0.2, 0.4, -0.2, 0.1},
+	}
+	for name, taps := range filters {
+		nt := len(taps)
+		// Inputs shorter than the taps, on each side of the interior's
+		// first output, and GFSK-frame long.
+		lens := []int{0, 1, 2, nt / 2, nt - 1, nt, nt + 1, 2*nt + 3, 7300}
+		for _, n := range lens {
+			if n < 0 {
+				continue
+			}
+			x := make([]float64, n+1)[1:] // off the backing array's start
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			if n > 2 {
+				x[n/2] = math.Copysign(0, -1)
+			}
+			want := make([]float64, n)
+			referenceConvolveReal(want, x, taps)
+			got := ConvolveReal(x, taps)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s len %d: out[%d] = %v, clamped form %v", name, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkConvolveReal runs the GFSK Gaussian filter over a DM1-length
+// frequency trajectory, beside the clamped reference.
+func BenchmarkConvolveReal(b *testing.B) {
+	taps := GaussianPulse(0.5, 20, 3)
+	rng := rand.New(rand.NewSource(2))
+	x := make([]float64, dm1FrameLen)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	out := make([]float64, len(x))
+	for _, impl := range []struct {
+		name string
+		run  func(out, x, taps []float64)
+	}{{"split", ConvolveRealInto}, {"reference", referenceConvolveReal}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				impl.run(out, x, taps)
+			}
+		})
+	}
+}

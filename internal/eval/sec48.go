@@ -30,10 +30,9 @@ func Sec48Timings(iterations int) ([]TimingResult, error) {
 		opts := core.DefaultOptions()
 		opts.Mode = mode
 		opts.GFSK = gfsk.BRConfig()
-		// The paper's §2.5/§4.8 configuration: fixed scale factor, no
+		// The paper's §2.5/§4.8 pipeline: fixed scale factor, no
 		// per-packet search — its per-stage costs are what we compare.
-		opts.DynamicScale = false
-		opts.PhaseSearch = false
+		opts.PSDUOnly = true
 		s, err := core.New(opts)
 		if err != nil {
 			return nil, err

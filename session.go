@@ -40,6 +40,10 @@ import (
 // fleet plus the candidate exceeds the configured budget.
 var ErrAdmissionRejected = errors.New("bluefi: session admission rejected")
 
+// admissionMissBudget is the largest projected deadline-miss ratio
+// admission tolerates.
+const admissionMissBudget = 0.05
+
 // SessionManagerConfig tunes the multi-session coordination plane. The
 // zero value is usable; every knob has a documented default.
 type SessionManagerConfig struct {
@@ -47,21 +51,12 @@ type SessionManagerConfig struct {
 	// shared ledger enforces (default 0.8 — the single-stream chaos
 	// bound, now shared instead of per-stream).
 	GlobalShipFloor float64
-	// MissBudget is the maximum projected deadline-miss ratio admission
-	// tolerates (default 0.05).
-	MissBudget float64
-	// HorizonPackets is how many media packets per session the admission
-	// projection replays (default 16).
-	HorizonPackets int
 	// ServiceSlots overrides the per-segment service-time estimate in
 	// 625 µs slots (0 = live estimate from the pool's job-latency
 	// histogram, falling back to 1 slot before the first job). Evals pin
 	// it so the capacity knee is a property of the workload, not the
 	// host.
 	ServiceSlots float64
-	// SlackSlots is the admission projection's per-deadline queueing
-	// allowance (0 = default 4; negative = none).
-	SlackSlots float64
 	// AdmissionQueue bounds how many rejected sessions Enqueue may park
 	// for promotion when an eviction frees headroom (default 0 = no
 	// queue; Enqueue then behaves like Admit).
@@ -76,12 +71,6 @@ type SessionManagerConfig struct {
 func (c SessionManagerConfig) withDefaults() SessionManagerConfig {
 	if c.GlobalShipFloor <= 0 || c.GlobalShipFloor >= 1 {
 		c.GlobalShipFloor = 0.8
-	}
-	if c.MissBudget <= 0 {
-		c.MissBudget = 0.05
-	}
-	if c.HorizonPackets <= 0 {
-		c.HorizonPackets = 16
 	}
 	if c.AdmissionQueue < 0 {
 		c.AdmissionQueue = 0
@@ -285,17 +274,15 @@ func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 	}
 	demands = append(demands, demand)
 	proj := a2dp.ProjectAdmission(demands, a2dp.AdmissionConfig{
-		Workers:        m.pool.Workers(),
-		QueueDepth:     m.pool.QueueDepth(),
-		ServiceSlots:   m.serviceSlotsLocked(),
-		SlackSlots:     m.cfg.SlackSlots,
-		HorizonPackets: m.cfg.HorizonPackets,
+		Workers:      m.pool.Workers(),
+		QueueDepth:   m.pool.QueueDepth(),
+		ServiceSlots: m.serviceSlotsLocked(),
 	})
 	m.lastProj = proj
 	if m.met != nil {
 		m.met.missGate.Set(int64(proj.MissRatio * 1000))
 	}
-	if proj.MissRatio > m.cfg.MissBudget {
+	if proj.MissRatio > admissionMissBudget {
 		if m.met != nil {
 			m.met.rejected.Inc()
 		}
@@ -304,7 +291,7 @@ func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 			obs.L("sessions", fmt.Sprintf("%d", proj.Sessions)),
 			obs.L("missRatio", fmt.Sprintf("%.4f", proj.MissRatio)))
 		return nil, fmt.Errorf("%w: %q: projected deadline-miss ratio %.4f exceeds budget %.4f at %d sessions (utilization %.2f)",
-			ErrAdmissionRejected, cfg.ID, proj.MissRatio, m.cfg.MissBudget, proj.Sessions, proj.Utilization)
+			ErrAdmissionRejected, cfg.ID, proj.MissRatio, admissionMissBudget, proj.Sessions, proj.Utilization)
 	}
 
 	// Couple the stream's governor to the fleet ledger: the per-session
