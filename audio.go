@@ -38,14 +38,16 @@ type AudioConfig struct {
 	// packet (0 = fill the baseband payload). Small values shorten the
 	// on-air packets — the §4.7 PER/throughput trade-off.
 	FramesPerPacket int
-	// Degrade, when non-nil, arms the graceful-degradation policy (see
-	// DegradePolicy and DESIGN.md §9): the stream steps down SBC bitpool
-	// and the AFH channel map under deadline misses, synthesis faults and
-	// interference, sheds media packets above a shipped-fraction floor
-	// while Shedding, and recovers with hysteresis. nil (the default)
-	// keeps the fixed-quality behavior, where any synthesis error fails
-	// the Send — the deterministic configuration the golden vectors use.
-	Degrade *DegradePolicy
+	// Degrade arms the graceful-degradation policy (DESIGN.md §9): the
+	// stream walks Healthy → Degraded → Shedding on sustained deadline
+	// misses, synthesis faults or interference — stepping down the SBC
+	// bitpool, shrinking the AFH hop set to the cleanest channel, and
+	// finally shedding media packets above the 0.8 shipped-fraction
+	// floor — and recovers with hysteresis once the link stays clean.
+	// false (the default) keeps the fixed-quality behavior, where any
+	// synthesis error fails the Send — the deterministic configuration
+	// the golden vectors use.
+	Degrade bool
 	// SlotBudget overrides the per-segment real-time deadline (0 = the
 	// packet's slots, rounded up to an even count, × 625 µs). Chaos tests
 	// set a generous budget so only injected latency — never host speed —
@@ -170,6 +172,13 @@ type AudioTransmission struct {
 
 // NewAudioStream opens a stream on the synthesizer's WiFi channel.
 func (s *Synthesizer) NewAudioStream(cfg AudioConfig) (*AudioStream, error) {
+	return s.newAudioStream(cfg, a2dp.PolicyConfig{Telemetry: s.opts.Telemetry})
+}
+
+// newAudioStream opens a stream whose governor, when cfg.Degrade arms
+// one, is wired by pc: a private ledger for a lone stream, the fleet
+// ledger for a managed session.
+func (s *Synthesizer) newAudioStream(cfg AudioConfig, pc a2dp.PolicyConfig) (*AudioStream, error) {
 	if cfg.PacketType == 0 {
 		cfg.PacketType = DM5
 	}
@@ -237,11 +246,7 @@ func (s *Synthesizer) NewAudioStream(cfg AudioConfig) (*AudioStream, error) {
 		met:         newAudioMetrics(s.opts.Telemetry),
 		obsCtx:      obs.WithRegistry(context.Background(), s.opts.Telemetry),
 	}
-	if cfg.Degrade != nil {
-		pc := *cfg.Degrade
-		if pc.Telemetry == nil {
-			pc.Telemetry = s.opts.Telemetry
-		}
+	if cfg.Degrade {
 		a.gov = a2dp.NewGovernor(pc, sbcCfg.Bitpool, cfg.BestChannels)
 	}
 	return a, nil
@@ -272,13 +277,12 @@ func (a *AudioStream) Report() DegradationReport {
 }
 
 // transientErr classifies failures the degradation policy may absorb as
-// a dropped packet: injected faults and pool-infrastructure losses. Real
+// a dropped packet: injected faults, worker panics and job timeouts. Real
 // synthesis errors (bad input, no covering channel) and a closed pool
 // always propagate.
 func transientErr(err error) bool {
 	var pe *PanicError
-	return faults.IsInjected(err) || errors.As(err, &pe) ||
-		errors.Is(err, ErrJobTimeout) || errors.Is(err, ErrJobShed) || errors.Is(err, ErrPoolOverloaded)
+	return faults.IsInjected(err) || errors.As(err, &pe) || errors.Is(err, ErrJobTimeout)
 }
 
 // Send encodes one media packet's worth of PCM (pcm[channel][sample],
@@ -476,10 +480,14 @@ func (a *AudioStream) synthesizeScheduled(syn *Synthesizer, sp *a2dp.ScheduledPa
 // Synthesizer.NewAudioStream for real-time A2DP workloads. Returns
 // ErrPoolClosed on a closed pool.
 func (p *Pool) NewAudioStream(cfg AudioConfig) (*AudioStream, error) {
+	return p.newAudioStream(cfg, a2dp.PolicyConfig{Telemetry: p.opts.Telemetry})
+}
+
+func (p *Pool) newAudioStream(cfg AudioConfig, pc a2dp.PolicyConfig) (*AudioStream, error) {
 	if p.isClosed() {
 		return nil, ErrPoolClosed
 	}
-	a, err := p.syns[0].NewAudioStream(cfg)
+	a, err := p.syns[0].newAudioStream(cfg, pc)
 	if err != nil {
 		return nil, err
 	}

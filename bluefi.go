@@ -73,15 +73,6 @@ type FaultPlan = faults.Plan
 // errors.Is to tell injected failures from real ones.
 var ErrInjectedFault = faults.ErrInjected
 
-// DegradePolicy tunes an audio stream's graceful degradation (attach
-// via AudioConfig.Degrade; the zero value gives sensible defaults). The
-// stream walks Healthy → Degraded → Shedding on sustained deadline
-// misses, synthesis faults or interference — stepping down the SBC
-// bitpool, shrinking the AFH hop set to the cleanest channels, and
-// finally shedding media packets above a shipped-fraction floor — and
-// recovers with hysteresis once the link stays clean. See DESIGN.md §9.
-type DegradePolicy = a2dp.PolicyConfig
-
 // HealthState is an audio stream's degradation state.
 type HealthState = a2dp.Health
 
@@ -160,11 +151,6 @@ type Options struct {
 	// Retry re-runs pool jobs that fail retryably (panic, timeout,
 	// injected fault) with exponential backoff.
 	Retry RetryPolicy
-	// QueueDepth bounds the pool's job queue (0 = 4×workers).
-	QueueDepth int
-	// Overload selects what a full queue does with new jobs: Block
-	// (default), Reject, or DropOldest.
-	Overload OverloadPolicy
 	// Deprecated: EDF has no effect. The pool's job queue always runs
 	// deadline-stamped jobs earliest-deadline-first and deadline-less
 	// jobs FIFO behind them (DESIGN.md §14.3).

@@ -48,7 +48,7 @@ func runServe(addr, flightDir string) error {
 		PacketType:      bluefi.DM1,
 		SBC:             bluefi.SBCConfig{SampleRateHz: 16000, Blocks: 4, Subbands: 4, Bitpool: 8},
 		FramesPerPacket: 1,
-		Degrade:         &bluefi.DegradePolicy{},
+		Degrade:         true,
 	})
 	if err != nil {
 		return err

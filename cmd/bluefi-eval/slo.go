@@ -106,7 +106,7 @@ func runSLO(flightDir string) (*sloReport, error) {
 		Device:     bluefi.Device{LAP: 0xb10ef1, UAP: 0x42},
 		PacketType: bluefi.DM1,
 		SBC:        bluefi.SBCConfig{SampleRateHz: 16000, Blocks: 4, Subbands: 4, Bitpool: 31},
-		Degrade:    &bluefi.DegradePolicy{},
+		Degrade:    true,
 		SlotBudget: time.Minute,
 	})
 	if err != nil {

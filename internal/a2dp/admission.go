@@ -11,7 +11,7 @@ import (
 // over a short horizon — through the EDF virtual-time simulator, seeded
 // with the pool's *measured* service time (the bluefi_pool_job_seconds
 // histogram mean, converted to slots) and its current queue backlog.
-// The projection's deadline-miss ratio against the configured budget is
+// The projection's deadline-miss ratio against AdmissionMissBudget is
 // the admit/reject answer. Because the projection is a pure function of
 // (demands, config), the same fleet replayed with the same inputs
 // admits the same prefix — the soak's capacity knee is a property of
@@ -34,6 +34,11 @@ type SessionDemand struct {
 	// PhaseSlots staggers the session's first packet.
 	PhaseSlots float64
 }
+
+// AdmissionMissBudget is the largest projected deadline-miss ratio an
+// admitted fleet may carry: a candidate whose projection exceeds it is
+// refused.
+const AdmissionMissBudget = 0.05
 
 // admissionSlackSlots is the queueing allowance added to every segment
 // deadline: how far past its nominal slot a segment may land before the

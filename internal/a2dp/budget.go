@@ -8,10 +8,11 @@ import (
 )
 
 // Ship-floor ledger (DESIGN.md §14.2): every Governor asks a ledger
-// before it sheds a media packet. A lone stream owns a private ledger
-// built from its ShipFloor; a SessionManager shares one ledger across
-// its sessions, so the floor holds for the fleet instead of per stream.
-// One rule decides every drop, counting the packet about to be dropped:
+// before it sheds a media packet. A lone stream owns a private ledger; a
+// SessionManager shares one ledger across its sessions, so the floor
+// holds for the fleet instead of per stream. Every ledger holds
+// ShipFloor, and one rule decides every drop, counting the packet about
+// to be dropped:
 //
 //	dropped + 1 ≤ (1 − floor) × (shipped + dropped + 1)
 //
@@ -27,10 +28,6 @@ import (
 
 // ShedBudgetConfig parameterizes a ledger.
 type ShedBudgetConfig struct {
-	// GlobalShipFloor is the minimum shipped fraction the ledger keeps
-	// (≤0 or NaN = 0.8, matching the single-stream chaos bound; ≥1 =
-	// never shed).
-	GlobalShipFloor float64
 	// Telemetry, when non-nil, receives the grant/denial counters and
 	// the session.budget_exhausted flight event.
 	Telemetry *obs.Registry
@@ -59,8 +56,7 @@ func newBudgetMetrics(r *obs.Registry) *budgetMetrics {
 
 // ShedBudget is the ship-floor ledger. Safe for concurrent use.
 type ShedBudget struct {
-	floor float64
-	met   *budgetMetrics
+	met *budgetMetrics
 
 	mu        sync.Mutex
 	live      map[string]bool // guarded by mu
@@ -73,19 +69,11 @@ type ShedBudget struct {
 
 // NewShedBudget builds an empty ledger.
 func NewShedBudget(cfg ShedBudgetConfig) *ShedBudget {
-	floor := cfg.GlobalShipFloor
-	if !(floor > 0) { // also catches NaN
-		floor = 0.8
-	}
 	return &ShedBudget{
-		floor: floor,
-		met:   newBudgetMetrics(cfg.Telemetry),
-		live:  make(map[string]bool),
+		met:  newBudgetMetrics(cfg.Telemetry),
+		live: make(map[string]bool),
 	}
 }
-
-// GlobalShipFloor returns the ledger's shipped-fraction floor.
-func (b *ShedBudget) GlobalShipFloor() float64 { return b.floor }
 
 // Register adds a session to the live set. Duplicate IDs are an error:
 // two streams must not share one identity in the ledger.
@@ -118,7 +106,7 @@ func (b *ShedBudget) Grant(id string) bool {
 		return false
 	}
 	// Capacity counts the packet about to be dropped.
-	capacity := (1 - b.floor) * float64(b.shipped+b.dropped+1)
+	capacity := (1 - ShipFloor) * float64(b.shipped+b.dropped+1)
 	if float64(b.dropped+1) > capacity {
 		b.denials++
 		if b.met != nil {
@@ -180,7 +168,7 @@ func (b *ShedBudget) Report() ShedBudgetReport {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return ShedBudgetReport{
-		GlobalShipFloor: b.floor,
+		GlobalShipFloor: ShipFloor,
 		TotalShipped:    b.shipped,
 		TotalDropped:    b.dropped,
 		Grants:          b.grants,

@@ -1,7 +1,6 @@
 package a2dp
 
 import (
-	"math"
 	"testing"
 
 	"bluefi/internal/obs"
@@ -20,7 +19,7 @@ func shedRound(b *ShedBudget, id string) bool {
 }
 
 func TestShedBudgetGlobalFloor(t *testing.T) {
-	b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 0.8})
+	b := NewShedBudget(ShedBudgetConfig{})
 	if err := b.Register("s"); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestShedBudgetGlobalFloor(t *testing.T) {
 // RecordDropped must eat into the floor, so policy sheds stop before
 // the floor is doubly broken.
 func TestShedBudgetFaultLossesConsumeShare(t *testing.T) {
-	b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 0.8})
+	b := NewShedBudget(ShedBudgetConfig{})
 	if err := b.Register("s"); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestShedBudgetFaultLossesConsumeShare(t *testing.T) {
 
 func TestShedBudgetDeterministicReplay(t *testing.T) {
 	run := func() []bool {
-		b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 0.75})
+		b := NewShedBudget(ShedBudgetConfig{})
 		for _, id := range []string{"c", "a", "b"} {
 			if err := b.Register(id); err != nil {
 				t.Fatal(err)
@@ -104,8 +103,8 @@ func TestShedBudgetDeterministicReplay(t *testing.T) {
 func TestShedBudgetLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewShedBudget(ShedBudgetConfig{Telemetry: reg})
-	if b.GlobalShipFloor() != 0.8 {
-		t.Fatalf("default floor = %v, want 0.8", b.GlobalShipFloor())
+	if got := b.Report().GlobalShipFloor; got != 0.8 {
+		t.Fatalf("reported floor = %v, want 0.8", got)
 	}
 	if err := b.Register("s"); err != nil {
 		t.Fatal(err)
@@ -138,18 +137,28 @@ func TestShedBudgetLifecycle(t *testing.T) {
 	}
 }
 
-// TestShedBudgetFloorBounds pins the floor's edge values: the default
-// replaces unusable floors, and a floor of 1 never sheds.
+// TestShedBudgetFloorBounds pins the rule's edge at ShipFloor: a fresh
+// session may not drop, the first drop comes once five packets have
+// shipped (1 ≤ 0.2 × 6, but not 0.2 × 5 in float64), and a drop right
+// after it is denied.
 func TestShedBudgetFloorBounds(t *testing.T) {
-	if got := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: math.NaN()}).GlobalShipFloor(); got != 0.8 {
-		t.Fatalf("NaN floor defaulted to %v, want 0.8", got)
-	}
-	b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 1})
+	b := NewShedBudget(ShedBudgetConfig{})
 	if err := b.Register("s"); err != nil {
 		t.Fatal(err)
 	}
-	b.RecordShipped("s", 1000)
 	if b.Grant("s") {
-		t.Fatal("a floor of 1 granted a drop")
+		t.Fatal("a session with no shipped packets granted a drop")
+	}
+	b.RecordShipped("s", 4)
+	if b.Grant("s") {
+		t.Fatal("granted a drop at four shipped packets")
+	}
+	b.RecordShipped("s", 1)
+	if !b.Grant("s") {
+		t.Fatal("denied the drop at five shipped packets")
+	}
+	b.RecordDropped("s", 1)
+	if b.Grant("s") {
+		t.Fatal("granted a second drop right after the first")
 	}
 }

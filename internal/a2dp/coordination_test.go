@@ -27,7 +27,7 @@ func driveShedding(g *Governor, packets int) []bool {
 // sequence of a governor WITHOUT a coordinator: enabling Degrade on a
 // single stream must behave precisely as before the SessionManager
 // existed. The expected prefix is the committed single-stream contract
-// (ShipFloor 0.8 ⇒ the first drop once five packets are in flight, then
+// (ShipFloor ⇒ the first drop once five packets are in flight, then
 // every 5th); if this test moves, the single-stream chaos suite's ≥80%
 // bound moves with it.
 func TestLoneGovernorShipFloorRegression(t *testing.T) {
@@ -57,7 +57,7 @@ func TestLoneGovernorShipFloorRegression(t *testing.T) {
 // coordination plane changes nothing until there is someone to share
 // with.
 func TestCoordinatedGovernorMatchesLoneFloor(t *testing.T) {
-	b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 0.8})
+	b := NewShedBudget(ShedBudgetConfig{})
 	if err := b.Register("solo"); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCoordinatedGovernorMatchesLoneFloor(t *testing.T) {
 // floor holds — one shared ledger in place of isolated per-stream
 // floors.
 func TestCoordinatedGovernorSharesBudget(t *testing.T) {
-	b := NewShedBudget(ShedBudgetConfig{GlobalShipFloor: 0.8})
+	b := NewShedBudget(ShedBudgetConfig{})
 	govs := map[string]*Governor{}
 	for _, id := range []string{"one", "two"} {
 		if err := b.Register(id); err != nil {

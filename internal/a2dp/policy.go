@@ -49,34 +49,32 @@ func (h Health) String() string {
 // ring.
 func (h Health) MarshalJSON() ([]byte, error) { return json.Marshal(h.String()) }
 
-// PolicyConfig tunes the degradation policy. The zero value is usable;
-// every knob has a documented default.
+// The degradation policy ships with one set of thresholds (DESIGN.md
+// §9): two consecutive bad observations degrade, four more shed, and
+// eight clean ones step back up one level; an interference duty cycle
+// of 0.2 or more counts as bad; each level lowers the bitpool by 8, never
+// below 16, and a stream that is not Healthy hops over its single
+// cleanest channel.
+const (
+	missesToDegrade           = 2
+	missesToShed              = 4
+	recoverObservations       = 8
+	interferenceDutyThreshold = 0.2
+	bitpoolStep               = 8
+	bitpoolFloor              = 16
+	degradedBestChannels      = 1
+)
+
+// ShipFloor is the minimum fraction of media packets that must ship even
+// while Shedding — the chaos-suite bound. Every ledger holds it: a lone
+// stream's private one and a SessionManager's fleet-wide one alike.
+// Typed, so the ledger's 1 − ShipFloor rounds the way float64 arithmetic
+// does: exact constant folding would move its drop decisions.
+const ShipFloor float64 = 0.8
+
+// PolicyConfig wires a Governor to its ledger and telemetry; the zero
+// value is a lone stream with a private ledger and no telemetry.
 type PolicyConfig struct {
-	// MissesToDegrade is the consecutive bad observations that move
-	// Healthy → Degraded (default 2).
-	MissesToDegrade int
-	// MissesToShed is the consecutive bad observations that move
-	// Degraded → Shedding (default 4).
-	MissesToShed int
-	// RecoverObservations is the consecutive clean observations that
-	// step the state one level back up (default 8) — the hysteresis
-	// keeping a flapping link from oscillating the codec.
-	RecoverObservations int
-	// InterferenceDutyThreshold is the injected/measured interference
-	// duty cycle above which an observation counts as bad (default 0.2).
-	InterferenceDutyThreshold float64
-	// BitpoolStep is the bitpool reduction per degradation level
-	// (default 8); BitpoolFloor bounds it from below (default 16).
-	BitpoolStep  int
-	BitpoolFloor int
-	// DegradedBestChannels is how many of the ranked best channels the
-	// stream keeps hopping over while not Healthy (default 1 — the
-	// single cleanest channel).
-	DegradedBestChannels int
-	// ShipFloor is the minimum fraction of media packets that must ship
-	// even while Shedding (default 0.8, the chaos-suite bound). It builds
-	// the lone stream's private ledger; ignored while Coordinator is set.
-	ShipFloor float64
 	// Coordinator, when non-nil, is a ship-floor ledger shared with other
 	// streams (see ShedBudget and DESIGN.md §14.2) that replaces the
 	// private one: drops are granted against the fleet's totals rather
@@ -87,34 +85,6 @@ type PolicyConfig struct {
 	// Telemetry, when non-nil, receives the health gauge, transition
 	// counters, shipped/dropped counters and time-in-state counters.
 	Telemetry *obs.Registry
-}
-
-func (c PolicyConfig) withDefaults() PolicyConfig {
-	if c.MissesToDegrade <= 0 {
-		c.MissesToDegrade = 2
-	}
-	if c.MissesToShed <= 0 {
-		c.MissesToShed = 4
-	}
-	if c.RecoverObservations <= 0 {
-		c.RecoverObservations = 8
-	}
-	if c.InterferenceDutyThreshold <= 0 {
-		c.InterferenceDutyThreshold = 0.2
-	}
-	if c.BitpoolStep <= 0 {
-		c.BitpoolStep = 8
-	}
-	if c.BitpoolFloor <= 0 {
-		c.BitpoolFloor = 16
-	}
-	if c.DegradedBestChannels <= 0 {
-		c.DegradedBestChannels = 1
-	}
-	if c.ShipFloor <= 0 {
-		c.ShipFloor = 0.8
-	}
-	return c
 }
 
 // Signal is one observation fed to the Governor — the stream reports
@@ -133,8 +103,8 @@ type Signal struct {
 }
 
 // bad classifies the observation against the thresholds.
-func (s Signal) bad(c PolicyConfig) bool {
-	return s.DeadlineMiss || s.SynthesisFailed || s.InterferenceDuty >= c.InterferenceDutyThreshold
+func (s Signal) bad() bool {
+	return s.DeadlineMiss || s.SynthesisFailed || s.InterferenceDuty >= interferenceDutyThreshold
 }
 
 // Decision is the Governor's output for the next media packet: the
@@ -232,10 +202,10 @@ func (m *govMetrics) drop(n int64) {
 // Governor is the degradation policy engine. It is safe for concurrent
 // use, though a single stream normally feeds it sequentially.
 type Governor struct {
-	cfg          PolicyConfig // immutable after NewGovernor
-	baseBitpool  int          // immutable after NewGovernor
-	baseChannels int          // immutable after NewGovernor
-	ledger       *ShedBudget  // immutable after NewGovernor; decides every drop
+	id           string      // immutable after NewGovernor; the ledger's session ID
+	baseBitpool  int         // immutable after NewGovernor
+	baseChannels int         // immutable after NewGovernor
+	ledger       *ShedBudget // immutable after NewGovernor; decides every drop
 	met          *govMetrics
 
 	mu      sync.Mutex
@@ -251,15 +221,14 @@ type Governor struct {
 // NewGovernor builds a policy engine around the stream's baseline
 // quality: the configured SBC bitpool and best-channel count it returns
 // to when Healthy. Without a Coordinator the governor asks a private
-// ledger holding cfg.ShipFloor.
+// ledger.
 func NewGovernor(cfg PolicyConfig, baseBitpool, baseChannels int) *Governor {
-	cfg = cfg.withDefaults()
 	ledger := cfg.Coordinator
 	if ledger == nil {
-		ledger = NewShedBudget(ShedBudgetConfig{GlobalShipFloor: cfg.ShipFloor})
+		ledger = NewShedBudget(ShedBudgetConfig{})
 		_ = ledger.Register(cfg.SessionID) // a fresh ledger has no duplicates
 	}
-	g := &Governor{cfg: cfg, baseBitpool: baseBitpool, baseChannels: baseChannels,
+	g := &Governor{id: cfg.SessionID, baseBitpool: baseBitpool, baseChannels: baseChannels,
 		ledger: ledger, met: newGovMetrics(cfg.Telemetry)}
 	g.met.setState(Healthy)
 	return g
@@ -295,19 +264,19 @@ func (g *Governor) observeLocked(sig Signal) {
 	}
 	g.timeIn[g.state] += uint64(slots)
 	g.met.observe(g.state, slots)
-	if sig.bad(g.cfg) {
+	if sig.bad() {
 		g.bad++
 		g.clean = 0
 		switch {
-		case g.state == Healthy && g.bad >= g.cfg.MissesToDegrade:
+		case g.state == Healthy && g.bad >= missesToDegrade:
 			g.transitionLocked(Degraded)
-		case g.state == Degraded && g.bad >= g.cfg.MissesToShed:
+		case g.state == Degraded && g.bad >= missesToShed:
 			g.transitionLocked(Shedding)
 		}
 	} else {
 		g.bad = 0
 		g.clean++
-		if g.state != Healthy && g.clean >= g.cfg.RecoverObservations {
+		if g.state != Healthy && g.clean >= recoverObservations {
 			g.transitionLocked(g.state - 1)
 		}
 	}
@@ -336,19 +305,11 @@ func (g *Governor) decisionLocked(requestDrop bool) Decision {
 		steps = 2
 	}
 	if steps > 0 {
-		d.Bitpool = g.baseBitpool - steps*g.cfg.BitpoolStep
-		if d.Bitpool < g.cfg.BitpoolFloor {
-			d.Bitpool = g.cfg.BitpoolFloor
-		}
-		if d.Bitpool > g.baseBitpool {
-			d.Bitpool = g.baseBitpool
-		}
-		if g.cfg.DegradedBestChannels < d.BestChannels {
-			d.BestChannels = g.cfg.DegradedBestChannels
-		}
+		d.Bitpool = min(max(g.baseBitpool-steps*bitpoolStep, bitpoolFloor), g.baseBitpool)
+		d.BestChannels = min(d.BestChannels, degradedBestChannels)
 	}
 	if g.state == Shedding && requestDrop {
-		d.Drop = g.ledger.Grant(g.cfg.SessionID)
+		d.Drop = g.ledger.Grant(g.id)
 	}
 	return d
 }
@@ -360,7 +321,7 @@ func (g *Governor) RecordShipped(n int) {
 	defer g.mu.Unlock()
 	g.shipped += uint64(n)
 	g.met.ship(int64(n))
-	g.ledger.RecordShipped(g.cfg.SessionID, n)
+	g.ledger.RecordShipped(g.id, n)
 }
 
 // RecordDropped counts media packets shed or lost — both are charged
@@ -375,7 +336,7 @@ func (g *Governor) RecordDropped(n int) {
 func (g *Governor) dropLocked(n int) {
 	g.dropped += uint64(n)
 	g.met.drop(int64(n))
-	g.ledger.RecordDropped(g.cfg.SessionID, n)
+	g.ledger.RecordDropped(g.id, n)
 }
 
 // State returns the current health state.

@@ -11,7 +11,7 @@ func badSignal() Signal  { return Signal{DeadlineMiss: true} }
 func goodSignal() Signal { return Signal{} }
 
 // TestGovernorDegradeAndShed: consecutive bad observations walk the
-// state machine down Healthy → Degraded → Shedding at the configured
+// state machine down Healthy → Degraded → Shedding at the shipped
 // thresholds, stepping the bitpool toward the floor and shrinking the
 // channel set.
 func TestGovernorDegradeAndShed(t *testing.T) {
@@ -20,14 +20,14 @@ func TestGovernorDegradeAndShed(t *testing.T) {
 	if d.State != Healthy {
 		t.Fatalf("one miss already degraded: %+v", d)
 	}
-	d = g.Observe(badSignal()) // 2nd consecutive: default MissesToDegrade
+	d = g.Observe(badSignal()) // 2nd consecutive: missesToDegrade
 	if d.State != Degraded {
 		t.Fatalf("state %v after 2 misses, want Degraded", d.State)
 	}
 	if d.Bitpool != 35-8 || d.BestChannels != 1 {
 		t.Fatalf("degraded targets bitpool=%d channels=%d, want 27/1", d.Bitpool, d.BestChannels)
 	}
-	for i := 0; i < 4; i++ { // default MissesToShed
+	for i := 0; i < missesToShed; i++ {
 		d = g.Observe(badSignal())
 	}
 	if d.State != Shedding {
@@ -38,35 +38,39 @@ func TestGovernorDegradeAndShed(t *testing.T) {
 	}
 }
 
-// TestGovernorBitpoolFloor: degradation never tunes below the floor.
+// TestGovernorBitpoolFloor: degradation never tunes below the floor,
+// and never above a baseline that already sits under it.
 func TestGovernorBitpoolFloor(t *testing.T) {
-	g := NewGovernor(PolicyConfig{BitpoolStep: 30, BitpoolFloor: 16}, 35, 3)
-	var d Decision
-	for i := 0; i < 10; i++ {
-		d = g.Observe(badSignal())
-	}
-	if d.State != Shedding || d.Bitpool != 16 {
-		t.Fatalf("state %v bitpool %d, want Shedding/16", d.State, d.Bitpool)
+	for _, tc := range []struct{ base, want int }{{20, bitpoolFloor}, {10, 10}} {
+		g := NewGovernor(PolicyConfig{}, tc.base, 3)
+		var d Decision
+		for i := 0; i < 10; i++ {
+			d = g.Observe(badSignal())
+		}
+		if d.State != Shedding || d.Bitpool != tc.want {
+			t.Fatalf("base %d: state %v bitpool %d, want Shedding/%d", tc.base, d.State, d.Bitpool, tc.want)
+		}
 	}
 }
 
-// TestGovernorRecoveryHysteresis: recovery needs RecoverObservations
+// TestGovernorRecoveryHysteresis: recovery needs recoverObservations
 // consecutive clean observations per level, and a single bad observation
 // resets the clean streak — the anti-flap property.
 func TestGovernorRecoveryHysteresis(t *testing.T) {
-	g := NewGovernor(PolicyConfig{RecoverObservations: 4}, 35, 3)
+	g := NewGovernor(PolicyConfig{}, 35, 3)
 	for i := 0; i < 6; i++ {
 		g.Observe(badSignal())
 	}
 	if g.State() != Shedding {
 		t.Fatalf("setup: state %v", g.State())
 	}
-	// Three cleans, a miss, three cleans: still Shedding (streak reset).
-	for i := 0; i < 3; i++ {
+	// A clean streak one short, a miss, another one short: still
+	// Shedding (streak reset).
+	for i := 0; i < recoverObservations-1; i++ {
 		g.Observe(goodSignal())
 	}
 	g.Observe(badSignal())
-	for i := 0; i < 3; i++ {
+	for i := 0; i < recoverObservations-1; i++ {
 		g.Observe(goodSignal())
 	}
 	if g.State() != Shedding {
@@ -77,7 +81,7 @@ func TestGovernorRecoveryHysteresis(t *testing.T) {
 	if d.State != Degraded {
 		t.Fatalf("state %v after clean streak, want Degraded", d.State)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < recoverObservations; i++ {
 		d = g.Observe(goodSignal())
 	}
 	if d.State != Healthy {
@@ -108,7 +112,7 @@ func TestGovernorInterferenceSignal(t *testing.T) {
 // TestGovernorShipFloor: while Shedding, Drop decisions never push the
 // shipped fraction below ShipFloor.
 func TestGovernorShipFloor(t *testing.T) {
-	g := NewGovernor(PolicyConfig{ShipFloor: 0.8}, 35, 3)
+	g := NewGovernor(PolicyConfig{}, 35, 3)
 	for i := 0; i < 6; i++ {
 		g.Observe(badSignal())
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bluefi"
+	"bluefi/internal/a2dp"
 	"bluefi/internal/obs/flight"
 	"bluefi/internal/obs/slo"
 )
@@ -49,8 +50,6 @@ type A2DPSoakConfig struct {
 	// ServiceSlots pins the admission projection's per-segment service
 	// estimate (625 µs slots), keeping the knee deterministic.
 	ServiceSlots float64
-	// GlobalShipFloor is the fleet-wide shedding floor.
-	GlobalShipFloor float64
 	// StormSessions is the fleet size for the fault-storm phase
 	// (bounded by the knee).
 	StormSessions int
@@ -75,7 +74,6 @@ func DefaultA2DPSoak() A2DPSoakConfig {
 		MaxSessions:       32,
 		PacketsPerSession: 3,
 		ServiceSlots:      0.4,
-		GlobalShipFloor:   0.8,
 		StormSessions:     4,
 		StormRounds:       40,
 		Seed:              7,
@@ -191,7 +189,7 @@ func A2DPSoak(cfg A2DPSoakConfig) (*A2DPSoakResult, error) {
 	res := &A2DPSoakResult{
 		Workers:         cfg.Workers,
 		ServiceSlots:    cfg.ServiceSlots,
-		GlobalShipFloor: cfg.GlobalShipFloor,
+		GlobalShipFloor: a2dp.ShipFloor,
 	}
 
 	// ---- Phase 1+2: ramp to the knee, then measure below it. ----
@@ -203,10 +201,7 @@ func A2DPSoak(cfg A2DPSoakConfig) (*A2DPSoakResult, error) {
 		return nil, err
 	}
 	defer pool.Close()
-	sm, err := pool.NewSessionManager(bluefi.SessionManagerConfig{
-		GlobalShipFloor: cfg.GlobalShipFloor,
-		ServiceSlots:    cfg.ServiceSlots,
-	})
+	sm, err := pool.NewSessionManager(bluefi.SessionManagerConfig{ServiceSlots: cfg.ServiceSlots})
 	if err != nil {
 		return nil, err
 	}
@@ -320,10 +315,7 @@ func a2dpStorm(cfg A2DPSoakConfig, knee int) (*A2DPStormOutcome, error) {
 		return nil, err
 	}
 	defer pool.Close()
-	sm, err := pool.NewSessionManager(bluefi.SessionManagerConfig{
-		GlobalShipFloor: cfg.GlobalShipFloor,
-		ServiceSlots:    cfg.ServiceSlots,
-	})
+	sm, err := pool.NewSessionManager(bluefi.SessionManagerConfig{ServiceSlots: cfg.ServiceSlots})
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +336,7 @@ func a2dpStorm(cfg A2DPSoakConfig, knee int) (*A2DPStormOutcome, error) {
 	atFloor := func() int {
 		n := 0
 		for _, s := range sessions {
-			if s.Report().ShippedRatio >= cfg.GlobalShipFloor {
+			if s.Report().ShippedRatio >= a2dp.ShipFloor {
 				n++
 			}
 		}
@@ -400,10 +392,6 @@ func a2dpStorm(cfg A2DPSoakConfig, knee int) (*A2DPStormOutcome, error) {
 	return out, nil
 }
 
-// a2dpMissBudget is the projected deadline-miss ratio an admitted level
-// may carry; the refused candidate must project past it.
-const a2dpMissBudget = 0.05
-
 // a2dpStormShipFloor is the fleet-wide shipped ratio the fault storm
 // must hold.
 const a2dpStormShipFloor = 0.75
@@ -429,12 +417,12 @@ func (r *A2DPSoakResult) Check(minKnee int) error {
 			return fmt.Errorf("capacity curve not monotone at level %d (%.4f after %.4f)",
 				pt.Sessions, pt.Utilization, r.Ramp[i-1].Utilization)
 		}
-		if pt.MissRatio > a2dpMissBudget {
+		if pt.MissRatio > a2dp.AdmissionMissBudget {
 			return fmt.Errorf("admitted level %d projects miss ratio %.4f over the %.2f budget",
-				pt.Sessions, pt.MissRatio, a2dpMissBudget)
+				pt.Sessions, pt.MissRatio, a2dp.AdmissionMissBudget)
 		}
 	}
-	if r.Rejected.Sessions != r.Knee+1 || r.Rejected.MissRatio <= a2dpMissBudget {
+	if r.Rejected.Sessions != r.Knee+1 || r.Rejected.MissRatio <= a2dp.AdmissionMissBudget {
 		return fmt.Errorf("refused candidate's projection %+v does not justify rejection", r.Rejected)
 	}
 	for _, m := range r.Measured {

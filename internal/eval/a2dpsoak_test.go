@@ -16,7 +16,6 @@ func smallA2DPSoak(flightDir string) A2DPSoakConfig {
 		MaxSessions:       8,
 		PacketsPerSession: 2,
 		ServiceSlots:      0.4,
-		GlobalShipFloor:   0.8,
 		StormSessions:     2,
 		StormRounds:       10,
 		Seed:              5,

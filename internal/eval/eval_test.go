@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"bluefi/internal/bt"
 	"bluefi/internal/chip"
 )
 
@@ -313,4 +315,22 @@ func TestSec48TimingShape(t *testing.T) {
 		t.Errorf("real-time speedup %.1f×, want ≫1", sp)
 	}
 	t.Log("\n" + FormatTimings(res))
+}
+
+// TestSec48IterationsDiffer: each timing iteration stamps its own slot
+// clock into the air bits, so the loop times distinct packets rather
+// than one packet again and again.
+func TestSec48IterationsDiffer(t *testing.T) {
+	p := &bt.Packet{Type: bt.DH1, LTAddr: 1, Payload: make([]byte, 27)}
+	first, err := airAtClock(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := airAtClock(p, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(first, second) {
+		t.Fatal("iterations 0 and 1 built identical air bits")
+	}
 }

@@ -44,23 +44,19 @@ func Sec48Timings(iterations int) ([]TimingResult, error) {
 			{"1-slot (DH1)", &bt.Packet{Type: bt.DH1, LTAddr: 1, Payload: make([]byte, 27)}},
 			{"5-slot (DH5)", &bt.Packet{Type: bt.DH5, LTAddr: 1, Payload: make([]byte, 300)}},
 		} {
-			air, err := pkt.p.AirBits(evalDevice)
-			if err != nil {
-				return nil, err
-			}
 			var total time.Duration
 			var breakdown core.Timings
 			for i := 0; i < iterations; i++ {
-				pkt.p.Clock = uint32(4 * i)
+				air, err := airAtClock(pkt.p, i)
+				if err != nil {
+					return nil, err
+				}
 				res, err := s.Synthesize(air, BeaconFrequencyMHz)
 				if err != nil {
 					return nil, err
 				}
 				total += res.Timings.Total()
-				breakdown.IQGen += res.Timings.IQGen
-				breakdown.FFTQAM += res.Timings.FFTQAM
-				breakdown.FEC += res.Timings.FEC
-				breakdown.Scramble += res.Timings.Scramble
+				breakdown.Add(res.Timings)
 			}
 			out = append(out, TimingResult{
 				Mode:   mode.String(),
@@ -76,6 +72,14 @@ func Sec48Timings(iterations int) ([]TimingResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// airAtClock stamps the packet with iteration i's slot clock (every
+// fourth slot, as a live link would) and returns its air bits: the clock
+// seeds the whitening, so each iteration synthesizes a different packet.
+func airAtClock(p *bt.Packet, i int) ([]byte, error) {
+	p.Clock = uint32(4 * i)
+	return p.AirBits(evalDevice)
 }
 
 // Speedup returns real-time vs quality mean-time ratio for a packet name.

@@ -53,7 +53,8 @@ type Registration struct {
 	// Addr is the advertiser address carried in the PDU.
 	Addr BDAddr `json:"addr"`
 	// IntervalSlots is the advertising interval in 625 µs slots
-	// (default Config.DefaultIntervalSlots).
+	// (default 16000 slots = 10 s; at least 32 slots = 20 ms, the BLE
+	// minimum).
 	IntervalSlots uint64 `json:"intervalSlots,omitempty"`
 }
 
@@ -89,30 +90,29 @@ type Config struct {
 	ShardWorkers int
 	// CacheEntries bounds the shared PSDU cache (default 4096).
 	CacheEntries int
-	// CacheWays is the cache's lock-shard count (default 16).
-	CacheWays int
 	// APAirtimeCap is each AP's beacon duty-cycle budget in airtime
 	// seconds per second (default 0.02 — 2% of the carrier).
 	APAirtimeCap float64
-	// MinIntervalSlots floors the advertising interval (default 32
-	// slots = 20 ms, the BLE minimum).
-	MinIntervalSlots uint64
-	// DefaultIntervalSlots is used when a registration leaves
-	// IntervalSlots zero (default 16000 slots = 10 s).
-	DefaultIntervalSlots uint64
-	// SketchTopK sizes the hot-key and hot-shard heavy-hitter sketches
-	// (default 32 slots each).
-	SketchTopK int
-	// SketchAlpha is the slot-latency quantile sketch's relative error
-	// (default 0.01).
-	SketchAlpha float64
-	// SketchMaxBuckets bounds the quantile sketch's memory (default 512).
-	SketchMaxBuckets int
 	// Synth configures every shard's synthesizers. WiFiChannel is
 	// overridden per shard; Telemetry (if set) also receives the
 	// bluefi_fleet_* rollups.
 	Synth bluefi.Options
 }
+
+// Fixed serving parameters: the cache's lock-shard count, the
+// advertising-interval floor (32 slots = 20 ms, the BLE minimum) and
+// default (16000 slots = 10 s), the BLE channel a registration defaults
+// to (38, the canonical pairing for WiFi channel 3), and the sketches'
+// heavy-hitter size, quantile relative error and quantile bucket bound.
+const (
+	cacheWays            = 16
+	minIntervalSlots     = 32
+	defaultIntervalSlots = 16000
+	defaultBLEChannel    = 38
+	sketchTopK           = 32
+	sketchAlpha          = 0.01
+	sketchMaxBuckets     = 512
+)
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
@@ -125,26 +125,8 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 4096
 	}
-	if c.CacheWays == 0 {
-		c.CacheWays = 16
-	}
 	if c.APAirtimeCap == 0 {
 		c.APAirtimeCap = 0.02
-	}
-	if c.MinIntervalSlots == 0 {
-		c.MinIntervalSlots = 32
-	}
-	if c.DefaultIntervalSlots == 0 {
-		c.DefaultIntervalSlots = 16000
-	}
-	if c.SketchTopK == 0 {
-		c.SketchTopK = 32
-	}
-	if c.SketchAlpha == 0 {
-		c.SketchAlpha = 0.01
-	}
-	if c.SketchMaxBuckets == 0 {
-		c.SketchMaxBuckets = 512
 	}
 	return c
 }
@@ -181,9 +163,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:    cfg,
-		cache:  NewCache(cfg.CacheEntries, cfg.CacheWays, met),
+		cache:  NewCache(cfg.CacheEntries, cacheWays, met),
 		met:    met,
-		sk:     newSketches(cfg),
+		sk:     newSketches(),
 		obsCtx: obsCtx,
 	}
 	for ap := 0; ap < cfg.APs; ap++ {
@@ -209,11 +191,8 @@ func New(cfg Config) (*Fleet, error) {
 				sk:          f.sk,
 				obsCtx:      obsCtx,
 
-				chip:            int(opts.Chip),
-				mode:            int(opts.Mode),
-				defaultInterval: cfg.DefaultIntervalSlots,
-				minInterval:     cfg.MinIntervalSlots,
-				defaultBLE:      38,
+				chip: int(opts.Chip),
+				mode: int(opts.Mode),
 
 				byID: make(map[string]int),
 			})
@@ -346,7 +325,7 @@ func (f *Fleet) Snapshot() Snapshot {
 		out.Shards = append(out.Shards, s)
 	}
 	out.Cache = f.cache.Stats()
-	out.Sketches = f.sk.snapshot(f.cfg.SketchTopK)
+	out.Sketches = f.sk.snapshot()
 	return out
 }
 

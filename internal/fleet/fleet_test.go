@@ -427,11 +427,11 @@ func TestHTTPPlane(t *testing.T) {
 }
 
 func TestShardCompaction(t *testing.T) {
-	f := newTestFleet(t, Config{APs: 1, APAirtimeCap: 1, DefaultIntervalSlots: 160000})
+	f := newTestFleet(t, Config{APs: 1, APAirtimeCap: 1})
 	const n = 1500
 	regs := make([]Registration, 0, n)
 	for i := 0; i < n; i++ {
-		regs = append(regs, warm(f, fmt.Sprintf("b%04d", i), 0, byte(i%7), 1e-6, 0))
+		regs = append(regs, warm(f, fmt.Sprintf("b%04d", i), 0, byte(i%7), 1e-6, 160000))
 	}
 	for _, r := range f.Register(regs) {
 		if !r.OK() {
@@ -523,7 +523,7 @@ func TestStatsRaceWithRegister(t *testing.T) {
 // TestSketchesTrackAdmissions: the fleet's heavy-hitter and latency
 // sketches fill from register traffic and surface in Snapshot.
 func TestSketchesTrackAdmissions(t *testing.T) {
-	f := newTestFleet(t, Config{APs: 2, SketchTopK: 8})
+	f := newTestFleet(t, Config{APs: 2})
 	// One hot payload registered on many beacons of AP 0, a few cold.
 	regs := make([]Registration, 0, 40)
 	for i := 0; i < 32; i++ {
@@ -540,6 +540,9 @@ func TestSketchesTrackAdmissions(t *testing.T) {
 	sk := f.Sketches()
 	if len(sk.HotKeys) == 0 || len(sk.HotShards) == 0 {
 		t.Fatalf("sketches empty: %+v", sk)
+	}
+	if len(sk.HotKeys) > sketchTopK || len(sk.HotShards) > sketchTopK {
+		t.Fatalf("snapshot lists %d keys / %d shards, past the top %d", len(sk.HotKeys), len(sk.HotShards), sketchTopK)
 	}
 	hotKey := DeriveKey(Params{
 		AD:   []byte{2, 0x01, 1},

@@ -46,11 +46,8 @@ type Shard struct {
 	sk     *sketches
 	obsCtx context.Context
 
-	chip            int
-	mode            int
-	defaultInterval uint64
-	minInterval     uint64
-	defaultBLE      int
+	chip int
+	mode int
 
 	mu         sync.Mutex
 	closed     bool           // guarded by mu
@@ -77,16 +74,16 @@ func (sh *Shard) validate(reg *Registration) error {
 		return fmt.Errorf("fleet: %d bytes of AD structures exceed 31", len(reg.AD))
 	}
 	if reg.BLEChannel == 0 {
-		reg.BLEChannel = sh.defaultBLE
+		reg.BLEChannel = defaultBLEChannel
 	}
 	if reg.BLEChannel < 37 || reg.BLEChannel > 39 {
 		return fmt.Errorf("fleet: BLE advertising channel %d out of range 37–39", reg.BLEChannel)
 	}
 	if reg.IntervalSlots == 0 {
-		reg.IntervalSlots = sh.defaultInterval
+		reg.IntervalSlots = defaultIntervalSlots
 	}
-	if reg.IntervalSlots < sh.minInterval {
-		return fmt.Errorf("fleet: interval of %d slots under the %d-slot floor", reg.IntervalSlots, sh.minInterval)
+	if reg.IntervalSlots < minIntervalSlots {
+		return fmt.Errorf("fleet: interval of %d slots under the %d-slot floor", reg.IntervalSlots, minIntervalSlots)
 	}
 	return nil
 }

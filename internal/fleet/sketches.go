@@ -20,11 +20,11 @@ type sketches struct {
 	slotLatency *sketch.Quantile // register/update latency seconds
 }
 
-func newSketches(cfg Config) *sketches {
+func newSketches() *sketches {
 	return &sketches{
-		hotKeys:     sketch.NewTopK(cfg.SketchTopK),
-		hotShards:   sketch.NewTopK(cfg.SketchTopK),
-		slotLatency: sketch.NewQuantile(cfg.SketchAlpha, cfg.SketchMaxBuckets),
+		hotKeys:     sketch.NewTopK(sketchTopK),
+		hotShards:   sketch.NewTopK(sketchTopK),
+		slotLatency: sketch.NewQuantile(sketchAlpha, sketchMaxBuckets),
 	}
 }
 
@@ -45,14 +45,14 @@ type SketchSnapshot struct {
 	SlotLatency sketch.QuantileSummary `json:"slotLatency"`
 }
 
-// snapshot lists the top n of each heavy-hitter sketch.
-func (s *sketches) snapshot(n int) SketchSnapshot {
+// snapshot lists the top sketchTopK of each heavy-hitter sketch.
+func (s *sketches) snapshot() SketchSnapshot {
 	if s == nil {
 		return SketchSnapshot{}
 	}
 	return SketchSnapshot{
-		HotKeys:     s.hotKeys.Top(n),
-		HotShards:   s.hotShards.Top(n),
+		HotKeys:     s.hotKeys.Top(sketchTopK),
+		HotShards:   s.hotShards.Top(sketchTopK),
 		SlotLatency: s.slotLatency.Summary(),
 	}
 }
@@ -60,9 +60,9 @@ func (s *sketches) snapshot(n int) SketchSnapshot {
 // SlotLatencyP99 exposes the latency sketch for capacity reports.
 func (f *Fleet) SlotLatencyP99() float64 { return f.sk.slotLatency.Value(0.99) }
 
-// Sketches returns the current sketch snapshot (top SketchTopK of each
+// Sketches returns the current sketch snapshot (the top 32 of each
 // heavy-hitter list).
-func (f *Fleet) Sketches() SketchSnapshot { return f.sk.snapshot(f.cfg.SketchTopK) }
+func (f *Fleet) Sketches() SketchSnapshot { return f.sk.snapshot() }
 
 // SLOSpecs declares the fleet's canonical SLOs over its own metric
 // handles, ready for slo.Engine.Add. Returns nil without telemetry

@@ -6,7 +6,7 @@
 // directory.
 //
 // The recorder implements obs.EventSink, so instrumentation sites
-// record through the registry (reg.Event("pool.shed", ...)) and pay a
+// record through the registry (reg.Event("pool.retry", ...)) and pay a
 // single atomic load when no recorder is attached. Events land in one
 // of several shards picked by a global sequence counter, so concurrent
 // recorders contend on different locks; reads merge the shards by

@@ -111,11 +111,11 @@ func (r *Registry) SetEventSink(s EventSink) {
 	r.sink.Store(&eventSinkBox{s: s})
 }
 
-// Event records one structured event — a pool overload, a fault
+// Event records one structured event — a pool retry, a fault
 // injection, a governor transition — into the installed sink. Without a
 // sink (or on a nil registry) it is a cheap no-op, so instrumentation
 // sites never check a flag. Kinds follow the span taxonomy (dotted
-// lowercase, e.g. "pool.shed").
+// lowercase, e.g. "pool.retry").
 func (r *Registry) Event(kind string, attrs ...Label) {
 	if r == nil {
 		return

@@ -25,10 +25,11 @@ import (
 // is order-independent by construction).
 //
 // The pool is fault-tolerant: a panicking job is converted into that
-// job's *PanicError and the worker respawns, per-job deadlines and
-// bounded retries come from Options.JobTimeout and Options.Retry, and the
-// queue applies Options.Overload when full. Batch calls on a closed pool
-// return ErrPoolClosed instead of panicking.
+// job's *PanicError and the worker respawns, and per-job deadlines and
+// bounded retries come from Options.JobTimeout and Options.Retry. The
+// queue holds 4×workers jobs; a submission to a full queue waits for
+// room, so backpressure is lossless. Batch calls on a closed pool return
+// ErrPoolClosed instead of panicking.
 type Pool struct {
 	syns []*Synthesizer
 	q    *jobQueue
@@ -56,11 +57,6 @@ var (
 	// ErrPoolClosed: the job was submitted to (or queued on) a pool that
 	// has been closed.
 	ErrPoolClosed = errors.New("bluefi: pool is closed")
-	// ErrPoolOverloaded: the queue was full under the Reject policy.
-	ErrPoolOverloaded = errors.New("bluefi: pool queue full")
-	// ErrJobShed: the job was evicted from a full queue under the
-	// DropOldest policy to make room for newer work.
-	ErrJobShed = errors.New("bluefi: job shed from full pool queue")
 	// ErrJobTimeout: the job did not complete within Options.JobTimeout.
 	// The worker executing it is not interrupted — synthesis is CPU-bound
 	// and uncancellable mid-flight — but its result is discarded.
@@ -76,20 +72,6 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("bluefi: job panicked: %v", e.Value) }
-
-// OverloadPolicy selects what a full job queue does with new work.
-type OverloadPolicy int
-
-const (
-	// Block waits for queue space — lossless backpressure (default).
-	Block OverloadPolicy = iota
-	// Reject fails the new job immediately with ErrPoolOverloaded.
-	Reject
-	// DropOldest evicts the oldest queued job (failing it with
-	// ErrJobShed) to admit the new one — freshest-first load shedding,
-	// what a live audio stream wants.
-	DropOldest
-)
 
 // RetryPolicy bounds how a pool job retries after a retryable failure
 // (worker panic, job timeout, injected fault). Real synthesis errors —
@@ -145,68 +127,39 @@ type poolJob struct {
 	seq      uint64 // admission order, assigned by push; the tie-break
 }
 
-// jobQueue is the pool's bounded job buffer with an overload policy. It
-// replaces the unbuffered jobs channel so that load shedding, typed
-// closed-pool errors and graceful drain are expressible. It has one
-// order (DESIGN.md §14.3): pop takes the lowest (deadline, seq) pair,
-// so deadline-stamped work runs earliest-deadline-first and deadline-
-// less work runs FIFO behind it. The DropOldest victim is the job with
-// the latest deadline, the oldest among ties — the FIFO head for batch
-// work.
+// jobQueue is the pool's bounded job buffer. It replaces the unbuffered
+// jobs channel so that typed closed-pool errors and graceful drain are
+// expressible. It has one order (DESIGN.md §14.3): pop takes the lowest
+// (deadline, seq) pair, so deadline-stamped work runs earliest-deadline-
+// first and deadline-less work runs FIFO behind it.
 type jobQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
 	items  []*poolJob // guarded by mu
 	max    int
-	policy OverloadPolicy
 	seq    uint64 // guarded by mu; admission counter
 	closed bool   // guarded by mu
 
 	met *poolMetrics
 }
 
-func newJobQueue(max int, policy OverloadPolicy, met *poolMetrics) *jobQueue {
-	q := &jobQueue{max: max, policy: policy, met: met}
+func newJobQueue(max int, met *poolMetrics) *jobQueue {
+	q := &jobQueue{max: max, met: met}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-// push enqueues a job, applying the overload policy when the queue is
-// full. It fails the job (and returns its error) on a closed queue, a
-// Reject overflow — never the job itself under DropOldest: there the
-// *evicted* job fails with ErrJobShed and the new one is admitted.
+// push enqueues a job, waiting for room while the queue is full. It
+// returns ErrPoolClosed, without enqueueing, on a closed queue.
 func (q *jobQueue) push(j *poolJob) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.closed {
-			return ErrPoolClosed
-		}
-		if len(q.items) < q.max {
-			break
-		}
-		switch q.policy {
-		case Reject:
-			q.met.rejected()
-			return ErrPoolOverloaded
-		case DropOldest:
-			// Shed the least urgent job: the frame with the most slack to
-			// spare, never the one closest to its slot.
-			victim := 0
-			for i, it := range q.items {
-				if it.deadline > q.items[victim].deadline {
-					victim = i
-				}
-			}
-			old := q.items[victim]
-			q.items = append(q.items[:victim], q.items[victim+1:]...)
-			q.met.shed()
-			old.err = ErrJobShed
-			close(old.done)
-		default: // Block
-			q.cond.Wait()
-		}
+	for !q.closed && len(q.items) >= q.max {
+		q.cond.Wait()
+	}
+	if q.closed {
+		return ErrPoolClosed
 	}
 	j.seq = q.seq
 	q.seq++
@@ -229,8 +182,7 @@ func (q *jobQueue) pop() *poolJob {
 	}
 	// items is in seq order, so the first job with the lowest deadline
 	// is the lowest (deadline, seq) pair. The queue is small and
-	// bounded, so the linear scan beats heap bookkeeping and keeps
-	// eviction-by-index trivial.
+	// bounded, so the linear scan beats heap bookkeeping.
 	pick := 0
 	for i, it := range q.items {
 		if it.deadline < q.items[pick].deadline {
@@ -281,7 +233,7 @@ func (q *jobQueue) failPending(err error) int {
 // sum(bluefi_pool_job_seconds) / (bluefi_pool_workers × uptime); the
 // jobs-in-flight gauge gives the instantaneous view.
 type poolMetrics struct {
-	reg      *obs.Registry // event sink for overload/fault events
+	reg      *obs.Registry // event sink for fault events
 	workers  *obs.Gauge
 	queue    *obs.Gauge
 	inflight *obs.Gauge
@@ -291,8 +243,6 @@ type poolMetrics struct {
 	panics   *obs.Counter
 	retries  *obs.Counter
 	timeouts *obs.Counter
-	sheds    *obs.Counter
-	rejects  *obs.Counter
 }
 
 func newPoolMetrics(r *obs.Registry) *poolMetrics {
@@ -310,8 +260,6 @@ func newPoolMetrics(r *obs.Registry) *poolMetrics {
 		panics:   r.Counter("bluefi_pool_worker_panics_total", "job panics recovered (worker respawned)"),
 		retries:  r.Counter("bluefi_pool_job_retries_total", "job attempts re-run under the retry policy"),
 		timeouts: r.Counter("bluefi_pool_job_timeouts_total", "jobs abandoned after JobTimeout"),
-		sheds:    r.Counter("bluefi_pool_jobs_shed_total", "queued jobs evicted under DropOldest"),
-		rejects:  r.Counter("bluefi_pool_jobs_rejected_total", "jobs refused under Reject"),
 	}
 }
 
@@ -377,37 +325,16 @@ func (m *poolMetrics) timedOut() {
 	m.reg.Event("pool.timeout")
 }
 
-func (m *poolMetrics) shed() {
-	if m == nil {
-		return
-	}
-	m.sheds.Inc()
-	m.queue.Dec()
-	m.reg.Event("pool.shed", obs.L("policy", "drop_oldest"))
-}
-
-func (m *poolMetrics) rejected() {
-	if m == nil {
-		return
-	}
-	m.rejects.Inc()
-	m.reg.Event("pool.overload", obs.L("policy", "reject"))
-}
-
 // NewPool builds a pool of n independent Synthesizers with the same
-// options; n ≤ 0 sizes it to GOMAXPROCS. The queue holds
-// Options.QueueDepth jobs (default 4×workers) under Options.Overload.
+// options; n ≤ 0 sizes it to GOMAXPROCS. The queue holds 4×workers
+// jobs.
 func NewPool(opts Options, n int) (*Pool, error) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	met := newPoolMetrics(opts.Telemetry)
-	depth := opts.QueueDepth
-	if depth <= 0 {
-		depth = 4 * n
-	}
 	p := &Pool{
-		q:      newJobQueue(depth, opts.Overload, met),
+		q:      newJobQueue(4*n, met),
 		opts:   opts,
 		met:    met,
 		obsCtx: obs.WithRegistry(context.Background(), opts.Telemetry),
@@ -648,7 +575,7 @@ type RawGFSKJob struct {
 
 // BatchResult pairs one job's outcome with its error; exactly one of the
 // two fields is set. Err may be a synthesis error, ErrPoolClosed,
-// ErrPoolOverloaded, ErrJobShed, ErrJobTimeout or a *PanicError.
+// ErrJobTimeout or a *PanicError.
 type BatchResult struct {
 	Packet *Packet
 	Err    error

@@ -23,67 +23,42 @@ import (
 //     pool's current backlog — are replayed through the deterministic
 //     EDF slot-time simulator (internal/a2dp), with the per-segment
 //     service time estimated from the pool's measured job-latency
-//     histogram. Projected deadline-miss ratio over budget ⇒
-//     ErrAdmissionRejected (or parked on the bounded pending queue).
+//     histogram. Projected deadline-miss ratio over the 0.05 budget ⇒
+//     ErrAdmissionRejected. A refused session may retry once an
+//     Evict frees headroom.
 //   - A shared ship-floor ledger: each session's Governor asks one
-//     fleet-wide ledger before every Shedding drop, so the ship floor
-//     holds for the fleet and a struggling session can borrow the
+//     fleet-wide ledger before every Shedding drop, so the 0.8 ship
+//     floor holds for the fleet and a struggling session can borrow the
 //     headroom healthy ones leave.
 //   - EDF job scheduling: the pool runs whichever session's segment is
 //     closest to its 625 µs slot, not whichever was submitted first.
 //
-// The manager is goroutine-free: admission, promotion and eviction all
-// run on the caller, so it adds nothing for the leak checker to track.
+// Every session runs the shipped degradation policy (DESIGN.md §9). The
+// manager is goroutine-free: admission and eviction run on the caller,
+// so it adds nothing for the leak checker to track.
 
 // ErrAdmissionRejected is returned by SessionManager.Admit (and wraps
 // the detail of why) when the projected deadline-miss ratio of the
-// fleet plus the candidate exceeds the configured budget.
+// fleet plus the candidate exceeds a2dp.AdmissionMissBudget.
 var ErrAdmissionRejected = errors.New("bluefi: session admission rejected")
 
-// admissionMissBudget is the largest projected deadline-miss ratio
-// admission tolerates.
-const admissionMissBudget = 0.05
-
 // SessionManagerConfig tunes the multi-session coordination plane. The
-// zero value is usable; every knob has a documented default.
+// zero value is usable.
 type SessionManagerConfig struct {
-	// GlobalShipFloor is the fleet-wide minimum shipped fraction the
-	// shared ledger enforces (default 0.8 — the single-stream chaos
-	// bound, now shared instead of per-stream).
-	GlobalShipFloor float64
 	// ServiceSlots overrides the per-segment service-time estimate in
 	// 625 µs slots (0 = live estimate from the pool's job-latency
 	// histogram, falling back to 1 slot before the first job). Evals pin
 	// it so the capacity knee is a property of the workload, not the
 	// host.
 	ServiceSlots float64
-	// AdmissionQueue bounds how many rejected sessions Enqueue may park
-	// for promotion when an eviction frees headroom (default 0 = no
-	// queue; Enqueue then behaves like Admit).
-	AdmissionQueue int
-	// Degrade is the policy template applied to sessions whose
-	// AudioConfig.Degrade is nil. Coordinator and SessionID are
-	// overwritten per session either way: every managed stream asks the
-	// fleet ledger.
-	Degrade DegradePolicy
-}
-
-func (c SessionManagerConfig) withDefaults() SessionManagerConfig {
-	if c.GlobalShipFloor <= 0 || c.GlobalShipFloor >= 1 {
-		c.GlobalShipFloor = 0.8
-	}
-	if c.AdmissionQueue < 0 {
-		c.AdmissionQueue = 0
-	}
-	return c
 }
 
 // SessionConfig describes one candidate A2DP session.
 type SessionConfig struct {
-	// ID names the session; unique among live and pending sessions.
+	// ID names the session; unique among live sessions.
 	ID string
-	// Audio is the stream configuration; its Degrade field (or the
-	// manager's template) is coupled to the fleet ledger.
+	// Audio is the stream configuration. Its Degrade field is ignored:
+	// every managed stream degrades, asking the fleet ledger.
 	Audio AudioConfig
 }
 
@@ -94,9 +69,7 @@ type smMetrics struct {
 
 	admitted *obs.Counter
 	rejected *obs.Counter
-	queued   *obs.Counter
 	evicted  *obs.Counter
-	pending  *obs.Gauge
 	missGate *obs.Gauge
 
 	active   *obs.Gauge
@@ -117,12 +90,8 @@ func newSMMetrics(r *obs.Registry) *smMetrics {
 			"sessions admitted by the headroom projection"),
 		rejected: r.Counter("bluefi_a2dp_admission_rejected_total",
 			"session admissions refused (projected deadline-miss ratio over budget)"),
-		queued: r.Counter("bluefi_a2dp_admission_queued_total",
-			"rejected sessions parked on the pending queue"),
 		evicted: r.Counter("bluefi_a2dp_admission_evicted_total",
 			"sessions evicted from the manager"),
-		pending: r.Gauge("bluefi_a2dp_admission_pending",
-			"sessions parked awaiting promotion"),
 		missGate: r.Gauge("bluefi_a2dp_admission_miss_permille",
 			"projected deadline-miss ratio of the last admission decision, in permille"),
 		active: r.Gauge("bluefi_a2dp_session_active",
@@ -159,7 +128,6 @@ type SessionManager struct {
 	mu       sync.Mutex
 	sessions map[string]*Session // guarded by mu
 	order    []string            // guarded by mu; admission order
-	pendingQ []*PendingSession   // guarded by mu; FIFO
 	seq      uint64              // guarded by mu; admissions ever, for phase stagger
 	lastProj a2dp.Projection     // guarded by mu
 }
@@ -170,15 +138,11 @@ func (p *Pool) NewSessionManager(cfg SessionManagerConfig) (*SessionManager, err
 	if p.isClosed() {
 		return nil, ErrPoolClosed
 	}
-	cfg = cfg.withDefaults()
 	reg := p.opts.Telemetry
 	return &SessionManager{
-		pool: p,
-		cfg:  cfg,
-		ledger: a2dp.NewShedBudget(a2dp.ShedBudgetConfig{
-			GlobalShipFloor: cfg.GlobalShipFloor,
-			Telemetry:       reg,
-		}),
+		pool:     p,
+		cfg:      cfg,
+		ledger:   a2dp.NewShedBudget(a2dp.ShedBudgetConfig{Telemetry: reg}),
 		met:      newSMMetrics(reg),
 		sessions: make(map[string]*Session),
 	}, nil
@@ -245,24 +209,15 @@ func (m *SessionManager) serviceSlotsLocked() float64 {
 
 // Admit projects pool headroom for the live fleet plus the candidate
 // and either opens the session's stream or refuses with an error
-// wrapping ErrAdmissionRejected. It never queues; see Enqueue.
+// wrapping ErrAdmissionRejected.
 func (m *SessionManager) Admit(cfg SessionConfig) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.admitLocked(cfg)
-}
-
-func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("bluefi: session ID must be non-empty")
 	}
 	if _, ok := m.sessions[cfg.ID]; ok {
 		return nil, fmt.Errorf("bluefi: session %q already admitted", cfg.ID)
-	}
-	for _, p := range m.pendingQ {
-		if p.cfg.ID == cfg.ID {
-			return nil, fmt.Errorf("bluefi: session %q already pending", cfg.ID)
-		}
 	}
 	demand, err := demandFor(cfg, m.seq)
 	if err != nil {
@@ -282,7 +237,7 @@ func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 	if m.met != nil {
 		m.met.missGate.Set(int64(proj.MissRatio * 1000))
 	}
-	if proj.MissRatio > admissionMissBudget {
+	if proj.MissRatio > a2dp.AdmissionMissBudget {
 		if m.met != nil {
 			m.met.rejected.Inc()
 		}
@@ -291,23 +246,20 @@ func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 			obs.L("sessions", fmt.Sprintf("%d", proj.Sessions)),
 			obs.L("missRatio", fmt.Sprintf("%.4f", proj.MissRatio)))
 		return nil, fmt.Errorf("%w: %q: projected deadline-miss ratio %.4f exceeds budget %.4f at %d sessions (utilization %.2f)",
-			ErrAdmissionRejected, cfg.ID, proj.MissRatio, admissionMissBudget, proj.Sessions, proj.Utilization)
+			ErrAdmissionRejected, cfg.ID, proj.MissRatio, a2dp.AdmissionMissBudget, proj.Sessions, proj.Utilization)
 	}
 
-	// Couple the stream's governor to the fleet ledger: the per-session
-	// template (or the manager's) with Coordinator/SessionID overridden.
+	// Couple the stream's governor to the fleet ledger.
 	ac := cfg.Audio
-	dp := m.cfg.Degrade
-	if ac.Degrade != nil {
-		dp = *ac.Degrade
-	}
-	dp.Coordinator = m.ledger
-	dp.SessionID = cfg.ID
-	ac.Degrade = &dp
+	ac.Degrade = true
 	if err := m.ledger.Register(cfg.ID); err != nil {
 		return nil, err
 	}
-	stream, err := m.pool.NewAudioStream(ac)
+	stream, err := m.pool.newAudioStream(ac, a2dp.PolicyConfig{
+		Coordinator: m.ledger,
+		SessionID:   cfg.ID,
+		Telemetry:   m.pool.opts.Telemetry,
+	})
 	if err != nil {
 		m.ledger.Unregister(cfg.ID)
 		return nil, err
@@ -333,37 +285,9 @@ func (m *SessionManager) admitLocked(cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// Enqueue is Admit with a waiting room: an immediately admittable
-// session is returned ready; a rejected one is parked on the bounded
-// pending queue (FIFO) for promotion when an eviction frees headroom.
-// With no queue configured — or a full one — the rejection propagates.
-func (m *SessionManager) Enqueue(cfg SessionConfig) (*PendingSession, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, err := m.admitLocked(cfg)
-	if err == nil {
-		p := &PendingSession{cfg: cfg, done: make(chan struct{})}
-		p.deliver(s, nil)
-		return p, nil
-	}
-	if !errors.Is(err, ErrAdmissionRejected) {
-		return nil, err
-	}
-	if m.cfg.AdmissionQueue <= 0 || len(m.pendingQ) >= m.cfg.AdmissionQueue {
-		return nil, err
-	}
-	p := &PendingSession{cfg: cfg, done: make(chan struct{})}
-	m.pendingQ = append(m.pendingQ, p)
-	if m.met != nil {
-		m.met.queued.Inc()
-		m.met.pending.Set(int64(len(m.pendingQ)))
-	}
-	return p, nil
-}
-
-// Evict removes a live session, returns whether it was present, and
-// promotes pending sessions that now fit. The evicted Session's stream
-// stays usable but leaves the ledger's live set: it never sheds again.
+// Evict removes a live session and returns whether it was present. The
+// evicted Session's stream stays usable but leaves the ledger's live
+// set: it never sheds again.
 func (m *SessionManager) Evict(id string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -387,30 +311,7 @@ func (m *SessionManager) Evict(id string) bool {
 	m.met.event("session.evict",
 		obs.L("session", id),
 		obs.L("sessions", fmt.Sprintf("%d", len(m.sessions))))
-	m.promoteLocked()
 	return true
-}
-
-// promoteLocked re-projects the queue head against the shrunken fleet
-// and admits while there is headroom. A head that still does not fit
-// keeps the queue blocked (FIFO — no starvation via queue-jumping); a
-// head failing for a non-admission reason is delivered its error.
-func (m *SessionManager) promoteLocked() {
-	for len(m.pendingQ) > 0 {
-		// Dequeue before re-projecting: the candidate must not trip its
-		// own duplicate-pending check.
-		p := m.pendingQ[0]
-		m.pendingQ = m.pendingQ[1:]
-		s, err := m.admitLocked(p.cfg)
-		if err != nil && errors.Is(err, ErrAdmissionRejected) {
-			m.pendingQ = append([]*PendingSession{p}, m.pendingQ...)
-			break
-		}
-		p.deliver(s, err)
-	}
-	if m.met != nil {
-		m.met.pending.Set(int64(len(m.pendingQ)))
-	}
 }
 
 // Sessions returns a report per live session, in admission order.
@@ -428,31 +329,21 @@ func (m *SessionManager) Sessions() []SessionReport {
 	return out
 }
 
-// Pending returns how many sessions are parked awaiting promotion.
-func (m *SessionManager) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pendingQ)
-}
-
 // SessionManagerReport is the manager's point-in-time summary.
 type SessionManagerReport struct {
 	Sessions []SessionReport       `json:"sessions"`
-	Pending  int                   `json:"pending"`
 	LastProj a2dp.Projection       `json:"lastProjection"`
 	Budget   a2dp.ShedBudgetReport `json:"budget"`
 }
 
-// Report returns the manager summary: per-session reports, the pending
-// count, the last admission projection and the fleet ledger state.
+// Report returns the manager summary: per-session reports, the last
+// admission projection and the fleet ledger state.
 func (m *SessionManager) Report() SessionManagerReport {
 	m.mu.Lock()
-	pending := len(m.pendingQ)
 	proj := m.lastProj
 	m.mu.Unlock()
 	return SessionManagerReport{
 		Sessions: m.Sessions(),
-		Pending:  pending,
 		LastProj: proj,
 		Budget:   m.ledger.Report(),
 	}
@@ -469,7 +360,7 @@ func (m *SessionManager) SessionSLOSpecs() []slo.Spec {
 		{
 			Name:        "a2dp_session_delivery",
 			Description: "Fleet-wide shipped media-packet fraction stays above the global ship floor.",
-			Objective:   m.cfg.GlobalShipFloor,
+			Objective:   a2dp.ShipFloor,
 			Indicator: func() (float64, float64) {
 				good := m.met.shipped.Value()
 				return float64(good), float64(good + m.met.dropped.Value())
@@ -610,40 +501,4 @@ func (s *Session) Report() SessionReport {
 	rep.P99SlackSeconds = s.slackQ.Value(0.01)
 	rep.Governor = s.stream.Report()
 	return rep
-}
-
-// PendingSession is a session parked by Enqueue: it resolves to a live
-// Session (or an error) when an eviction frees enough headroom.
-type PendingSession struct {
-	cfg  SessionConfig
-	done chan struct{}
-
-	mu    sync.Mutex
-	s     *Session // guarded by mu until done closes
-	err   error    // guarded by mu until done closes
-	ready bool     // guarded by mu
-}
-
-// deliver resolves the pending session exactly once.
-func (p *PendingSession) deliver(s *Session, err error) {
-	p.mu.Lock()
-	if p.ready {
-		p.mu.Unlock()
-		return
-	}
-	p.s, p.err, p.ready = s, err, true
-	p.mu.Unlock()
-	close(p.done)
-}
-
-// Done is closed when the session has been resolved either way.
-func (p *PendingSession) Done() <-chan struct{} { return p.done }
-
-// Session returns the resolved session, whether resolution happened,
-// and the resolution error (nil session + nil error means still
-// pending).
-func (p *PendingSession) Session() (*Session, bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.s, p.ready, p.err
 }

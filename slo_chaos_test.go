@@ -53,7 +53,7 @@ func TestChaosSLOStormReplay(t *testing.T) {
 		Device:     Device{LAP: 0x123456, UAP: 0x9A},
 		PacketType: DM1,
 		SBC:        SBCConfig{SampleRateHz: 16000, Blocks: 4, Subbands: 4, Bitpool: 31},
-		Degrade:    &DegradePolicy{},
+		Degrade:    true,
 		SlotBudget: time.Minute,
 	})
 	if err != nil {
