@@ -1,47 +1,19 @@
-# Tier-1 gate: what every change must keep green.
+# Tier-1 gate: what every change must keep green. The test step runs
+# TestRepoIsLintClean, the same analyzers `make lint` runs over ./...,
+# so verify lints once.
 .PHONY: verify
-verify: vet build test lint
+verify: vet build test
 
 # Invariant lint tier: one binary runs the seven BlueFi analyzers
 # (determinism, poolbalance, lockcheck, scratchalias, alloccheck,
-# leakcheck, obsnames) plus the std-style passes go vet lacks here
-# (atomicassign, nilness); copylocks and loopclosure come from `make
-# vet`. Non-zero exit on any
-# finding not recorded in lint_baseline.json. The binary is built once
-# into .bin/ and per-package results are cached in .lintcache/, so a
-# no-change re-run costs milliseconds. See DESIGN.md §7 and §11 for the
-# annotations the analyzers understand.
+# leakcheck, obsnames) plus nilness, the std-style pass go vet does not
+# run; the atomic, copylocks and loopclosure checks come from `make
+# vet`. Exits non-zero on any finding; a reasoned `//bluefi:<key>
+# <reason>` comment on the line is the one way to accept one. See
+# DESIGN.md §7 and §11 for the annotations the analyzers understand.
 .PHONY: lint
-lint: .bin/bluefi-lint
-	.bin/bluefi-lint -cache -baseline lint_baseline.json ./...
-
-.bin/bluefi-lint: FORCE
-	@mkdir -p .bin
-	go build -o .bin/bluefi-lint ./cmd/bluefi-lint
-
-.PHONY: FORCE
-FORCE:
-
-# Machine-readable lint report: every finding (pre-baseline) as a JSON
-# array in lint_report.json — the CI artifact reviewers diff against
-# lint_baseline.json.
-.PHONY: lint-json
-lint-json: .bin/bluefi-lint
-	-.bin/bluefi-lint -json ./... > lint_report.json
-	@wc -c lint_report.json
-
-# Refresh the accepted-findings baseline after an intentional change;
-# review the diff like any other code.
-.PHONY: lint-baseline
-lint-baseline: .bin/bluefi-lint
-	.bin/bluefi-lint -write-baseline lint_baseline.json ./...
-
-# Escape-corroborated allocation audit: alloccheck findings the
-# compiler's own escape analysis (-gcflags=-m) proves non-escaping are
-# downgraded. Slower (full recompile); advisory, not a CI gate.
-.PHONY: lint-escape
-lint-escape: .bin/bluefi-lint
-	.bin/bluefi-lint -escape -run alloccheck ./...
+lint:
+	go run ./cmd/bluefi-lint ./...
 
 .PHONY: vet
 vet:

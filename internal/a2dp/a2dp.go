@@ -213,7 +213,7 @@ func (s *Scheduler) AFHSize() int { return s.afh.Size() }
 // the cleanest subset and restores the full set on recovery. Every
 // channel must lie inside the AFH set; an empty slice lifts the
 // restriction. Safe to call while packets are being scheduled: slots
-// already handed out keep their channels, subsequent NextSlot/Reslot
+// already handed out keep their channels, subsequent ScheduleMedia/Reslot
 // calls see the new set.
 func (s *Scheduler) SetBest(chs []int) error {
 	nb := map[int]bool{}
@@ -249,15 +249,10 @@ func (s *Scheduler) Clock() bt.Clock {
 	return s.clk
 }
 
-// NextSlot advances to the next master-TX slot whose AFH-mapped hop lands
-// on an acceptable channel and returns the slot's clock and channel.
-// When BestChannels is empty every allowed channel qualifies.
-func (s *Scheduler) NextSlot() (bt.Clock, int, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nextSlotLocked()
-}
-
+// nextSlotLocked advances to the next master-TX slot whose AFH-mapped
+// hop lands on an acceptable channel and returns the slot's clock, its
+// channel and the number of slots skipped. When BestChannels is empty
+// every allowed channel qualifies. The caller holds s.mu.
 func (s *Scheduler) nextSlotLocked() (bt.Clock, int, int) {
 	skipped := 0
 	for {

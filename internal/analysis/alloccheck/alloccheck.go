@@ -39,14 +39,6 @@
 // is trusted (its own package's pass verifies it); an unannotated one
 // is summarized from its body, recursively, with cycles assumed clean.
 //
-// Escape-hint corroboration: `bluefi-lint -escape` compiles the module
-// with -gcflags=-m and feeds the compiler's "does not escape" notes
-// back in via SetEscapeHints. Findings whose category the compiler can
-// stack-allocate (make/new/composites/closures/boxing/conversions) are
-// downgraded — dropped — when the note at that exact line proves the
-// value never reaches the heap. append and unresolvable calls are never
-// downgraded.
-//
 // A deliberate exception carries `//bluefi:alloc-ok <reason>` on the
 // offending line; the reason is mandatory.
 package alloccheck
@@ -77,21 +69,10 @@ var allocfreeRe = regexp.MustCompile(`^//bluefi:allocfree\b`)
 // trusted allocation-free: pure arithmetic over machine words.
 var calleeAllowlist = map[string]bool{"math": true, "math/bits": true, "math/cmplx": true}
 
-// escapeHints is the -gcflags=-m corroboration input: filename → line →
-// true when the compiler proved the value at that line does not escape.
-var escapeHints map[string]map[int]bool
-
-// SetEscapeHints installs compiler escape-analysis notes parsed by the
-// driver. Must be set before the run starts; nil disables downgrading.
-func SetEscapeHints(h map[string]map[int]bool) { escapeHints = h }
-
 // A site is one allocation finding inside a function body.
 type site struct {
 	pos token.Pos
 	msg string
-	// downgradeable sites are dropped when an escape hint proves the
-	// allocation stays on the stack.
-	downgradeable bool
 }
 
 type checker struct {
@@ -144,27 +125,13 @@ func hasAllocfree(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// collect walks one function body and returns its allocation sites,
-// after escape-hint downgrading.
+// collect walks one function body and returns its allocation sites.
 func (c *checker) collect(pkg *framework.Package, fd *ast.FuncDecl) []site {
 	var sites []site
-	w := &walker{c: c, pkg: pkg, add: func(s site) {
-		if s.downgradeable && c.doesNotEscape(pkg, s.pos) {
-			return
-		}
-		sites = append(sites, s)
-	}}
+	w := &walker{c: c, pkg: pkg, add: func(s site) { sites = append(sites, s) }}
 	w.calls = callFuns(fd.Body)
 	ast.Inspect(fd.Body, w.visit)
 	return sites
-}
-
-func (c *checker) doesNotEscape(pkg *framework.Package, pos token.Pos) bool {
-	if escapeHints == nil {
-		return false
-	}
-	p := pkg.Fset.Position(pos)
-	return escapeHints[p.Filename][p.Line]
 }
 
 // callFuns records every expression used as the Fun of a call, so the
@@ -203,9 +170,9 @@ func (w *walker) visit(n ast.Node) bool {
 		}
 		switch info.Types[n].Type.Underlying().(type) {
 		case *types.Slice:
-			w.add(site{n.Pos(), "slice literal allocates its backing array", true})
+			w.add(site{n.Pos(), "slice literal allocates its backing array"})
 		case *types.Map:
-			w.add(site{n.Pos(), "map literal allocates", true})
+			w.add(site{n.Pos(), "map literal allocates"})
 		}
 	case *ast.UnaryExpr:
 		if n.Op == token.AND {
@@ -214,22 +181,22 @@ func (w *walker) visit(n ast.Node) bool {
 					w.handled = make(map[ast.Node]bool)
 				}
 				w.handled[cl] = true
-				w.add(site{n.Pos(), "address of composite literal allocates", true})
+				w.add(site{n.Pos(), "address of composite literal allocates"})
 			}
 		}
 	case *ast.FuncLit:
-		w.add(site{n.Pos(), "function literal allocates a closure", true})
+		w.add(site{n.Pos(), "function literal allocates a closure"})
 		return false
 	case *ast.GoStmt:
-		w.add(site{n.Pos(), "go statement allocates a goroutine", false})
+		w.add(site{n.Pos(), "go statement allocates a goroutine"})
 		return false
 	case *ast.BinaryExpr:
 		if n.Op == token.ADD && isString(info, n.X) {
-			w.add(site{n.Pos(), "string concatenation allocates", true})
+			w.add(site{n.Pos(), "string concatenation allocates"})
 		}
 	case *ast.AssignStmt:
 		if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isString(info, n.Lhs[0]) {
-			w.add(site{n.Pos(), "string concatenation allocates", true})
+			w.add(site{n.Pos(), "string concatenation allocates"})
 		}
 	case *ast.SelectorExpr:
 		// A method used as a value (not called) captures its receiver
@@ -240,7 +207,7 @@ func (w *walker) visit(n ast.Node) bool {
 		if fn, ok := info.Uses[n.Sel].(*types.Func); ok {
 			if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
 				if tv, ok := info.Types[n.X]; !ok || !tv.IsType() {
-					w.add(site{n.Pos(), "method value allocates a closure", true})
+					w.add(site{n.Pos(), "method value allocates a closure"})
 				}
 			}
 		}
@@ -272,11 +239,11 @@ func (w *walker) visitCall(call *ast.CallExpr) bool {
 		if b, ok := info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":
-				w.add(site{call.Pos(), "make allocates; hoist the buffer into caller-owned scratch", true})
+				w.add(site{call.Pos(), "make allocates; hoist the buffer into caller-owned scratch"})
 			case "new":
-				w.add(site{call.Pos(), "new allocates", true})
+				w.add(site{call.Pos(), "new allocates"})
 			case "append":
-				w.add(site{call.Pos(), "append may grow its backing array; write into preallocated capacity by index", false})
+				w.add(site{call.Pos(), "append may grow its backing array; write into preallocated capacity by index"})
 			case "panic":
 				// Crash path: arguments (often fmt.Sprintf) never run in
 				// the steady state.
@@ -293,7 +260,7 @@ func (w *walker) visitCall(call *ast.CallExpr) bool {
 	}
 	switch {
 	case fn == nil:
-		w.add(site{call.Pos(), "indirect call through a function value cannot be proven allocation-free", false})
+		w.add(site{call.Pos(), "indirect call through a function value cannot be proven allocation-free"})
 	default:
 		w.checkCallee(call, fn)
 	}
@@ -313,9 +280,9 @@ func (w *walker) checkConversion(call *ast.CallExpr, target types.Type) {
 	from, to := src.Type.Underlying(), target.Underlying()
 	switch {
 	case isStringType(to) && (isByteOrRuneSlice(from) || isIntegerType(from)):
-		w.add(site{call.Pos(), fmt.Sprintf("conversion from %s to string allocates", src.Type), true})
+		w.add(site{call.Pos(), fmt.Sprintf("conversion from %s to string allocates", src.Type)})
 	case isByteOrRuneSlice(to) && isStringType(from):
-		w.add(site{call.Pos(), fmt.Sprintf("conversion from string to %s allocates", target), true})
+		w.add(site{call.Pos(), fmt.Sprintf("conversion from string to %s allocates", target)})
 	}
 }
 
@@ -348,7 +315,7 @@ func (w *walker) checkArgs(call *ast.CallExpr, sig *types.Signature) {
 		fixed--
 		// f(xs...) forwards an existing slice; f(a, b) materializes one.
 		if !call.Ellipsis.IsValid() && len(call.Args) > fixed {
-			w.add(site{call.Args[fixed].Pos(), "variadic call allocates its argument slice", true})
+			w.add(site{call.Args[fixed].Pos(), "variadic call allocates its argument slice"})
 		}
 	}
 	for i, arg := range call.Args {
@@ -363,7 +330,7 @@ func (w *walker) checkArgs(call *ast.CallExpr, sig *types.Signature) {
 		if !ok || at.Type == nil || at.IsNil() || types.IsInterface(at.Type) {
 			continue
 		}
-		w.add(site{arg.Pos(), fmt.Sprintf("passing %s as %s boxes the value", at.Type, pt), true})
+		w.add(site{arg.Pos(), fmt.Sprintf("passing %s as %s boxes the value", at.Type, pt)})
 	}
 }
 
@@ -373,7 +340,7 @@ func (w *walker) checkCallee(call *ast.CallExpr, fn *types.Func) {
 	c := w.c
 	if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
 		if types.IsInterface(sig.Recv().Type().Underlying()) {
-			w.add(site{call.Pos(), fmt.Sprintf("dynamic call of %s through an interface cannot be proven allocation-free", fn.Name()), false})
+			w.add(site{call.Pos(), fmt.Sprintf("dynamic call of %s through an interface cannot be proven allocation-free", fn.Name())})
 			return
 		}
 	}
@@ -385,17 +352,17 @@ func (w *walker) checkCallee(call *ast.CallExpr, fn *types.Func) {
 		return
 	}
 	if !c.inModule(path) {
-		w.add(site{call.Pos(), fmt.Sprintf("call of %s.%s cannot be proven allocation-free (outside the module); wrap or avoid it", path, fn.Name()), false})
+		w.add(site{call.Pos(), fmt.Sprintf("call of %s.%s cannot be proven allocation-free (outside the module); wrap or avoid it", path, fn.Name())})
 		return
 	}
 	target := c.module.Pkgs[path]
 	if target == nil {
-		w.add(site{call.Pos(), fmt.Sprintf("cannot find package %s to prove %s allocation-free", path, fn.Name()), false})
+		w.add(site{call.Pos(), fmt.Sprintf("cannot find package %s to prove %s allocation-free", path, fn.Name())})
 		return
 	}
 	fd := findDecl(target, fn)
 	if fd == nil {
-		w.add(site{call.Pos(), fmt.Sprintf("cannot find body of %s.%s to prove it allocation-free", path, fn.Name()), false})
+		w.add(site{call.Pos(), fmt.Sprintf("cannot find body of %s.%s to prove it allocation-free", path, fn.Name())})
 		return
 	}
 	if hasAllocfree(fd) {
@@ -403,7 +370,7 @@ func (w *walker) checkCallee(call *ast.CallExpr, fn *types.Func) {
 	}
 	if first := c.summarize(target, fd, symbolKey(fn)); first != nil {
 		w.add(site{call.Pos(), fmt.Sprintf("call of %s.%s is not allocation-free: %s (at %s)",
-			path, fn.Name(), first.msg, target.Fset.Position(first.pos)), false})
+			path, fn.Name(), first.msg, target.Fset.Position(first.pos))})
 	}
 }
 
@@ -429,7 +396,7 @@ func (c *checker) summarize(pkg *framework.Package, fd *ast.FuncDecl, key string
 		return nil
 	}
 	if fd.Body == nil {
-		s := site{fd.Pos(), "has no Go body", false}
+		s := site{fd.Pos(), "has no Go body"}
 		c.memo[key] = []site{s}
 		return &s
 	}

@@ -30,9 +30,9 @@ import (
 
 // An Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -run filters.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description printed by bluefi-lint -list.
+	// Doc is a one-paragraph description of the invariant.
 	Doc string
 	// SuppressKey, when nonempty, enables `//bluefi:<key> <reason>`
 	// line suppression for this analyzer's diagnostics.
@@ -72,37 +72,14 @@ type Pass struct {
 }
 
 // A Diagnostic is one finding, tagged with the analyzer that made it.
-// The JSON shape is the -json / lint_baseline.json interchange format;
-// File is module-relative where the driver knows the module root.
 type Diagnostic struct {
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Column   int            `json:"column"`
-	Analyzer string         `json:"analyzer"`
-	Message  string         `json:"message"`
+	Pos      token.Position
+	Analyzer string
+	Message  string
 }
 
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Column, d.Analyzer, d.Message)
-}
-
-// Key is the identity used for baseline matching: analyzer + file +
-// message, deliberately excluding line/column so unrelated edits above
-// a baselined finding do not resurrect it.
-func (d Diagnostic) Key() string {
-	return d.Analyzer + "\x00" + d.File + "\x00" + d.Message
-}
-
-func makeDiagnostic(pos token.Position, analyzer, message string) Diagnostic {
-	return Diagnostic{
-		Pos:      pos,
-		File:     pos.Filename,
-		Line:     pos.Line,
-		Column:   pos.Column,
-		Analyzer: analyzer,
-		Message:  message,
-	}
+	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
 type suppressComment struct {
@@ -163,13 +140,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 			}
 			if !sc.reported {
 				sc.reported = true
-				*p.diags = append(*p.diags, makeDiagnostic(p.Fset.Position(sc.pos), p.Analyzer.Name,
-					fmt.Sprintf("suppression //bluefi:%s needs a reason", key)))
+				*p.diags = append(*p.diags, Diagnostic{p.Fset.Position(sc.pos), p.Analyzer.Name,
+					fmt.Sprintf("suppression //bluefi:%s needs a reason", key)})
 			}
 			// Fall through: a reasonless suppression suppresses nothing.
 		}
 	}
-	*p.diags = append(*p.diags, makeDiagnostic(position, p.Analyzer.Name, fmt.Sprintf(format, args...)))
+	*p.diags = append(*p.diags, Diagnostic{position, p.Analyzer.Name, fmt.Sprintf(format, args...)})
 }
 
 func (p *Pass) suppressionFor(pos token.Position) *suppressComment {
@@ -204,17 +181,12 @@ func Run(mod *Module, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error)
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	SortDiagnostics(diags)
-	return diags, nil
-}
-
-// SortDiagnostics orders findings by file, line, column, analyzer — the
-// stable order the driver prints and the cache stores.
-func SortDiagnostics(diags []Diagnostic) {
+	// Order by file, line, column, analyzer: the stable order the
+	// driver prints.
 	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
+		a, b := diags[i].Pos, diags[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
 		}
 		if a.Line != b.Line {
 			return a.Line < b.Line
@@ -222,8 +194,9 @@ func SortDiagnostics(diags []Diagnostic) {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		return a.Analyzer < b.Analyzer
+		return diags[i].Analyzer < diags[j].Analyzer
 	})
+	return diags, nil
 }
 
 // PackageAnnotation scans the files' package doc comments (and any

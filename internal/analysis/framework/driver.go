@@ -1,311 +1,46 @@
 package framework
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// Options configures one Lint run beyond the analyzer set.
-type Options struct {
-	// JSON switches the output from vet-style text lines to a JSON
-	// array of Diagnostics (the lint_baseline.json interchange shape).
-	JSON bool
-	// Baseline, when nonempty, names a JSON diagnostics file of known
-	// findings. Findings whose (analyzer, file, message) key appears in
-	// the baseline are filtered out, so the returned count — and CI —
-	// only reflects NEW findings.
-	Baseline string
-	// CacheDir, when nonempty, enables the per-package result cache:
-	// diagnostics are replayed from <CacheDir>/<key>.json when the
-	// package's sources, its module-internal dependencies' sources, the
-	// stdlib export data it consumes and the lint binary itself are all
-	// unchanged. Analyses whose inputs go beyond those (e.g. escape-
-	// hint corroboration) must run with the cache disabled.
-	CacheDir string
-}
-
 // Lint loads every module package matched by patterns, applies the
 // analyzers, prints diagnostics to w and returns the diagnostic count.
-// This is the whole multichecker: cmd/bluefi-lint is a thin flag shim
-// over it, and the repo-wide self-test calls it directly.
+// This is the whole multichecker: cmd/bluefi-lint is a thin shim over
+// it, and the repo-wide self-test calls it directly.
 func Lint(w io.Writer, dir string, analyzers []*Analyzer, patterns []string) (int, error) {
-	return LintOpts(w, dir, analyzers, patterns, Options{})
-}
-
-// LintOpts is Lint with explicit Options.
-func LintOpts(w io.Writer, dir string, analyzers []*Analyzer, patterns []string, opts Options) (int, error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return 0, err
 	}
-	targets, err := loader.List(patterns...)
+	pkgs, err := loader.LoadPackages(patterns...)
 	if err != nil {
 		return 0, err
 	}
-
-	var cache *resultCache
-	if opts.CacheDir != "" {
-		cache = newResultCache(opts.CacheDir, loader, analyzers)
+	// Cross-package analyzers summarize function bodies from the whole
+	// module, so every target is type-checked before any analyzer runs.
+	mod := &Module{Path: loader.ModulePath(), Dir: loader.ModuleDir, Pkgs: make(map[string]*Package, len(pkgs))}
+	for _, pkg := range pkgs {
+		mod.Pkgs[pkg.Path] = pkg
 	}
-
-	// Partition targets into cache hits and packages that need a live
-	// run. Any miss forces type-checking ALL targets: cross-package
-	// analyzers summarize function bodies from the whole module.
-	type slot struct {
-		pkg   listedPkg
-		key   string
-		diags []Diagnostic
-		hit   bool
-	}
-	slots := make([]*slot, 0, len(targets))
-	anyMiss := false
-	for _, t := range targets {
-		s := &slot{pkg: t}
-		if cache != nil {
-			s.key = cache.key(t)
-			if diags, ok := cache.load(s.key); ok {
-				s.diags, s.hit = diags, true
-			}
-		}
-		if !s.hit {
-			anyMiss = true
-		}
-		slots = append(slots, s)
-	}
-
-	if anyMiss {
-		pkgs := make(map[string]*Package, len(targets))
-		for _, s := range slots {
-			pkg, err := loader.CheckListed(s.pkg)
-			if err != nil {
-				return 0, err
-			}
-			if pkg != nil {
-				pkgs[pkg.Path] = pkg
-			}
-		}
-		mod := &Module{Path: loader.ModulePath(), Dir: loader.ModuleDir, Pkgs: pkgs}
-		for _, s := range slots {
-			if s.hit {
-				continue
-			}
-			pkg := pkgs[s.pkg.ImportPath]
-			if pkg == nil {
-				continue
-			}
-			diags, err := Run(mod, pkg, analyzers)
-			if err != nil {
-				return 0, err
-			}
-			s.diags = diags
-			if cache != nil {
-				cache.store(s.key, diags)
-			}
-		}
-	}
-
-	var all []Diagnostic
-	for _, s := range slots {
-		all = append(all, s.diags...)
-	}
-	relativize(all, loader.ModuleDir)
-
-	if opts.Baseline != "" {
-		all, err = filterBaseline(all, opts.Baseline)
+	n := 0
+	for _, pkg := range pkgs {
+		diags, err := Run(mod, pkg, analyzers)
 		if err != nil {
-			return 0, err
+			return n, err
 		}
-	}
-
-	if opts.JSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if all == nil {
-			all = []Diagnostic{}
-		}
-		if err := enc.Encode(all); err != nil {
-			return len(all), err
-		}
-		return len(all), nil
-	}
-	for _, d := range all {
-		fmt.Fprintln(w, d.String())
-	}
-	return len(all), nil
-}
-
-// relativize rewrites absolute diagnostic filenames to slash-separated
-// module-relative paths — the stable form used by -json output, the
-// baseline file and CI artifacts.
-func relativize(diags []Diagnostic, moduleDir string) {
-	for i := range diags {
-		if rel, err := filepath.Rel(moduleDir, diags[i].File); err == nil && !strings.HasPrefix(rel, "..") {
-			diags[i].File = filepath.ToSlash(rel)
-		}
-	}
-}
-
-// filterBaseline drops findings already recorded in the baseline file.
-// A missing baseline file is an error — CI must not silently pass with
-// an unfiltered (or unfilterable) report.
-func filterBaseline(diags []Diagnostic, path string) ([]Diagnostic, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var base []Diagnostic
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	// Keys are counted, not just set-tested: two identical findings in
-	// one file need two baseline entries, so adding a second instance
-	// of a baselined defect still fails.
-	known := make(map[string]int, len(base))
-	for _, d := range base {
-		known[d.Key()]++
-	}
-	var fresh []Diagnostic
-	for _, d := range diags {
-		if known[d.Key()] > 0 {
-			known[d.Key()]--
-			continue
-		}
-		fresh = append(fresh, d)
-	}
-	return fresh, nil
-}
-
-// resultCache memoizes per-package diagnostics on disk, keyed by a hash
-// of everything that can change them: the analyzer set, the lint binary,
-// the package's own sources, module-internal dependency sources, and
-// stdlib dependency export data (identified by the content-addressed
-// build-cache path go list reports).
-type resultCache struct {
-	dir      string
-	loader   *Loader
-	prefix   []byte // version + analyzers + binary hash
-	fileHash map[string]string
-	disabled bool
-}
-
-const cacheVersion = "bluefi-lint-cache-v1"
-
-func newResultCache(dir string, loader *Loader, analyzers []*Analyzer) *resultCache {
-	c := &resultCache{dir: dir, loader: loader, fileHash: make(map[string]string)}
-	h := sha256.New()
-	fmt.Fprintln(h, cacheVersion)
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(h, strings.Join(names, ","))
-	exe, err := os.Executable()
-	if err != nil {
-		c.disabled = true
-		return c
-	}
-	eh, err := c.hashFile(exe)
-	if err != nil {
-		c.disabled = true
-		return c
-	}
-	fmt.Fprintln(h, eh)
-	c.prefix = h.Sum(nil)
-	return c
-}
-
-func (c *resultCache) hashFile(path string) (string, error) {
-	if h, ok := c.fileHash[path]; ok {
-		return h, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	c.fileHash[path] = sum
-	return sum, nil
-}
-
-// key computes the cache key for one target package, or "" when any
-// input cannot be hashed (which just disables caching for that target).
-func (c *resultCache) key(t listedPkg) string {
-	if c.disabled {
-		return ""
-	}
-	h := sha256.New()
-	h.Write(c.prefix)
-	paths := append([]string{t.ImportPath}, t.Deps...)
-	sort.Strings(paths)
-	for _, p := range paths {
-		dep, ok := c.loader.listed[p]
-		if !ok {
-			return ""
-		}
-		fmt.Fprintln(h, dep.ImportPath)
-		if dep.Standard {
-			// Export files live in the content-addressed build cache:
-			// the path itself changes whenever the toolchain or the
-			// package changes.
-			fmt.Fprintln(h, dep.Export)
-			continue
-		}
-		for _, g := range dep.GoFiles {
-			fh, err := c.hashFile(filepath.Join(dep.Dir, g))
-			if err != nil {
-				return ""
+		for _, d := range diags {
+			// Module-relative, slash-separated paths keep the output
+			// stable across checkouts.
+			if rel, err := filepath.Rel(loader.ModuleDir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+				d.Pos.Filename = filepath.ToSlash(rel)
 			}
-			fmt.Fprintln(h, g, fh)
+			fmt.Fprintln(w, d)
 		}
+		n += len(diags)
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-func (c *resultCache) load(key string) ([]Diagnostic, bool) {
-	if key == "" {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(c.dir, key+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var diags []Diagnostic
-	if err := json.Unmarshal(data, &diags); err != nil {
-		return nil, false
-	}
-	return diags, true
-}
-
-func (c *resultCache) store(key string, diags []Diagnostic) {
-	if key == "" {
-		return
-	}
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	data, err := json.Marshal(diags)
-	if err != nil {
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return
-	}
-	tmp := filepath.Join(c.dir, key+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(c.dir, key+".json"))
+	return n, nil
 }

@@ -46,7 +46,6 @@ type Loader struct {
 
 	fset    *token.FileSet
 	exports map[string]string // import path -> export data file
-	listed  map[string]listedPkg
 	gcImp   types.ImporterFrom
 	srcPkgs map[string]*types.Package // typechecked fixture packages
 	srcFull map[string]*Package       // same, with files + info retained
@@ -62,7 +61,6 @@ func NewLoader(dir string) (*Loader, error) {
 		ModuleDir: moduleDir,
 		fset:      token.NewFileSet(),
 		exports:   make(map[string]string),
-		listed:    make(map[string]listedPkg),
 		srcPkgs:   make(map[string]*types.Package),
 		srcFull:   make(map[string]*Package),
 	}
@@ -119,17 +117,12 @@ func (l *Loader) lookupExport(path string) (io.ReadCloser, error) {
 	return os.Open(f)
 }
 
-// listedPkg is the subset of `go list -json` we consume. Deps (the
-// transitive import paths) feed the lint result cache: a package's
-// cached diagnostics are valid only while its own sources, every
-// module-internal dependency's sources and every stdlib dependency's
-// export data are unchanged.
+// listedPkg is the subset of `go list -json` we consume.
 type listedPkg struct {
 	ImportPath string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Deps       []string
 	DepOnly    bool
 	Standard   bool
 }
@@ -140,7 +133,7 @@ type listedPkg struct {
 func (l *Loader) goList(patterns ...string) ([]listedPkg, error) {
 	args := append([]string{
 		"list", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,Deps,DepOnly,Standard",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Standard",
 		"-deps", "--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -163,7 +156,6 @@ func (l *Loader) goList(patterns ...string) ([]listedPkg, error) {
 		if p.Export != "" {
 			l.exports[p.ImportPath] = p.Export
 		}
-		l.listed[p.ImportPath] = p
 		if !p.DepOnly {
 			targets = append(targets, p)
 		}
@@ -171,48 +163,28 @@ func (l *Loader) goList(patterns ...string) ([]listedPkg, error) {
 	return targets, nil
 }
 
-// List resolves the go list patterns to target packages (with export
-// data for every dependency merged into the loader) in deterministic
-// order, without type-checking anything yet. The driver uses the
-// listing to consult its result cache before paying for a check.
-func (l *Loader) List(patterns ...string) ([]listedPkg, error) {
+// LoadPackages type-checks every non-stdlib package matched by the
+// go list patterns (e.g. "./..."), from source, in import-path order.
+func (l *Loader) LoadPackages(patterns ...string) ([]*Package, error) {
 	targets, err := l.goList(patterns...)
 	if err != nil {
 		return nil, err
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
-	return targets, nil
-}
-
-// CheckListed type-checks one listed target from source. Standard and
-// file-less packages yield (nil, nil).
-func (l *Loader) CheckListed(t listedPkg) (*Package, error) {
-	if t.Standard || len(t.GoFiles) == 0 {
-		return nil, nil
-	}
-	var filenames []string
-	for _, g := range t.GoFiles {
-		filenames = append(filenames, filepath.Join(t.Dir, g))
-	}
-	return l.check(t.ImportPath, filenames)
-}
-
-// LoadPackages type-checks every non-stdlib package matched by the
-// go list patterns (e.g. "./..."), from source, in deterministic order.
-func (l *Loader) LoadPackages(patterns ...string) ([]*Package, error) {
-	targets, err := l.List(patterns...)
-	if err != nil {
-		return nil, err
-	}
 	var pkgs []*Package
 	for _, t := range targets {
-		pkg, err := l.CheckListed(t)
+		if t.Standard || len(t.GoFiles) == 0 {
+			continue
+		}
+		var filenames []string
+		for _, g := range t.GoFiles {
+			filenames = append(filenames, filepath.Join(t.Dir, g))
+		}
+		pkg, err := l.check(t.ImportPath, filenames)
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
+		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
 }

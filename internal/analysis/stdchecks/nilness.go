@@ -1,3 +1,9 @@
+// Package stdchecks holds a basic nilness pass on the repo's own
+// analysis framework, because `go vet` does not run nilness. The other
+// std-style checks (atomic, copylocks, loopclosure) are left to
+// `go vet ./...`, which `make verify` runs. The pass is deliberately
+// small: it covers the patterns that occur (or must never occur) in
+// this codebase, not the full generality of the upstream pass.
 package stdchecks
 
 import (

@@ -7,10 +7,6 @@ import (
 	"bluefi/internal/analysis/stdchecks"
 )
 
-func TestAtomicAssign(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), stdchecks.AtomicAssign, "atomicassign/a")
-}
-
 func TestNilness(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), stdchecks.Nilness, "nilness/a")
 }

@@ -109,18 +109,6 @@ func (r *Receiver) accAt(freq []float64, phase int) []float64 {
 	return acc
 }
 
-// SetFilter replaces the channel filter with the given cutoff and tap
-// count — different receiver chips have different selectivity.
-func (r *Receiver) SetFilter(cutoffHz float64, taps int) error {
-	fir, err := dsp.LowpassFIR(cutoffHz, r.rate, taps)
-	if err != nil {
-		return err
-	}
-	r.FilterHalfBandwidthHz = cutoffHz
-	r.fir = fir
-	return nil
-}
-
 // baseband mixes the stream to the Bluetooth channel, applies front-end
 // noise per the profile, and band-pass filters.
 func (r *Receiver) baseband(iq []complex128) []complex128 {

@@ -8,7 +8,7 @@ import (
 // Buffer pools and the shared FFT-plan cache. Parallel synthesis amplifies
 // per-candidate allocation churn — every rehearsal candidate runs a full
 // synth+demod pass, and a pool of synthesizers multiplies that again — so
-// the transient IQ/phase buffers of the hot paths come from size-bucketed
+// the transient IQ buffers of the hot paths come from size-bucketed
 // sync.Pools, and twiddle factors are computed once per FFT size for the
 // whole process instead of once per plan holder.
 
@@ -38,7 +38,6 @@ func PlanFor(n int) (*FFTPlan, error) {
 const poolBuckets = 28 // up to 2^27 elements — far beyond any packet span
 
 var complexPool [poolBuckets]sync.Pool
-var floatPool [poolBuckets]sync.Pool
 
 func bucketFor(n int) int {
 	if n <= 1 {
@@ -72,31 +71,4 @@ func PutComplex(buf []complex128) {
 	}
 	buf = buf[:0]
 	complexPool[b].Put(&buf)
-}
-
-// GetFloat returns a []float64 of length n from the pool; contents are
-// undefined.
-func GetFloat(n int) []float64 {
-	b := bucketFor(n)
-	if b >= poolBuckets {
-		return make([]float64, n)
-	}
-	if v := floatPool[b].Get(); v != nil {
-		return (*v.(*[]float64))[0:n]
-	}
-	return make([]float64, n, 1<<b)
-}
-
-// PutFloat returns a buffer obtained from GetFloat to the pool.
-func PutFloat(buf []float64) {
-	c := cap(buf)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	b := bucketFor(c)
-	if b >= poolBuckets {
-		return
-	}
-	buf = buf[:0]
-	floatPool[b].Put(&buf)
 }

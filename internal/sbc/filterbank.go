@@ -89,11 +89,3 @@ func (fb *Filterbank) Synthesize(sub []float64) ([]float64, error) {
 	copy(fb.overlap, block[fb.m:])
 	return out, nil
 }
-
-// Reset clears filter state.
-func (fb *Filterbank) Reset() {
-	for i := range fb.state {
-		fb.state[i] = 0
-		fb.overlap[i] = 0
-	}
-}

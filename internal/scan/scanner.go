@@ -167,9 +167,6 @@ func (s *Scanner) Follow(aa, crcInit uint32) {
 	s.followAA, s.followCRC, s.following = aa, crcInit, true
 }
 
-// Unfollow drops the connection context.
-func (s *Scanner) Unfollow() { s.following = false }
-
 // deriveSeed mixes the scanner seed with a capture sequence number via
 // splitmix64 so per-capture receivers are independent yet reproducible.
 func deriveSeed(seed int64, seq uint64) int64 {

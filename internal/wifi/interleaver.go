@@ -81,22 +81,8 @@ func (it *Interleaver) Deinterleave(in []byte) []byte {
 	return out
 }
 
-// InterleaveInto permutes one symbol's worth of coded bits into dst,
-// reporting false when either slice is shorter than NCBPS. The
-// allocation-free counterpart of Interleave for per-symbol hot loops.
-//
-//bluefi:allocfree
-func (it *Interleaver) InterleaveInto(dst, in []byte) bool {
-	if len(in) < it.ncbps || len(dst) < it.ncbps {
-		return false
-	}
-	for k, j := range it.perm {
-		dst[j] = in[k]
-	}
-	return true
-}
-
-// DeinterleaveInto inverts InterleaveInto, writing NCBPS bits into dst.
+// DeinterleaveInto inverts Interleave, writing NCBPS bits into dst and
+// reporting false when either slice is shorter than NCBPS.
 //
 //bluefi:allocfree
 func (it *Interleaver) DeinterleaveInto(dst, in []byte) bool {
