@@ -2,10 +2,10 @@ package bluefi
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bluefi/internal/a2dp"
@@ -86,6 +86,38 @@ func (c SBCConfig) inner() (sbc.Config, error) {
 	return out, out.Validate()
 }
 
+// shape resolves the configuration's defaults into what one media
+// packet is made of: the baseband packet type, the SBC configuration,
+// the SBC frames per packet and the slots one segment occupies (rounded
+// up to the even slot the master resumes on). The stream builds exactly
+// this shape and the admission projection prices it.
+func (c AudioConfig) shape() (pt bt.PacketType, codec sbc.Config, frames, segSlots int, err error) {
+	if c.PacketType == 0 {
+		c.PacketType = DM5
+	}
+	if c.SBC == (SBCConfig{}) {
+		c.SBC = SBCConfig{SampleRateHz: 44100, Blocks: 16, Stereo: true, Subbands: 8, Bitpool: 35}
+	}
+	if pt, err = c.PacketType.inner(); err != nil {
+		return
+	}
+	if codec, err = c.SBC.inner(); err != nil {
+		return
+	}
+	frames = c.FramesPerPacket
+	if frames <= 0 {
+		frames = a2dp.FramesPerPacket(pt, codec)
+	}
+	if frames < 1 {
+		frames = 1 // L2CAP segmentation spreads it over several packets
+	}
+	segSlots = pt.Slots()
+	if segSlots%2 == 1 {
+		segSlots++
+	}
+	return pt, codec, frames, segSlots, nil
+}
+
 // AudioStream is a live A2DP session over BlueFi. Streams opened from a
 // Pool synthesize the segments of each Send concurrently across the
 // pool's workers; the rehearsal-gated re-slotting stays correct because
@@ -120,11 +152,11 @@ type AudioStream struct {
 	met        *audioMetrics
 	obsCtx     context.Context
 
-	// onSlack, when non-nil, receives every segment's deadline slack —
-	// the SessionManager's per-session slack export. Set once before the
-	// first Send; called concurrently from pool workers, so the hook
-	// must be safe for concurrent use.
-	onSlack func(slack time.Duration)
+	// segments counts synthesized segments and late those whose slack
+	// was negative: the stream's own deadline record, which a managed
+	// session reports (the registry's audio family sums every stream).
+	segments atomic.Uint64
+	late     atomic.Uint64
 }
 
 // audioMetrics holds the audio path's telemetry handles; nil disables
@@ -148,13 +180,19 @@ func newAudioMetrics(r *obs.Registry) *audioMetrics {
 	}
 }
 
-func (m *audioMetrics) observeSegment(slack time.Duration) {
-	if m == nil {
+// observeSegment records one segment's deadline slack on the stream and
+// in the registry's audio family; called concurrently from pool workers.
+func (a *AudioStream) observeSegment(slack time.Duration) {
+	a.segments.Add(1)
+	if slack < 0 {
+		a.late.Add(1)
+	}
+	if a.met == nil {
 		return
 	}
-	m.slack.Observe(slack.Seconds())
+	a.met.slack.Observe(slack.Seconds())
 	if slack < 0 {
-		m.late.Inc()
+		a.met.late.Inc()
 	}
 }
 
@@ -179,20 +217,10 @@ func (s *Synthesizer) NewAudioStream(cfg AudioConfig) (*AudioStream, error) {
 // one, is wired by pc: a private ledger for a lone stream, the fleet
 // ledger for a managed session.
 func (s *Synthesizer) newAudioStream(cfg AudioConfig, pc a2dp.PolicyConfig) (*AudioStream, error) {
-	if cfg.PacketType == 0 {
-		cfg.PacketType = DM5
-	}
 	if cfg.BestChannels == 0 {
 		cfg.BestChannels = 3
 	}
-	if cfg.SBC == (SBCConfig{}) {
-		cfg.SBC = SBCConfig{SampleRateHz: 44100, Blocks: 16, Stereo: true, Subbands: 8, Bitpool: 35}
-	}
-	pt, err := cfg.PacketType.inner()
-	if err != nil {
-		return nil, err
-	}
-	sbcCfg, err := cfg.SBC.inner()
+	pt, sbcCfg, frames, adv, err := cfg.shape()
 	if err != nil {
 		return nil, err
 	}
@@ -219,17 +247,6 @@ func (s *Synthesizer) newAudioStream(cfg AudioConfig, pc a2dp.PolicyConfig) (*Au
 	enc, err := sbc.NewEncoder(sbcCfg)
 	if err != nil {
 		return nil, err
-	}
-	frames := cfg.FramesPerPacket
-	if frames <= 0 {
-		frames = a2dp.FramesPerPacket(pt, sbcCfg)
-	}
-	if frames < 1 {
-		frames = 1 // L2CAP segmentation spreads it over several packets
-	}
-	adv := pt.Slots()
-	if adv%2 == 1 {
-		adv++
 	}
 	budget := cfg.SlotBudget
 	if budget <= 0 {
@@ -274,15 +291,6 @@ func (a *AudioStream) Report() DegradationReport {
 		return DegradationReport{}
 	}
 	return a.gov.Report()
-}
-
-// transientErr classifies failures the degradation policy may absorb as
-// a dropped packet: injected faults, worker panics and job timeouts. Real
-// synthesis errors (bad input, no covering channel) and a closed pool
-// always propagate.
-func transientErr(err error) bool {
-	var pe *PanicError
-	return faults.IsInjected(err) || errors.As(err, &pe) || errors.Is(err, ErrJobTimeout)
 }
 
 // Send encodes one media packet's worth of PCM (pcm[channel][sample],
@@ -464,10 +472,7 @@ func (a *AudioStream) synthesizeScheduled(syn *Synthesizer, sp *a2dp.ScheduledPa
 	// would have missed its slot on a live link. An injected latency
 	// penalty inflates the charged time machine-independently.
 	slack := a.slotBudget - span.End() - a.inj.LatencyPenalty(a.slotBudget)
-	a.met.observeSegment(slack)
-	if a.onSlack != nil {
-		a.onSlack(slack)
-	}
+	a.observeSegment(slack)
 	pkt, err := syn.wrap(res, -1)
 	if err != nil {
 		return nil, slack, err

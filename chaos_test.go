@@ -219,7 +219,7 @@ func TestChaosJobTimeoutAndRetry(t *testing.T) {
 	pool, err := NewPool(Options{
 		Mode:       RealTime,
 		JobTimeout: 40 * time.Millisecond,
-		Retry:      RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retry:      RetryPolicy{MaxAttempts: 3},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func TestChaosInjectedSynthErrorsRetried(t *testing.T) {
 	pool, err := NewPool(Options{
 		Mode:   RealTime,
 		Faults: &FaultPlan{Seed: 11, SynthErrorRate: 0.5, MaxInjections: 6},
-		Retry:  RetryPolicy{MaxAttempts: 8, Backoff: time.Millisecond},
+		Retry:  RetryPolicy{MaxAttempts: 8},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +342,7 @@ func TestChaosAcceptance(t *testing.T) {
 			InterferenceDuty: 0.30,
 			MaxInjections:    40,
 		},
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retry: RetryPolicy{MaxAttempts: 3},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +459,7 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 			// ledger's floor binds.
 			MaxInjections: 240,
 		},
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retry: RetryPolicy{MaxAttempts: 3},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -96,7 +96,7 @@ func runSLO(flightDir string) (*sloReport, error) {
 		Mode:      bluefi.RealTime,
 		Telemetry: reg,
 		Faults:    &plan,
-		Retry:     bluefi.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retry:     bluefi.RetryPolicy{MaxAttempts: 3},
 	}, 2)
 	if err != nil {
 		return nil, err
@@ -159,9 +159,9 @@ func runSLO(flightDir string) (*sloReport, error) {
 	stormTicks := tick
 
 	// The page must land within one fast window of the storm: the burn
-	// windows trail the governor's transitions, so grant the default
-	// fast window (8 ticks) of grace past budget exhaustion.
-	const fastWindow = 8
+	// windows trail the governor's transitions, so grant the engine's
+	// fast window of grace past budget exhaustion.
+	fastWindow := eng.Snapshot().SLOs[0].FastWindow
 	for i := 0; i < fastWindow && eng.State(sloGateSLO) != slo.Page; i++ {
 		if err := send(done * stream.SamplesPerSend()); err != nil {
 			return nil, fmt.Errorf("post-storm send %d: %w", done, err)
@@ -190,7 +190,7 @@ func runSLO(flightDir string) (*sloReport, error) {
 			len(episodes), episodes)
 	}
 	ep := episodes[0]
-	if ep.Open || ep.StartTick > stormTicks+fastWindow || ep.EndTick <= ep.StartTick {
+	if ep.Open || ep.StartTick > stormTicks+int64(fastWindow) || ep.EndTick <= ep.StartTick {
 		return nil, fmt.Errorf("episode %+v does not bracket the storm (budget spent at tick %d)", ep, stormTicks)
 	}
 	if len(bundles) != 1 {

@@ -40,10 +40,18 @@ type SessionDemand struct {
 // refused.
 const AdmissionMissBudget = 0.05
 
-// admissionSlackSlots is the queueing allowance added to every segment
-// deadline: how far past its nominal slot a segment may land before the
-// projection calls it a miss.
-const admissionSlackSlots = 4
+// The projection's fixed shape: admissionSlackSlots is the queueing
+// allowance added to every segment deadline (how far past its nominal
+// slot a segment may land before the projection calls it a miss),
+// horizonPackets is how many media packets per session it replays, and
+// maxJobs caps the simulated job count. The cap bounds the work one
+// admission can ask for: a session whose configuration fans each packet
+// into many segments is truncated there, and the projection notes it.
+const (
+	admissionSlackSlots = 4
+	horizonPackets      = 16
+	maxJobs             = 4096
+)
 
 // AdmissionConfig parameterizes a headroom projection.
 type AdmissionConfig struct {
@@ -57,12 +65,6 @@ type AdmissionConfig struct {
 	// slots (default 1). Live callers derive it from the pool's job
 	// latency histogram; the soak pins it for determinism.
 	ServiceSlots float64
-	// HorizonPackets is how many media packets per session the
-	// projection replays (default 16).
-	HorizonPackets int
-	// MaxJobs caps the simulated job count (default 4096); the job set
-	// is truncated beyond it and the projection notes the truncation.
-	MaxJobs int
 }
 
 func (c AdmissionConfig) withDefaults() AdmissionConfig {
@@ -75,13 +77,23 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	if c.ServiceSlots <= 0 {
 		c.ServiceSlots = 1
 	}
-	if c.HorizonPackets <= 0 {
-		c.HorizonPackets = 16
-	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 4096
-	}
 	return c
+}
+
+// shape resolves the demand's defaults: at least one segment per packet,
+// two slots per segment when unset, and a packet period that back-to-back
+// segments fill when unset.
+func (d SessionDemand) shape() (segs, segSlots int, period float64) {
+	segs = max(d.SegmentsPerPacket, 1)
+	segSlots = d.SegmentSlots
+	if segSlots < 1 {
+		segSlots = 2
+	}
+	period = d.PacketPeriodSlots
+	if period <= 0 {
+		period = float64(segs * segSlots)
+	}
+	return segs, segSlots, period
 }
 
 // Projection is the admission controller's answer for one candidate
@@ -89,7 +101,7 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 type Projection struct {
 	Sessions int `json:"sessions"`
 	// Jobs is the scored (deadline-bearing) job count; Truncated marks a
-	// job set clipped at MaxJobs.
+	// job set clipped at maxJobs.
 	Jobs      int  `json:"jobs"`
 	Truncated bool `json:"truncated,omitempty"`
 	// Utilization is offered service demand over worker capacity: >1
@@ -104,7 +116,7 @@ type Projection struct {
 
 // BuildJobs expands the demand set into the deterministic job list the
 // projection simulates: QueueDepth backlog jobs at slot 0 with no
-// deadline, then per session HorizonPackets packets, each fanning into
+// deadline, then per session horizonPackets packets, each fanning into
 // SegmentsPerPacket jobs arriving together (the stream submits a Send's
 // segments at once) with staggered per-segment slot deadlines. Demands
 // are ordered by ID first so the sequence numbers — and therefore the
@@ -114,12 +126,12 @@ func BuildJobs(demands []SessionDemand, cfg AdmissionConfig) []SlotJob {
 	ordered := append([]SessionDemand(nil), demands...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 
-	jobs := make([]SlotJob, 0, cfg.QueueDepth+len(ordered)*cfg.HorizonPackets)
+	jobs := make([]SlotJob, 0, cfg.QueueDepth+len(ordered)*horizonPackets)
 	seq := uint64(0)
 	// Backlog runs first — it was submitted before everything the
 	// candidate fleet will offer — but carries no slot of its own:
 	// −Inf deadlines sort ahead of all audio work yet stay unscored.
-	for i := 0; i < cfg.QueueDepth && len(jobs) < cfg.MaxJobs; i++ {
+	for i := 0; i < cfg.QueueDepth && len(jobs) < maxJobs; i++ {
 		jobs = append(jobs, SlotJob{
 			Session:      "",
 			Seq:          seq,
@@ -129,25 +141,14 @@ func BuildJobs(demands []SessionDemand, cfg AdmissionConfig) []SlotJob {
 		seq++
 	}
 	// Interleave packets in time order across sessions (packet p of
-	// every session before packet p+1 of any) so truncation at MaxJobs
+	// every session before packet p+1 of any) so truncation at maxJobs
 	// clips the horizon, not whole sessions.
-	for p := 0; p < cfg.HorizonPackets; p++ {
+	for p := 0; p < horizonPackets; p++ {
 		for _, d := range ordered {
-			segs := d.SegmentsPerPacket
-			if segs < 1 {
-				segs = 1
-			}
-			segSlots := d.SegmentSlots
-			if segSlots < 1 {
-				segSlots = 2
-			}
-			period := d.PacketPeriodSlots
-			if period <= 0 {
-				period = float64(segs * segSlots)
-			}
+			segs, segSlots, period := d.shape()
 			arrival := d.PhaseSlots + float64(p)*period
 			for k := 0; k < segs; k++ {
-				if len(jobs) >= cfg.MaxJobs {
+				if len(jobs) >= maxJobs {
 					return jobs
 				}
 				jobs = append(jobs, SlotJob{
@@ -179,24 +180,13 @@ func ProjectAdmission(demands []SessionDemand, cfg AdmissionConfig) Projection {
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
 	var offered float64
 	for _, d := range ordered {
-		segs := d.SegmentsPerPacket
-		if segs < 1 {
-			segs = 1
-		}
-		period := d.PacketPeriodSlots
-		if period <= 0 {
-			segSlots := d.SegmentSlots
-			if segSlots < 1 {
-				segSlots = 2
-			}
-			period = float64(segs * segSlots)
-		}
+		segs, _, period := d.shape()
 		offered += float64(segs) * cfg.ServiceSlots / period
 	}
 	return Projection{
 		Sessions:      len(demands),
 		Jobs:          sim.Jobs,
-		Truncated:     len(jobs) >= cfg.MaxJobs,
+		Truncated:     len(jobs) >= maxJobs,
 		Utilization:   offered / float64(cfg.Workers),
 		MissRatio:     sim.MissRatio,
 		P99SlackSlots: sim.P99SlackSlots,

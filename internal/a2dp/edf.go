@@ -62,15 +62,11 @@ type SimResult struct {
 	Misses int `json:"misses"`
 	// MissRatio is Misses/Jobs (0 when Jobs is 0).
 	MissRatio float64 `json:"missRatio"`
-	// P50SlackSlots / P99SlackSlots / MinSlackSlots summarize
-	// DeadlineSlot − completion over the scored jobs. P99 here is the
-	// 99th-percentile *lateness* tail: the slack only 1% of jobs fall
-	// below. Negative = missed.
-	P50SlackSlots float64 `json:"p50SlackSlots"`
+	// P99SlackSlots / MinSlackSlots summarize DeadlineSlot − completion
+	// over the scored jobs. P99 here is the 99th-percentile *lateness*
+	// tail: the slack only 1% of jobs fall below. Negative = missed.
 	P99SlackSlots float64 `json:"p99SlackSlots"`
 	MinSlackSlots float64 `json:"minSlackSlots"`
-	// MakespanSlots is when the last worker went idle.
-	MakespanSlots float64 `json:"makespanSlots"`
 }
 
 // Simulate runs the job set on `workers` identical workers in virtual
@@ -149,16 +145,10 @@ func Simulate(jobs []SlotJob, workers int) SimResult {
 		}
 	}
 
-	for _, f := range free {
-		if f > res.MakespanSlots {
-			res.MakespanSlots = f
-		}
-	}
 	if res.Jobs > 0 {
 		res.MissRatio = float64(res.Misses) / float64(res.Jobs)
 		sort.Float64s(slacks)
 		res.MinSlackSlots = slacks[0]
-		res.P50SlackSlots = slackPercentile(slacks, 0.50)
 		res.P99SlackSlots = slackPercentile(slacks, 0.99)
 	}
 	return res

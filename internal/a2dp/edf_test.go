@@ -1,6 +1,7 @@
 package a2dp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -40,8 +41,8 @@ func TestSimulateRunsTightDeadlineFirst(t *testing.T) {
 		t.Fatalf("misses = %d, want 0", res.Misses)
 	}
 	// tight finishes at 4 (slack 1), slow at 8 (slack 92).
-	if res.MinSlackSlots != 1 || res.MakespanSlots != 8 {
-		t.Fatalf("min slack %v, makespan %v; want 1 and 8", res.MinSlackSlots, res.MakespanSlots)
+	if res.MinSlackSlots != 1 {
+		t.Fatalf("min slack %v, want 1", res.MinSlackSlots)
 	}
 }
 
@@ -51,7 +52,7 @@ func TestSimulateDeterministicReplay(t *testing.T) {
 		{ID: "a", SegmentsPerPacket: 1, SegmentSlots: 6, PacketPeriodSlots: 12, PhaseSlots: 3},
 		{ID: "c", SegmentsPerPacket: 2, SegmentSlots: 4, PacketPeriodSlots: 9, PhaseSlots: 1},
 	}
-	cfg := AdmissionConfig{Workers: 2, ServiceSlots: 1.5, HorizonPackets: 12, QueueDepth: 3}
+	cfg := AdmissionConfig{Workers: 2, ServiceSlots: 1.5, QueueDepth: 3}
 	first := ProjectAdmission(demands, cfg)
 	// Caller ordering must not matter: BuildJobs sorts by ID.
 	reversed := []SessionDemand{demands[2], demands[0], demands[1]}
@@ -67,8 +68,8 @@ func TestSimulateDeterministicReplay(t *testing.T) {
 
 func TestSimulateBacklogConsumesCapacityWithoutScoring(t *testing.T) {
 	demands := []SessionDemand{{ID: "s", SegmentsPerPacket: 1, SegmentSlots: 2, PacketPeriodSlots: 4}}
-	clean := ProjectAdmission(demands, AdmissionConfig{Workers: 1, ServiceSlots: 2, HorizonPackets: 8})
-	backlogged := ProjectAdmission(demands, AdmissionConfig{Workers: 1, ServiceSlots: 2, HorizonPackets: 8, QueueDepth: 16})
+	clean := ProjectAdmission(demands, AdmissionConfig{Workers: 1, ServiceSlots: 2})
+	backlogged := ProjectAdmission(demands, AdmissionConfig{Workers: 1, ServiceSlots: 2, QueueDepth: 16})
 	if backlogged.Jobs != clean.Jobs {
 		t.Fatalf("backlog jobs must not be scored: %d vs %d", backlogged.Jobs, clean.Jobs)
 	}
@@ -81,7 +82,7 @@ func TestSimulateBacklogConsumesCapacityWithoutScoring(t *testing.T) {
 // that the projected miss ratio never improves with more sessions — the
 // property the capacity-knee soak gates on.
 func TestProjectAdmissionMonotoneRamp(t *testing.T) {
-	cfg := AdmissionConfig{Workers: 2, ServiceSlots: 1.2, HorizonPackets: 12}
+	cfg := AdmissionConfig{Workers: 2, ServiceSlots: 1.2}
 	prev := -1.0
 	prevUtil := -1.0
 	for n := 1; n <= 12; n++ {
@@ -109,12 +110,17 @@ func TestProjectAdmissionMonotoneRamp(t *testing.T) {
 	}
 }
 
+// TestBuildJobsTruncation offers 40 sessions × 16 packets × 8 segments
+// (5120 jobs), past the 4096-job cap.
 func TestBuildJobsTruncation(t *testing.T) {
-	demands := []SessionDemand{{ID: "s", SegmentsPerPacket: 8, SegmentSlots: 2, PacketPeriodSlots: 4}}
-	cfg := AdmissionConfig{Workers: 1, HorizonPackets: 100, MaxJobs: 64}
+	demands := make([]SessionDemand, 40)
+	for i := range demands {
+		demands[i] = SessionDemand{ID: fmt.Sprintf("s%02d", i), SegmentsPerPacket: 8, SegmentSlots: 2, PacketPeriodSlots: 4}
+	}
+	cfg := AdmissionConfig{Workers: 1}
 	jobs := BuildJobs(demands, cfg)
-	if len(jobs) != 64 {
-		t.Fatalf("job set = %d, want clipped at 64", len(jobs))
+	if len(jobs) != maxJobs {
+		t.Fatalf("job set = %d, want clipped at %d", len(jobs), maxJobs)
 	}
 	proj := ProjectAdmission(demands, cfg)
 	if !proj.Truncated {

@@ -56,7 +56,6 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name:        "alloccheck",
-	Doc:         "functions annotated //bluefi:allocfree must contain no allocation sites, transitively through module calls",
 	SuppressKey: "alloc-ok",
 	Run:         run,
 }

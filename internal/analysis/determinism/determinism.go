@@ -51,7 +51,6 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name:        "determinism",
-	Doc:         "forbid wall-clock, unseeded randomness, map-order and scheduling dependence in the synthesis pipeline",
 	SuppressKey: "nondeterministic-ok",
 	Run:         run,
 }

@@ -32,8 +32,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is a one-paragraph description of the invariant.
-	Doc string
 	// SuppressKey, when nonempty, enables `//bluefi:<key> <reason>`
 	// line suppression for this analyzer's diagnostics.
 	SuppressKey string

@@ -37,7 +37,6 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name:        "leakcheck",
-	Doc:         "every go statement must have a provable shutdown edge (bounded loop, channel close, ctx.Done select) or a reasoned //bluefi:goroutine suppression",
 	SuppressKey: "goroutine",
 	Run:         run,
 }

@@ -34,7 +34,6 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name:        "lockcheck",
-	Doc:         "fields annotated `guarded by mu` must only be accessed while holding the annotated mutex",
 	SuppressKey: "lock-ok",
 	Run:         run,
 }

@@ -37,7 +37,6 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name:        "obsnames",
-	Doc:         "metric and span registration sites must follow the DESIGN §8 naming scheme (bluefi_<pkg>_<noun>_<unit>, unit suffixes, ≤4 constant labels)",
 	SuppressKey: "obsname-ok",
 	Run:         run,
 }

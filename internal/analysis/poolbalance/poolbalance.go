@@ -1,19 +1,18 @@
 // Package poolbalance checks that every buffer drawn from the
-// internal/dsp size-bucketed pools is returned exactly once and never
-// outlives its function. The pools are what keep parallel synthesis
-// allocation-flat (one rehearsal candidate runs a full synth+demod
-// pass; a Pool of synthesizers multiplies that), so a leaked Get is a
-// silent throughput regression and an escaped buffer is a data race in
-// waiting — the pool will hand the same backing array to another
-// goroutine.
+// internal/dsp size-bucketed complex pool (GetComplex) is returned
+// exactly once (PutComplex) and never outlives its function. The pool is
+// what keeps parallel synthesis allocation-flat (one rehearsal candidate
+// runs a full synth+demod pass; a Pool of synthesizers multiplies that),
+// so a leaked Get is a silent throughput regression and an escaped
+// buffer is a data race in waiting — the pool will hand the same backing
+// array to another goroutine.
 //
 // The check is flow-sensitive in the ways that matter for this
 // codebase without needing SSA:
 //
 //   - a Get whose result is discarded leaks immediately;
 //   - a Get must have a matching Put on the same variable in the same
-//     function (the element types already force GetComplex ↔ PutComplex
-//     and GetFloat ↔ PutFloat pairing through the type checker);
+//     function;
 //   - a non-deferred Put with a return statement between the Get and
 //     the Put leaks on the early path — use defer;
 //   - a pooled buffer must not escape: returning it, storing it into a
@@ -36,7 +35,6 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name:        "poolbalance",
-	Doc:         "every dsp pool Get must be Put exactly once on every path and must not escape the function",
 	SuppressKey: "pool-ok",
 	Run:         run,
 }
@@ -62,7 +60,6 @@ func run(pass *framework.Pass) error {
 // acquire is one tracked Get call result.
 type acquire struct {
 	obj     types.Object // the variable holding the buffer
-	kind    string       // "Complex" or "Float"
 	pos     token.Pos
 	puts    []put
 	escapes bool
@@ -88,13 +85,12 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			kind, ok := poolCallKind(pass, call, "Get")
-			if !ok {
+			if !isPoolCall(pass, call, "GetComplex") {
 				return true
 			}
 			id, ok := n.Lhs[0].(*ast.Ident)
 			if !ok || id.Name == "_" {
-				pass.Reportf(call.Pos(), "result of dsp.Get%s is discarded; the buffer can never be returned to the pool", kind)
+				pass.Reportf(call.Pos(), "result of dsp.GetComplex is discarded; the buffer can never be returned to the pool")
 				return true
 			}
 			obj := pass.TypesInfo.Defs[id]
@@ -104,13 +100,13 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			if obj == nil {
 				return true
 			}
-			a := &acquire{obj: obj, kind: kind, pos: call.Pos()}
+			a := &acquire{obj: obj, pos: call.Pos()}
 			acquires = append(acquires, a)
 			byObj[obj] = a
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
-				if kind, ok := poolCallKind(pass, call, "Get"); ok {
-					pass.Reportf(call.Pos(), "result of dsp.Get%s is discarded; the buffer can never be returned to the pool", kind)
+				if isPoolCall(pass, call, "GetComplex") {
+					pass.Reportf(call.Pos(), "result of dsp.GetComplex is discarded; the buffer can never be returned to the pool")
 				}
 			}
 		}
@@ -132,12 +128,12 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				for _, arg := range n.Call.Args {
 					walk(arg, true)
 				}
-				if _, ok := poolCallKind(pass, n.Call, "Put"); ok {
+				if isPoolCall(pass, n.Call, "PutComplex") {
 					recordPut(pass, byObj, n.Call, true)
 				}
 				return false
 			case *ast.CallExpr:
-				if _, ok := poolCallKind(pass, n, "Put"); ok {
+				if isPoolCall(pass, n, "PutComplex") {
 					recordPut(pass, byObj, n, inDefer)
 					return true
 				}
@@ -197,13 +193,13 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			if !p.deferred {
 				for _, rp := range returnPositions {
 					if rp > a.pos && rp < p.pos {
-						pass.Reportf(rp, "return between dsp.Get%s and its Put leaks buffer %s on this path; release with defer", a.kind, objName(a))
+						pass.Reportf(rp, "return between dsp.GetComplex and its Put leaks buffer %s on this path; release with defer", objName(a))
 					}
 				}
 			}
 		}
 		if len(a.puts) == 0 && !a.escapes {
-			pass.Reportf(a.pos, "dsp.Get%s buffer %s is never returned with dsp.Put%s in this function", a.kind, objName(a), a.kind)
+			pass.Reportf(a.pos, "dsp.GetComplex buffer %s is never returned with dsp.PutComplex in this function", objName(a))
 		}
 	}
 }
@@ -257,22 +253,14 @@ func pooledOperand(pass *framework.Pass, byObj map[types.Object]*acquire, expr a
 	}
 }
 
-// poolCallKind reports whether call invokes <dsp>.<prefix>Complex or
-// <dsp>.<prefix>Float and returns the element kind.
-func poolCallKind(pass *framework.Pass, call *ast.CallExpr, prefix string) (string, bool) {
+// isPoolCall reports whether call invokes <dsp>.<name>.
+func isPoolCall(pass *framework.Pass, call *ast.CallExpr, name string) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", false
+		return false
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || !isDSPPath(fn.Pkg().Path()) {
-		return "", false
-	}
-	kind, ok := strings.CutPrefix(fn.Name(), prefix)
-	if !ok || (kind != "Complex" && kind != "Float") {
-		return "", false
-	}
-	return kind, true
+	return ok && fn.Pkg() != nil && isDSPPath(fn.Pkg().Path()) && fn.Name() == name
 }
 
 func objName(a *acquire) string { return a.obj.Name() }

@@ -34,7 +34,6 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name:        "scratchalias",
-	Doc:         "exported core/dsp functions must not return or retain references to reusable scratch buffers",
 	SuppressKey: "alias-ok",
 	Run:         run,
 }

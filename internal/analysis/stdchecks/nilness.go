@@ -1,5 +1,7 @@
 // Package stdchecks holds a basic nilness pass on the repo's own
-// analysis framework, because `go vet` does not run nilness. The other
+// analysis framework, because `go vet` does not run nilness: it flags a
+// dereference, index or call of a value inside its own `x == nil`
+// branch. The other
 // std-style checks (atomic, copylocks, loopclosure) are left to
 // `go vet ./...`, which `make verify` runs. The pass is deliberately
 // small: it covers the patterns that occur (or must never occur) in
@@ -21,7 +23,6 @@ import (
 // variable are skipped rather than modelled.
 var Nilness = &framework.Analyzer{
 	Name: "nilness",
-	Doc:  "flag dereference/index/call of values inside their x == nil branch",
 	Run:  runNilness,
 }
 

@@ -7,7 +7,3 @@ package dsp
 func GetComplex(n int) []complex128 { return make([]complex128, n) }
 
 func PutComplex(buf []complex128) { _ = buf }
-
-func GetFloat(n int) []float64 { return make([]float64, n) }
-
-func PutFloat(buf []float64) { _ = buf }

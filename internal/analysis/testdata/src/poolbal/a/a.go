@@ -5,7 +5,6 @@ package a
 
 import "bluefi/internal/dsp"
 
-func use(buf []float64)       { _ = buf }
 func use2(buf []complex128)   { _ = buf }
 
 type holder struct{ buf []complex128 }
@@ -24,20 +23,20 @@ func okDefer() {
 // deferred closure.
 func okDeferClosure() {
 	a := dsp.GetComplex(8)
-	b := dsp.GetFloat(4)
+	b := dsp.GetComplex(4)
 	defer func() {
 		dsp.PutComplex(a)
-		dsp.PutFloat(b)
+		dsp.PutComplex(b)
 	}()
 	use2(a)
-	use(b)
+	use2(b)
 }
 
 // okInline releases without defer; legal because no return intervenes.
 func okInline() {
-	buf := dsp.GetFloat(8)
-	use(buf)
-	dsp.PutFloat(buf)
+	buf := dsp.GetComplex(8)
+	use2(buf)
+	dsp.PutComplex(buf)
 }
 
 func missingPut() {
@@ -66,7 +65,7 @@ func discardedExpr() {
 }
 
 func discardedBlank() {
-	_ = dsp.GetFloat(8) // want `result of dsp.GetFloat is discarded`
+	_ = dsp.GetComplex(8) // want `result of dsp.GetComplex is discarded`
 }
 
 func escapeReturn() []complex128 {

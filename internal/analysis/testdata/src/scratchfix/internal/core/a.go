@@ -5,56 +5,56 @@ package core
 import "bluefi/internal/dsp"
 
 type S struct {
-	scratch []float64
-	cache   map[int][]float64
+	scratch []complex128
+	cache   map[int][]complex128
 }
 
-var table []float64
+var table []complex128
 
 // Leak returns the receiver's scratch buffer directly.
-func (s *S) Leak() []float64 {
+func (s *S) Leak() []complex128 {
 	return s.scratch // want `exported Leak returns receiver scratch field scratch`
 }
 
 // LeakSliced re-slicing still aliases the same backing array.
-func (s *S) LeakSliced() []float64 {
+func (s *S) LeakSliced() []complex128 {
 	return s.scratch[:2] // want `exported LeakSliced returns receiver scratch field scratch`
 }
 
 // LeakMap returns an aliasable reference-typed field.
-func (s *S) LeakMap() map[int][]float64 {
+func (s *S) LeakMap() map[int][]complex128 {
 	return s.cache // want `exported LeakMap returns receiver scratch field cache`
 }
 
 // Copy is the sanctioned shape.
-func (s *S) Copy() []float64 {
-	out := make([]float64, len(s.scratch))
+func (s *S) Copy() []complex128 {
+	out := make([]complex128, len(s.scratch))
 	copy(out, s.scratch)
 	return out
 }
 
 // internal helpers may alias freely; the invariant is about the API
 // boundary.
-func (s *S) internalView() []float64 {
+func (s *S) internalView() []complex128 {
 	return s.scratch
 }
 
 // Table returns a package-level buffer.
-func Table() []float64 {
+func Table() []complex128 {
 	return table // want `exported Table returns package-level buffer table`
 }
 
 // FromPool returns pool-owned memory the caller cannot release.
-func FromPool(n int) []float64 {
-	return dsp.GetFloat(n) // want `exported FromPool returns a dsp.GetFloat buffer`
+func FromPool(n int) []complex128 {
+	return dsp.GetComplex(n) // want `exported FromPool returns a dsp.GetComplex buffer`
 }
 
 // Retain stores pool-owned memory past the call.
 func (s *S) Retain(n int) {
-	s.scratch = dsp.GetFloat(n) // want `exported Retain stores a dsp pool buffer into receiver field scratch`
+	s.scratch = dsp.GetComplex(n) // want `exported Retain stores a dsp pool buffer into receiver field scratch`
 }
 
 // View documents an intentional read-only exposure.
-func (s *S) View() []float64 {
+func (s *S) View() []complex128 {
 	return s.scratch //bluefi:alias-ok documented read-only view, callers must not write or retain
 }

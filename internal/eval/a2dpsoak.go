@@ -109,13 +109,12 @@ type A2DPCapacityPoint struct {
 
 // A2DPSessionOutcome is one session's measured-phase result.
 type A2DPSessionOutcome struct {
-	ID              string  `json:"id"`
-	Shipped         uint64  `json:"shipped"`
-	Dropped         uint64  `json:"dropped"`
-	ShippedRatio    float64 `json:"shippedRatio"`
-	Segments        uint64  `json:"segments"`
-	DeadlineMisses  uint64  `json:"deadlineMisses"`
-	P99SlackSeconds float64 `json:"p99SlackSeconds"`
+	ID             string  `json:"id"`
+	Shipped        uint64  `json:"shipped"`
+	Dropped        uint64  `json:"dropped"`
+	ShippedRatio   float64 `json:"shippedRatio"`
+	Segments       uint64  `json:"segments"`
+	DeadlineMisses uint64  `json:"deadlineMisses"`
 }
 
 // A2DPStormOutcome summarizes the fault-storm phase.
@@ -246,13 +245,12 @@ func A2DPSoak(cfg A2DPSoakConfig) (*A2DPSoakResult, error) {
 		}
 		for _, rep := range sm.Sessions() {
 			res.Measured = append(res.Measured, A2DPSessionOutcome{
-				ID:              rep.ID,
-				Shipped:         rep.Shipped,
-				Dropped:         rep.Dropped,
-				ShippedRatio:    rep.ShippedRatio,
-				Segments:        rep.Segments,
-				DeadlineMisses:  rep.DeadlineMisses,
-				P99SlackSeconds: rep.P99SlackSeconds,
+				ID:             rep.ID,
+				Shipped:        rep.Shipped,
+				Dropped:        rep.Dropped,
+				ShippedRatio:   rep.ShippedRatio,
+				Segments:       rep.Segments,
+				DeadlineMisses: rep.DeadlineMisses,
 			})
 		}
 	}
@@ -309,7 +307,7 @@ func a2dpStorm(cfg A2DPSoakConfig, knee int) (*A2DPStormOutcome, error) {
 		Mode:      cfg.Mode,
 		Telemetry: reg,
 		Faults:    &plan,
-		Retry:     bluefi.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retry:     bluefi.RetryPolicy{MaxAttempts: 3},
 	}, cfg.Workers)
 	if err != nil {
 		return nil, err

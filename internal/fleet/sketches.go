@@ -66,9 +66,8 @@ func (f *Fleet) Sketches() SketchSnapshot { return f.sk.snapshot() }
 
 // SLOSpecs declares the fleet's canonical SLOs over its own metric
 // handles, ready for slo.Engine.Add. Returns nil without telemetry
-// (the indicators read the bluefi_fleet_* counters). The windows and
-// burn thresholds are the engine defaults; callers may override fields
-// before Add.
+// (the indicators read the bluefi_fleet_* counters). Every SLO runs on
+// the engine's fixed burn windows and thresholds.
 func (f *Fleet) SLOSpecs() []slo.Spec {
 	m := f.met
 	if m == nil {

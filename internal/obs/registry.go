@@ -56,10 +56,9 @@ const (
 // is a valid "telemetry disabled" registry: every constructor returns a
 // nil handle whose recording methods no-op.
 type Registry struct {
-	mu         sync.Mutex
-	families   map[string]*family   // guarded by mu
-	histBounds map[string][]float64 // guarded by mu — construction-time bucket overrides
-	ids        atomic.Uint64        // span/trace ID source
+	mu       sync.Mutex
+	families map[string]*family // guarded by mu
+	ids      atomic.Uint64      // span/trace ID source
 
 	spanMu   sync.Mutex
 	spanRing []SpanRecord // guarded by spanMu
@@ -69,21 +68,6 @@ type Registry struct {
 	// sink receives structured events (Registry.Event); nil means events
 	// are dropped at one atomic load per record site.
 	sink atomic.Pointer[eventSinkBox]
-}
-
-// Config tunes a registry at construction. The zero value reproduces
-// NewRegistry: default trace capacity, every histogram keeping the
-// bucket layout its registration site passed.
-type Config struct {
-	// TraceCapacity bounds the recent-span ring (default 256, minimum 1).
-	TraceCapacity int
-	// HistogramBounds overrides the finite bucket bounds of histograms
-	// by (sanitized) metric name: a registration site's hard-coded
-	// layout is replaced before normalization, so operators can widen or
-	// refine a latency histogram without touching the instrumented
-	// package. Only the family's first registration consults the
-	// override (Prometheus allows one layout per family).
-	HistogramBounds map[string][]float64
 }
 
 // EventSink consumes structured events recorded through
@@ -171,24 +155,7 @@ const defaultTraceCapacity = 256
 
 // NewRegistry returns an empty registry with the default trace capacity.
 func NewRegistry() *Registry {
-	return NewRegistryWith(Config{})
-}
-
-// NewRegistryWith returns an empty registry tuned by cfg. The zero
-// Config is equivalent to NewRegistry.
-func NewRegistryWith(cfg Config) *Registry {
-	cap := cfg.TraceCapacity
-	if cap < 1 {
-		cap = defaultTraceCapacity
-	}
-	r := &Registry{families: make(map[string]*family), spanCap: cap}
-	if len(cfg.HistogramBounds) > 0 {
-		r.histBounds = make(map[string][]float64, len(cfg.HistogramBounds))
-		for name, bounds := range cfg.HistogramBounds {
-			r.histBounds[sanitizeName(name)] = normalizeBounds(bounds)
-		}
-	}
-	return r
+	return &Registry{families: make(map[string]*family), spanCap: defaultTraceCapacity}
 }
 
 // SetTraceCapacity resizes the recent-span ring (minimum 1), dropping
@@ -343,11 +310,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 		return nil
 	}
 	bounds = normalizeBounds(bounds)
-	r.mu.Lock()
-	if override, ok := r.histBounds[sanitizeName(name)]; ok {
-		bounds = override
-	}
-	r.mu.Unlock()
 	m := r.register(name, help, KindHistogram, labels, bounds)
 	// The family's bounds win when the name was registered first with a
 	// different layout — the metric's count slice is authoritative.

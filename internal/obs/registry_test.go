@@ -196,40 +196,29 @@ func TestSanitization(t *testing.T) {
 	}
 }
 
-// TestConfigHistogramBounds: a construction-time override replaces the
-// bucket layout a registration site hard-codes, keyed by sanitized name.
-func TestConfigHistogramBounds(t *testing.T) {
-	r := NewRegistryWith(Config{
-		HistogramBounds: map[string][]float64{
-			"bluefi_x_seconds": {0.1, 0.2, 0.4},
-		},
-	})
-	h := r.Histogram("bluefi_x_seconds", "", ExpBuckets(1e-6, 4, 14))
-	want := []float64{0.1, 0.2, 0.4}
-	got := h.Bounds()
-	if len(got) != len(want) {
-		t.Fatalf("bounds = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("bounds = %v, want %v", got, want)
+// TestConfigTraceCapacity: the ring holds exactly the configured trace
+// capacity, the default until SetTraceCapacity changes it, and never
+// fewer than one span.
+func TestConfigTraceCapacity(t *testing.T) {
+	r := NewRegistry()
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			r.recordSpan(SpanRecord{SpanID: uint64(i + 1), Name: "x"})
 		}
 	}
-	// A name without an override keeps the site's layout.
-	h2 := r.Histogram("bluefi_y_seconds", "", []float64{1, 2})
-	if n := len(h2.Bounds()); n != 2 {
-		t.Fatalf("unoverridden bounds len = %d, want 2", n)
+	fill(defaultTraceCapacity + 10)
+	if n := len(r.RecentSpans()); n != defaultTraceCapacity {
+		t.Fatalf("default RecentSpans len = %d, want %d", n, defaultTraceCapacity)
 	}
-}
-
-// TestConfigTraceCapacity: the ring holds exactly TraceCapacity spans.
-func TestConfigTraceCapacity(t *testing.T) {
-	r := NewRegistryWith(Config{TraceCapacity: 3})
-	for i := 0; i < 10; i++ {
-		r.recordSpan(SpanRecord{SpanID: uint64(i + 1), Name: "x"})
-	}
+	r.SetTraceCapacity(3)
+	fill(10)
 	if n := len(r.RecentSpans()); n != 3 {
 		t.Fatalf("RecentSpans len = %d, want 3", n)
+	}
+	r.SetTraceCapacity(0)
+	fill(10)
+	if n := len(r.RecentSpans()); n != 1 {
+		t.Fatalf("RecentSpans len after SetTraceCapacity(0) = %d, want 1", n)
 	}
 }
 

@@ -14,7 +14,7 @@
 // only when BOTH the fast window (catches sudden storms quickly) and
 // the slow window (suppresses blips) exceed its threshold. States
 // escalate immediately (OK→Warn→Page the tick both windows cross) and
-// de-escalate one level at a time only after HoldTicks consecutive
+// de-escalate one level at a time only after holdTicks consecutive
 // calm ticks — hysteresis, so a storm that flickers doesn't flap pages.
 //
 // Determinism: the engine never reads the clock. Tick(now) is driven
@@ -71,40 +71,22 @@ type Spec struct {
 	Objective float64
 	// Indicator supplies the cumulative counts.
 	Indicator Indicator
-	// FastWindowTicks and SlowWindowTicks are the two burn windows in
-	// ticks (fast < slow). Defaults: 8 and 32.
-	FastWindowTicks int
-	SlowWindowTicks int
-	// PageBurn and WarnBurn are the burn-rate thresholds (defaults 2
-	// and 1). A level activates when both windows are ≥ its threshold.
-	PageBurn float64
-	WarnBurn float64
-	// HoldTicks is the hysteresis: consecutive ticks below every
-	// threshold required before the state steps down one level
-	// (default 12).
-	HoldTicks int
 }
 
-// normalized fills defaults.
+// Every SLO alerts on the same ladder: burn windows of fastWindowTicks
+// and slowWindowTicks, a level activating when both windows are ≥ its
+// burn threshold (pageBurn, warnBurn), and holdTicks consecutive ticks
+// below every threshold before the state steps down one level.
+const (
+	fastWindowTicks = 8
+	slowWindowTicks = 32
+	pageBurn        = 2.0
+	warnBurn        = 1.0
+	holdTicks       = 12
+)
+
+// normalized fills the default objective.
 func (s Spec) normalized() Spec {
-	if s.FastWindowTicks <= 0 {
-		s.FastWindowTicks = 8
-	}
-	if s.SlowWindowTicks <= s.FastWindowTicks {
-		s.SlowWindowTicks = 4 * s.FastWindowTicks
-	}
-	if s.PageBurn <= 0 {
-		s.PageBurn = 2
-	}
-	if s.WarnBurn <= 0 {
-		s.WarnBurn = 1
-	}
-	if s.WarnBurn > s.PageBurn {
-		s.WarnBurn = s.PageBurn
-	}
-	if s.HoldTicks <= 0 {
-		s.HoldTicks = 12
-	}
 	if s.Objective <= 0 || s.Objective >= 1 {
 		s.Objective = 0.99
 	}
@@ -128,7 +110,7 @@ type Episode struct {
 // tracked is the engine's per-SLO state.
 type tracked struct {
 	spec    Spec
-	ring    []sample // under Engine.mu — last SlowWindowTicks+1 samples
+	ring    []sample // under Engine.mu — last slowWindowTicks+1 samples
 	filled  int      // under Engine.mu
 	next    int      // under Engine.mu
 	state   State    // under Engine.mu
@@ -188,7 +170,7 @@ func (e *Engine) Add(spec Spec) bool {
 	}
 	tr := &tracked{
 		spec:   spec,
-		ring:   make([]sample, spec.SlowWindowTicks+1),
+		ring:   make([]sample, slowWindowTicks+1),
 		stateG: e.reg.Gauge("bluefi_slo_state", "Current SLO state (0 ok, 1 warn, 2 page).", obs.L("slo", spec.Name)),
 		fastG:  e.reg.Gauge("bluefi_slo_burn_fast_milli", "Fast-window burn rate ×1000.", obs.L("slo", spec.Name)),
 		slowG:  e.reg.Gauge("bluefi_slo_burn_slow_milli", "Slow-window burn rate ×1000.", obs.L("slo", spec.Name)),
@@ -259,16 +241,16 @@ func (e *Engine) advanceLocked(tr *tracked, s sample, tick int64, now time.Time)
 	if tr.filled < len(tr.ring) {
 		tr.filled++
 	}
-	tr.fast = tr.burnLocked(tr.spec.FastWindowTicks, s)
-	tr.slow = tr.burnLocked(tr.spec.SlowWindowTicks, s)
+	tr.fast = tr.burnLocked(fastWindowTicks, s)
+	tr.slow = tr.burnLocked(slowWindowTicks, s)
 	tr.fastG.Set(int64(tr.fast * 1000))
 	tr.slowG.Set(int64(tr.slow * 1000))
 
 	target := OK
-	if tr.fast >= tr.spec.WarnBurn && tr.slow >= tr.spec.WarnBurn {
+	if tr.fast >= warnBurn && tr.slow >= warnBurn {
 		target = Warn
 	}
-	if tr.fast >= tr.spec.PageBurn && tr.slow >= tr.spec.PageBurn {
+	if tr.fast >= pageBurn && tr.slow >= pageBurn {
 		target = Page
 	}
 
@@ -295,9 +277,9 @@ func (e *Engine) advanceLocked(tr *tracked, s sample, tick int64, now time.Time)
 	case target == tr.state:
 		tr.calm = 0
 	default:
-		// Below the current level: de-escalate one step per HoldTicks.
+		// Below the current level: de-escalate one step per holdTicks.
 		tr.calm++
-		if tr.calm >= tr.spec.HoldTicks {
+		if tr.calm >= holdTicks {
 			tr.state--
 			tr.calm = 0
 			e.noteTransitionLocked(tr)
@@ -421,10 +403,10 @@ func (e *Engine) Snapshot() Snapshot {
 			State:       tr.state.String(),
 			FastBurn:    tr.fast,
 			SlowBurn:    tr.slow,
-			FastWindow:  tr.spec.FastWindowTicks,
-			SlowWindow:  tr.spec.SlowWindowTicks,
-			PageBurn:    tr.spec.PageBurn,
-			WarnBurn:    tr.spec.WarnBurn,
+			FastWindow:  fastWindowTicks,
+			SlowWindow:  slowWindowTicks,
+			PageBurn:    pageBurn,
+			WarnBurn:    warnBurn,
 		}
 		if tr.episode != nil {
 			ep := *tr.episode

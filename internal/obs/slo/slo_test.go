@@ -61,10 +61,7 @@ func TestBurnRateMath(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			sli := &fakeSLI{}
 			e := NewEngine(nil)
-			e.Add(Spec{
-				Name: "x", Objective: 0.99, Indicator: sli.indicator(),
-				FastWindowTicks: 4, SlowWindowTicks: 16,
-			})
+			e.Add(Spec{Name: "x", Objective: 0.99, Indicator: sli.indicator()})
 			for i := 0; i < c.ticks; i++ {
 				sli.add(100-c.errPerTk, 100)
 				e.Tick(time.Unix(int64(i), 0).UTC())
@@ -95,33 +92,29 @@ func TestBurnNoTraffic(t *testing.T) {
 }
 
 // TestStateLadder: escalation is immediate when both windows cross;
-// de-escalation steps one level per HoldTicks of calm; a short blip
+// de-escalation steps one level per holdTicks of calm; a short blip
 // that only moves the fast window never alerts (the slow window
 // suppresses it).
 func TestStateLadder(t *testing.T) {
 	sli := &fakeSLI{}
 	e := NewEngine(nil)
-	e.Add(Spec{
-		Name: "ladder", Objective: 0.99, Indicator: sli.indicator(),
-		FastWindowTicks: 4, SlowWindowTicks: 8,
-		PageBurn: 5, WarnBurn: 2, HoldTicks: 3,
-	})
+	e.Add(Spec{Name: "ladder", Objective: 0.99, Indicator: sli.indicator()})
 	step := func(errs float64) {
 		sli.add(100-errs, 100)
 		e.Tick(time.Unix(int64(e.Snapshot().Tick), 0).UTC())
 	}
 
-	// One bad tick: fast window moves, slow window (8 ticks of mostly
-	// clean traffic) stays under WarnBurn ⇒ still OK.
-	for i := 0; i < 8; i++ {
+	// One bad tick: fast window moves, slow window (32 ticks of mostly
+	// clean traffic) stays under warnBurn ⇒ still OK.
+	for i := 0; i < slowWindowTicks; i++ {
 		step(0)
 	}
-	step(8) // one tick at burn 8 contributes 1 error/100 per 8-tick window → slow burn 1 < 2
+	step(8) // 8 errors: fast burn 8/800/0.01 = 1, slow burn 8/3200/0.01 = 0.25 < 1
 	if got := e.State("ladder"); got != OK {
 		t.Fatalf("after blip: state %v, want OK", got)
 	}
 
-	// Sustained storm: both windows cross PageBurn ⇒ Page.
+	// Sustained storm: both windows cross pageBurn ⇒ Page.
 	for i := 0; i < 10; i++ {
 		step(10)
 	}
@@ -129,12 +122,12 @@ func TestStateLadder(t *testing.T) {
 		t.Fatalf("during storm: state %v, want Page", got)
 	}
 
-	// Recovery: clean traffic. The fast window clears after 4 ticks,
-	// the slow after 8; only then does calm accumulate. Expect
-	// Page → (HoldTicks calm) → Warn → (HoldTicks calm) → OK.
+	// Recovery: clean traffic. Calm accumulates once the fast window
+	// drops below a level's threshold. Expect
+	// Page → (holdTicks calm) → Warn → (holdTicks calm) → OK.
 	sawWarn := false
 	var toOK int
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 60; i++ {
 		step(0)
 		st := e.State("ladder")
 		if st == Warn {
@@ -151,10 +144,10 @@ func TestStateLadder(t *testing.T) {
 	if toOK == 0 {
 		t.Fatal("never recovered to OK")
 	}
-	// Both windows clear of storm samples after SlowWindow ticks, then
-	// 2 × HoldTicks to walk Page→Warn→OK. It must not be instant.
-	if toOK < 2*3 {
-		t.Errorf("recovered in %d ticks — faster than 2×HoldTicks hysteresis allows", toOK)
+	// Walking Page→Warn→OK takes 2 × holdTicks calm ticks. It must
+	// not be instant.
+	if toOK < 2*holdTicks {
+		t.Errorf("recovered in %d ticks — faster than 2×holdTicks hysteresis allows", toOK)
 	}
 
 	// Exactly one page episode, closed.
@@ -162,8 +155,8 @@ func TestStateLadder(t *testing.T) {
 	if len(eps) != 1 || eps[0].Open || eps[0].SLO != "ladder" {
 		t.Fatalf("episodes = %+v, want one closed episode", eps)
 	}
-	if eps[0].PeakBurn < 5 {
-		t.Errorf("peak burn %g, want ≥ PageBurn", eps[0].PeakBurn)
+	if eps[0].PeakBurn < pageBurn {
+		t.Errorf("peak burn %g, want ≥ pageBurn", eps[0].PeakBurn)
 	}
 }
 
@@ -173,11 +166,7 @@ func TestStateLadder(t *testing.T) {
 func TestHysteresisNoFlap(t *testing.T) {
 	sli := &fakeSLI{}
 	e := NewEngine(nil)
-	e.Add(Spec{
-		Name: "flap", Objective: 0.99, Indicator: sli.indicator(),
-		FastWindowTicks: 4, SlowWindowTicks: 8,
-		PageBurn: 2, WarnBurn: 1, HoldTicks: 6,
-	})
+	e.Add(Spec{Name: "flap", Objective: 0.99, Indicator: sli.indicator()})
 	pages := 0
 	e.OnPage(func(Episode) { pages++ })
 
@@ -185,10 +174,10 @@ func TestHysteresisNoFlap(t *testing.T) {
 		sli.add(100-errs, 100)
 		e.Tick(time.Unix(int64(e.Snapshot().Tick), 0).UTC())
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < slowWindowTicks; i++ {
 		step(0)
 	}
-	// 30 flickering ticks: avg error rate 5% = burn 5 over any 4-tick
+	// 30 flickering ticks: avg error rate 5% = burn 5 over any 8-tick
 	// window, with single-tick dips.
 	for i := 0; i < 30; i++ {
 		if i%2 == 0 {
@@ -216,8 +205,7 @@ func TestMetricsExported(t *testing.T) {
 	reg := obs.NewRegistry()
 	sli := &fakeSLI{}
 	e := NewEngine(reg)
-	e.Add(Spec{Name: "m", Objective: 0.9, Indicator: sli.indicator(),
-		FastWindowTicks: 2, SlowWindowTicks: 4, PageBurn: 2, WarnBurn: 1, HoldTicks: 2})
+	e.Add(Spec{Name: "m", Objective: 0.9, Indicator: sli.indicator()})
 	for i := 0; i < 10; i++ {
 		sli.add(50, 100) // 50% errors, objective 0.9 → burn 5
 		e.Tick(time.Unix(int64(i), 0).UTC())

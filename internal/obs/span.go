@@ -126,9 +126,6 @@ func (sp Span) End() time.Duration {
 func (r *Registry) recordSpan(rec SpanRecord) {
 	r.spanMu.Lock()
 	defer r.spanMu.Unlock()
-	if r.spanCap < 1 {
-		r.spanCap = defaultTraceCapacity
-	}
 	if len(r.spanRing) < r.spanCap {
 		r.spanRing = append(r.spanRing, rec)
 		r.spanNext = len(r.spanRing) % r.spanCap

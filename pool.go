@@ -73,41 +73,29 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("bluefi: job panicked: %v", e.Value) }
 
-// RetryPolicy bounds how a pool job retries after a retryable failure
+// RetryPolicy bounds how a pool job retries after a transient failure
 // (worker panic, job timeout, injected fault). Real synthesis errors —
-// bad input, no covering channel — are never retried.
+// bad input, no covering channel — are never retried. The first retry
+// waits 1 ms and each further one doubles the wait.
 type RetryPolicy struct {
 	// MaxAttempts caps total tries (≤1 = no retry).
 	MaxAttempts int
-	// Backoff is the first retry delay, doubling each attempt
-	// (default 1ms when retries are enabled).
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth (0 = uncapped).
-	MaxBackoff time.Duration
 }
 
 // backoffFor returns the delay before retry attempt n (1-based count of
-// failures so far), growing exponentially from Backoff.
-func (r RetryPolicy) backoffFor(n int) time.Duration {
-	base := r.Backoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	shift := n - 1
-	if shift > 20 {
-		shift = 20 // past ~1e6× the cap below has long since kicked in
-	}
-	d := base << shift
-	if r.MaxBackoff > 0 && d > r.MaxBackoff {
-		d = r.MaxBackoff
-	}
-	return d
+// failures so far): 1 ms doubled n−1 times.
+func backoffFor(n int) time.Duration {
+	// Past 2^20 ms the job has long outlived any caller's patience.
+	return time.Millisecond << min(n-1, 20)
 }
 
-// retryable reports whether a failure class is worth another attempt.
-func retryable(err error) bool {
+// transientErr classifies the failures a retry or the degradation
+// policy may absorb: injected faults, worker panics and job timeouts.
+// Real synthesis errors (bad input, no covering channel) and a closed
+// pool always propagate.
+func transientErr(err error) bool {
 	var pe *PanicError
-	return errors.Is(err, ErrJobTimeout) || errors.As(err, &pe) || faults.IsInjected(err)
+	return faults.IsInjected(err) || errors.As(err, &pe) || errors.Is(err, ErrJobTimeout)
 }
 
 // noDeadline marks a job submitted without a slot deadline: it sorts
@@ -457,11 +445,11 @@ func poolDoDeadline[T any](p *Pool, deadline uint64, fn func(*Synthesizer) (T, e
 			out = *cell // safe: the attempt's done channel closed cleanly
 			return out, nil
 		}
-		if attempt >= max || !retryable(err) || errors.Is(err, ErrPoolClosed) {
+		if attempt >= max || !transientErr(err) {
 			return out, err
 		}
 		p.met.retried()
-		time.Sleep(p.opts.Retry.backoffFor(attempt))
+		time.Sleep(backoffFor(attempt))
 	}
 }
 

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bluefi/internal/a2dp"
 	"bluefi/internal/obs"
-	"bluefi/internal/obs/sketch"
 	"bluefi/internal/obs/slo"
 )
 
@@ -63,7 +61,8 @@ type SessionConfig struct {
 }
 
 // smMetrics holds the manager's telemetry handles; nil disables them at
-// one branch per record.
+// one branch per record. audio is the streams' shared deadline family,
+// which the deadline SLO reads.
 type smMetrics struct {
 	reg *obs.Registry
 
@@ -71,13 +70,8 @@ type smMetrics struct {
 	rejected *obs.Counter
 	evicted  *obs.Counter
 	missGate *obs.Gauge
-
 	active   *obs.Gauge
-	shipped  *obs.Counter
-	dropped  *obs.Counter
-	segments *obs.Counter
-	misses   *obs.Counter
-	slack    *obs.Histogram
+	audio    *audioMetrics
 }
 
 func newSMMetrics(r *obs.Registry) *smMetrics {
@@ -96,17 +90,7 @@ func newSMMetrics(r *obs.Registry) *smMetrics {
 			"projected deadline-miss ratio of the last admission decision, in permille"),
 		active: r.Gauge("bluefi_a2dp_session_active",
 			"live sessions multiplexed over the shared pool"),
-		shipped: r.Counter("bluefi_a2dp_session_shipped_total",
-			"media packets shipped across all managed sessions"),
-		dropped: r.Counter("bluefi_a2dp_session_dropped_total",
-			"media packets shed or lost across all managed sessions"),
-		segments: r.Counter("bluefi_a2dp_session_segments_total",
-			"segments synthesized across all managed sessions"),
-		misses: r.Counter("bluefi_a2dp_session_deadline_miss_total",
-			"segments that overran their slot budget across all managed sessions"),
-		slack: r.Histogram("bluefi_a2dp_session_slack_seconds",
-			"per-segment deadline slack across all managed sessions",
-			obs.LinearBuckets(-10e-3, 1.25e-3, 17)),
+		audio: newAudioMetrics(r),
 	}
 }
 
@@ -148,41 +132,19 @@ func (p *Pool) NewSessionManager(cfg SessionManagerConfig) (*SessionManager, err
 	}, nil
 }
 
-// demandFor derives the session's steady-state slot-time load from its
-// audio configuration, mirroring NewAudioStream's defaulting so the
-// projection prices exactly the stream that would be built.
+// demandFor derives the session's steady-state slot-time load from the
+// same resolved shape the stream is built from, so the projection prices
+// exactly the stream that would be built.
 func demandFor(cfg SessionConfig, phaseSeq uint64) (a2dp.SessionDemand, error) {
-	ac := cfg.Audio
-	if ac.PacketType == 0 {
-		ac.PacketType = DM5
-	}
-	if ac.SBC == (SBCConfig{}) {
-		ac.SBC = SBCConfig{SampleRateHz: 44100, Blocks: 16, Stereo: true, Subbands: 8, Bitpool: 35}
-	}
-	pt, err := ac.PacketType.inner()
+	pt, sbcCfg, frames, segSlots, err := cfg.Audio.shape()
 	if err != nil {
 		return a2dp.SessionDemand{}, err
-	}
-	sbcCfg, err := ac.SBC.inner()
-	if err != nil {
-		return a2dp.SessionDemand{}, err
-	}
-	frames := ac.FramesPerPacket
-	if frames <= 0 {
-		frames = a2dp.FramesPerPacket(pt, sbcCfg)
-	}
-	if frames < 1 {
-		frames = 1
 	}
 	// One Send's wire bytes: L2CAP header + AVDTP media header + frames.
 	wire := 4 + a2dp.MediaHeaderLen + frames*sbcCfg.FrameBytes()
 	segs := (wire + pt.MaxPayload() - 1) / pt.MaxPayload()
-	segSlots := pt.Slots()
-	if segSlots%2 == 1 {
-		segSlots++
-	}
 	samples := frames * sbcCfg.SamplesPerFrame()
-	periodSlots := float64(samples) / float64(ac.SBC.SampleRateHz) / 625e-6
+	periodSlots := float64(samples) / float64(sbcCfg.Freq.Hz()) / 625e-6
 	return a2dp.SessionDemand{
 		ID:                cfg.ID,
 		SegmentsPerPacket: segs,
@@ -264,14 +226,7 @@ func (m *SessionManager) Admit(cfg SessionConfig) (*Session, error) {
 		m.ledger.Unregister(cfg.ID)
 		return nil, err
 	}
-	s := &Session{
-		id:     cfg.ID,
-		m:      m,
-		stream: stream,
-		demand: demand,
-		slackQ: sketch.NewQuantile(0.01, 128),
-	}
-	stream.onSlack = s.noteSlack
+	s := &Session{id: cfg.ID, stream: stream, demand: demand}
 	m.sessions[cfg.ID] = s
 	m.order = append(m.order, cfg.ID)
 	m.seq++
@@ -349,9 +304,11 @@ func (m *SessionManager) Report() SessionManagerReport {
 	}
 }
 
-// SessionSLOSpecs declares the multi-session SLOs over the manager's
-// cumulative counters — feed them to an slo.Engine the way the fleet
-// layer's SLOSpecs are. Returns nil without telemetry.
+// SessionSLOSpecs declares the multi-session SLOs — feed them to an
+// slo.Engine the way the fleet layer's SLOSpecs are. Delivery reads the
+// fleet ledger's totals, the ones the ship floor is enforced on;
+// deadlines read the registry's audio family, which every stream on the
+// pool's registry feeds. Returns nil without telemetry.
 func (m *SessionManager) SessionSLOSpecs() []slo.Spec {
 	if m.met == nil {
 		return nil
@@ -362,8 +319,8 @@ func (m *SessionManager) SessionSLOSpecs() []slo.Spec {
 			Description: "Fleet-wide shipped media-packet fraction stays above the global ship floor.",
 			Objective:   a2dp.ShipFloor,
 			Indicator: func() (float64, float64) {
-				good := m.met.shipped.Value()
-				return float64(good), float64(good + m.met.dropped.Value())
+				b := m.ledger.Report()
+				return float64(b.TotalShipped), float64(b.TotalShipped + b.TotalDropped)
 			},
 		},
 		{
@@ -371,8 +328,8 @@ func (m *SessionManager) SessionSLOSpecs() []slo.Spec {
 			Description: "95% of synthesized segments make their slot budget.",
 			Objective:   0.95,
 			Indicator: func() (float64, float64) {
-				total := m.met.segments.Value()
-				return float64(total - m.met.misses.Value()), float64(total)
+				total := m.met.audio.slack.Count()
+				return float64(total - m.met.audio.late.Value()), float64(total)
 			},
 		},
 	}
@@ -380,22 +337,13 @@ func (m *SessionManager) SessionSLOSpecs() []slo.Spec {
 
 // Session is one admitted A2DP stream under the manager. Safe for
 // concurrent use with the other sessions; one session's Send calls are
-// serial like AudioStream's.
+// serial like AudioStream's. It keeps no counts of its own: its report
+// reads the stream's governor and deadline record.
 type Session struct {
-	id     string
-	m      *SessionManager
-	stream *AudioStream
-	demand a2dp.SessionDemand
-
-	shipped atomic.Uint64
-	dropped atomic.Uint64
+	id      string
+	stream  *AudioStream
+	demand  a2dp.SessionDemand
 	evicted atomic.Bool
-
-	slackMu  sync.Mutex
-	segments uint64           // guarded by slackMu
-	misses   uint64           // guarded by slackMu
-	minSlack time.Duration    // guarded by slackMu; valid when segments > 0
-	slackQ   *sketch.Quantile // positive slack quantiles
 }
 
 // ID returns the session's name.
@@ -404,52 +352,10 @@ func (s *Session) ID() string { return s.id }
 // Stream exposes the underlying audio stream (codec geometry, health).
 func (s *Session) Stream() *AudioStream { return s.stream }
 
-// Send encodes and synthesizes one media packet (see AudioStream.Send)
-// and keeps the manager's shipped/dropped accounting — a (nil, nil)
-// return is a shed or fault-dropped packet.
+// Send encodes and synthesizes one media packet (see AudioStream.Send);
+// a (nil, nil) return is a shed or fault-dropped packet.
 func (s *Session) Send(pcm [][]float64) ([]*AudioTransmission, error) {
-	out, err := s.stream.Send(pcm)
-	met := s.m.met
-	switch {
-	case err != nil:
-		// Hard failure: surfaced to the caller, not part of the
-		// shed/ship budget arithmetic.
-	case out == nil:
-		s.dropped.Add(1)
-		if met != nil {
-			met.dropped.Inc()
-		}
-	default:
-		s.shipped.Add(1)
-		if met != nil {
-			met.shipped.Inc()
-		}
-	}
-	return out, err
-}
-
-// noteSlack is the stream's per-segment deadline-slack export hook;
-// called concurrently from pool workers.
-func (s *Session) noteSlack(slack time.Duration) {
-	s.slackMu.Lock()
-	if s.segments == 0 || slack < s.minSlack {
-		s.minSlack = slack
-	}
-	s.segments++
-	if slack < 0 {
-		s.misses++
-	}
-	s.slackMu.Unlock()
-	if slack > 0 {
-		s.slackQ.Observe(slack.Seconds())
-	}
-	if met := s.m.met; met != nil {
-		met.segments.Inc()
-		if slack < 0 {
-			met.misses.Inc()
-		}
-		met.slack.Observe(slack.Seconds())
-	}
+	return s.stream.Send(pcm)
 }
 
 // SessionReport is one session's point-in-time summary.
@@ -457,48 +363,37 @@ type SessionReport struct {
 	ID      string      `json:"id"`
 	State   HealthState `json:"state"`
 	Evicted bool        `json:"evicted,omitempty"`
-	// Shipped/Dropped count media packets; ShippedRatio is their ratio
-	// (1 before any traffic).
+	// Shipped/Dropped count media packets as the stream's governor does;
+	// ShippedRatio is their ratio (1 before any traffic). The governor
+	// charges a granted shed when the ledger grants it, so Dropped may
+	// run one packet ahead of the (nil, nil) Send that carries the shed.
 	Shipped      uint64  `json:"shipped"`
 	Dropped      uint64  `json:"dropped"`
 	ShippedRatio float64 `json:"shippedRatio"`
-	// Segments/DeadlineMisses count synthesized segments; the slack
-	// fields summarize the per-segment deadline-slack export.
-	Segments        uint64  `json:"segments"`
-	DeadlineMisses  uint64  `json:"deadlineMisses"`
-	MinSlackSeconds float64 `json:"minSlackSeconds"`
-	P50SlackSeconds float64 `json:"p50SlackSeconds"`
-	P99SlackSeconds float64 `json:"p99SlackSeconds"`
+	// Segments counts the stream's synthesized segments and
+	// DeadlineMisses those that overran their slot budget.
+	Segments       uint64 `json:"segments"`
+	DeadlineMisses uint64 `json:"deadlineMisses"`
 	// Governor is the stream's degradation summary.
 	Governor DegradationReport `json:"governor"`
 }
 
 // Report returns the session's current summary.
 func (s *Session) Report() SessionReport {
+	gov := s.stream.Report()
 	rep := SessionReport{
-		ID:      s.id,
-		State:   s.stream.Health(),
-		Evicted: s.evicted.Load(),
-		Shipped: s.shipped.Load(),
-		Dropped: s.dropped.Load(),
+		ID:             s.id,
+		State:          gov.State,
+		Evicted:        s.evicted.Load(),
+		Shipped:        gov.Shipped,
+		Dropped:        gov.Dropped,
+		ShippedRatio:   1,
+		Segments:       s.stream.segments.Load(),
+		DeadlineMisses: s.stream.late.Load(),
+		Governor:       gov,
 	}
 	if total := rep.Shipped + rep.Dropped; total > 0 {
 		rep.ShippedRatio = float64(rep.Shipped) / float64(total)
-	} else {
-		rep.ShippedRatio = 1
 	}
-	s.slackMu.Lock()
-	rep.Segments = s.segments
-	rep.DeadlineMisses = s.misses
-	if s.segments > 0 {
-		rep.MinSlackSeconds = s.minSlack.Seconds()
-	}
-	s.slackMu.Unlock()
-	// P99 here is the tail 99% of segments beat (the 1st-percentile
-	// positive slack); misses themselves show up in DeadlineMisses and
-	// MinSlackSeconds.
-	rep.P50SlackSeconds = s.slackQ.Value(0.50)
-	rep.P99SlackSeconds = s.slackQ.Value(0.01)
-	rep.Governor = s.stream.Report()
 	return rep
 }

@@ -44,7 +44,7 @@ func TestChaosSLOStormReplay(t *testing.T) {
 			InterferenceDuty: 0.30,
 			MaxInjections:    40,
 		},
-		Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+		Retry: RetryPolicy{MaxAttempts: 3},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
