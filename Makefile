@@ -4,11 +4,10 @@
 .PHONY: verify
 verify: vet build test
 
-# Invariant lint tier: one binary runs the seven BlueFi analyzers
-# (determinism, poolbalance, lockcheck, scratchalias, alloccheck,
-# leakcheck, obsnames) plus nilness, the std-style pass go vet does not
-# run; the atomic, copylocks and loopclosure checks come from `make
-# vet`. Exits non-zero on any finding; a reasoned `//bluefi:<key>
+# Invariant lint tier: one binary runs the six BlueFi analyzers
+# (determinism, lockcheck, scratchalias, alloccheck, leakcheck,
+# obsnames) plus nilness, the std-style pass go vet does not run;
+# the atomic, copylocks and loopclosure checks come from `make vet`. Exits non-zero on any finding; a reasoned `//bluefi:<key>
 # <reason>` comment on the line is the one way to accept one. See
 # DESIGN.md §7 and §11 for the annotations the analyzers understand.
 # The binary is built and run rather than `go run`, which would fold

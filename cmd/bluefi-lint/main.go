@@ -1,6 +1,6 @@
-// bluefi-lint is the repo's multichecker: seven BlueFi-specific
-// analyzers (determinism, poolbalance, lockcheck, scratchalias,
-// alloccheck, leakcheck, obsnames) plus the nilness pass `go vet` does
+// bluefi-lint is the repo's multichecker: six BlueFi-specific
+// analyzers (determinism, lockcheck, scratchalias, alloccheck,
+// leakcheck, obsnames) plus the nilness pass `go vet` does
 // not run, in one binary invocation. The atomic, copylocks and
 // loopclosure checks come from `go vet ./...`.
 //
@@ -30,14 +30,12 @@ import (
 	"bluefi/internal/analysis/leakcheck"
 	"bluefi/internal/analysis/lockcheck"
 	"bluefi/internal/analysis/obsnames"
-	"bluefi/internal/analysis/poolbalance"
 	"bluefi/internal/analysis/scratchalias"
 	"bluefi/internal/analysis/stdchecks"
 )
 
 var all = []*framework.Analyzer{
 	determinism.Analyzer,
-	poolbalance.Analyzer,
 	lockcheck.Analyzer,
 	scratchalias.Analyzer,
 	alloccheck.Analyzer,

@@ -108,8 +108,8 @@ func TestExitStatus(t *testing.T) {
 
 // TestRepoIsLintClean runs the full multichecker over the module — the
 // same invocation as `make lint` — and requires zero findings. Any new
-// nondeterminism, pool imbalance, lock-discipline breach or scratch
-// alias in the repo fails this test before it reaches CI's lint job.
+// nondeterminism, lock-discipline breach or scratch alias in the repo
+// fails this test before it reaches CI's lint job.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint compiles the module; skipped in -short")

@@ -4,8 +4,8 @@
 // module proxy). It mirrors the x/tools shape — an Analyzer owns a Run
 // function over a typed Pass and reports position-tagged Diagnostics —
 // but drops facts, dependencies between analyzers and SSA: the BlueFi
-// invariants (determinism, pool balance, lock discipline, scratch
-// aliasing) are all checkable from the AST plus go/types.
+// invariants (determinism, lock discipline, scratch aliasing) are all
+// checkable from the AST plus go/types.
 //
 // Suppression: an analyzer that sets SuppressKey honours line-scoped
 // allowlist comments of the form

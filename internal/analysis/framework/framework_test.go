@@ -15,7 +15,7 @@ func TestIndexSuppressions(t *testing.T) {
 
 func f() {
 	_ = 1 //bluefi:nondeterministic-ok timing probe
-	_ = 2 //bluefi:pool-ok ownership transfers // want "ignored"
+	_ = 2 //bluefi:alias-ok documented read-only view // want "ignored"
 	_ = 3 //bluefi:lock-ok
 	// plain comment
 }
@@ -36,7 +36,7 @@ func f() {
 		reason string
 	}{
 		{4, "nondeterministic-ok", "timing probe"},
-		{5, "pool-ok", "ownership transfers"},
+		{5, "alias-ok", "documented read-only view"},
 		{6, "lock-ok", ""},
 	}
 	for _, c := range cases {

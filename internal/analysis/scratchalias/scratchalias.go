@@ -1,22 +1,17 @@
 // Package scratchalias keeps reusable scratch memory from leaking
 // across the API boundary of the synthesis packages. internal/core and
-// internal/dsp hold per-object scratch (fitSymbols buffers, FFT work
-// areas, the pilot-waveform cache) and draw transients from the shared
-// dsp pools; both are overwritten by the next call, so an exported
-// function that returns or publishes a reference to them hands the
-// caller memory that will change under its feet — exactly the class of
-// bug the golden-vector tests cannot catch because single-threaded runs
-// never observe it.
+// internal/dsp hold per-object scratch (fitSymbols buffers, the in-band
+// comparison buffers, FFT work areas, the pilot-waveform cache) that the
+// next call overwrites, so an exported function that returns a
+// reference to it hands the caller memory that will change under its
+// feet — exactly the class of bug the golden-vector tests cannot catch
+// because single-threaded runs never observe it.
 //
 // Diagnosed, in exported functions of packages whose import path ends
 // in internal/core or internal/dsp:
 //
 //   - returning a receiver slice/map field (directly or re-sliced);
-//   - returning a package-level slice variable;
-//   - returning a pool buffer (dsp.Get*) that the caller cannot
-//     legally release;
-//   - storing a pool buffer into a receiver field from an exported
-//     function (retaining pool-owned memory past the call).
+//   - returning a package-level slice variable.
 //
 // Functions that intentionally expose internal state (read-only tables
 // documented as such) can silence a finding with
@@ -27,7 +22,6 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"strings"
 
 	"bluefi/internal/analysis/framework"
 )
@@ -67,20 +61,6 @@ func checkExported(pass *framework.Pass, fd *ast.FuncDecl) {
 			for _, res := range n.Results {
 				checkReturned(pass, fd, recv, res)
 			}
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if !isPoolGet(pass, rhs) {
-					continue
-				}
-				if sel, ok := n.Lhs[i].(*ast.SelectorExpr); ok {
-					if recv != nil && baseObject(pass, sel.X) == recv {
-						pass.Reportf(n.Pos(), "exported %s stores a dsp pool buffer into receiver field %s; pool memory retained past the call will be reused under the caller", fd.Name.Name, sel.Sel.Name)
-					}
-				}
-			}
 		}
 		return true
 	})
@@ -116,35 +96,7 @@ func checkReturned(pass *framework.Pass, fd *ast.FuncDecl, recv types.Object, re
 			return
 		}
 		pass.Reportf(res.Pos(), "exported %s returns package-level buffer %s; shared scratch must not cross the API boundary — return a copy", fd.Name.Name, e.Name)
-	case *ast.CallExpr:
-		if name, ok := poolGetName(pass, e); ok {
-			pass.Reportf(res.Pos(), "exported %s returns a dsp.%s buffer; callers cannot release it and the pool will reuse it — allocate with make instead", fd.Name.Name, name)
-		}
 	}
-}
-
-func isPoolGet(pass *framework.Pass, expr ast.Expr) bool {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	_, ok = poolGetName(pass, call)
-	return ok
-}
-
-func poolGetName(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/dsp") {
-		return "", false
-	}
-	if !strings.HasPrefix(fn.Name(), "Get") {
-		return "", false
-	}
-	return fn.Name(), true
 }
 
 func isRefType(t types.Type) bool {

@@ -11,29 +11,26 @@ import (
 )
 
 // conformingAdmission mirrors the SessionManager's admission counters
-// and gauges — no diagnostics expected.
+// and gauge — no diagnostics expected.
 func conformingAdmission(r *obs.Registry) {
 	r.Counter("bluefi_a2dp_admission_admitted_total", "sessions admitted")
 	r.Counter("bluefi_a2dp_admission_rejected_total", "sessions refused by the projection")
 	r.Counter("bluefi_a2dp_admission_evicted_total", "sessions evicted")
-	r.Gauge("bluefi_a2dp_admission_pending", "sessions parked for promotion")
 	r.Gauge("bluefi_a2dp_admission_miss_permille", "last projected deadline-miss ratio, per mille")
 }
 
-// conformingSession mirrors the session plane and the shedding budget —
-// no diagnostics expected.
+// conformingSession mirrors the session plane's gauge and the shedding
+// budget's counters — no diagnostics expected.
 func conformingSession(r *obs.Registry) {
 	r.Gauge("bluefi_a2dp_session_active", "live sessions")
-	r.Counter("bluefi_a2dp_session_shipped_total", "media packets shipped")
-	r.Counter("bluefi_a2dp_session_deadline_miss_total", "segments past their slot deadline")
+	r.Counter("bluefi_a2dp_session_shed_grants_total", "drop requests granted")
 	r.Counter("bluefi_a2dp_session_shed_denials_total", "drop requests denied", obs.L("reason", "budget"))
-	r.Histogram("bluefi_a2dp_session_slack_seconds", "per-segment deadline slack", []float64{0.001, 0.01})
 }
 
 func badNames(r *obs.Registry, id string) {
-	r.Counter("bluefi_session_admitted_total", "wrong subsystem") // want `metric name "bluefi_session_admitted_total" registered in internal/a2dp must use subsystem segment "a2dp", not "session"`
-	r.Counter("bluefi_a2dp_admitted-sessions_total", "bad charset") // want `metric name "bluefi_a2dp_admitted-sessions_total" does not match bluefi_<subsystem>_<noun>\[_<unit>\]`
-	r.Counter("bluefi_a2dp_session_shipped_total", "per-session series", obs.L("session", id), obs.L("weight", "2")) // ok: label values may be dynamic
+	r.Counter("bluefi_session_admitted_total", "wrong subsystem")                                                        // want `metric name "bluefi_session_admitted_total" registered in internal/a2dp must use subsystem segment "a2dp", not "session"`
+	r.Counter("bluefi_a2dp_admitted-sessions_total", "bad charset")                                                      // want `metric name "bluefi_a2dp_admitted-sessions_total" does not match bluefi_<subsystem>_<noun>\[_<unit>\]`
+	r.Counter("bluefi_a2dp_session_shed_grants_total", "per-session series", obs.L("session", id), obs.L("weight", "2")) // ok: label values may be dynamic
 }
 
 func badKinds(r *obs.Registry) {

@@ -2,8 +2,6 @@
 // internal/core, so exported functions must not leak scratch state.
 package core
 
-import "bluefi/internal/dsp"
-
 type S struct {
 	scratch []complex128
 	cache   map[int][]complex128
@@ -42,16 +40,6 @@ func (s *S) internalView() []complex128 {
 // Table returns a package-level buffer.
 func Table() []complex128 {
 	return table // want `exported Table returns package-level buffer table`
-}
-
-// FromPool returns pool-owned memory the caller cannot release.
-func FromPool(n int) []complex128 {
-	return dsp.GetComplex(n) // want `exported FromPool returns a dsp.GetComplex buffer`
-}
-
-// Retain stores pool-owned memory past the call.
-func (s *S) Retain(n int) {
-	s.scratch = dsp.GetComplex(n) // want `exported Retain stores a dsp pool buffer into receiver field scratch`
 }
 
 // View documents an intentional read-only exposure.

@@ -221,6 +221,10 @@ type Synthesizer struct {
 	fitInter       []byte
 	fitInband      []bool
 
+	// ibScratch is the in-band comparisons' scratch (inbandBufs), grown
+	// to the longest waveform compared.
+	ibScratch []complex128
+
 	// workers are the rehearsal search's helper clones, built lazily when a
 	// search first runs more candidates at once than it has workers;
 	// the synthesizer itself is the first worker.
@@ -686,30 +690,26 @@ func (s *Synthesizer) cpPhaseError(sh *searchShared, k int, theta []float64) ([]
 // phase difference between the CP-designed and ideal waveforms through
 // the nominal channel filter. It is structural — no quantization
 // involved — so subtracting it pre-cancels most of the in-band residue
-// the paper's §2.4 design leaves. Δφ overwrites thetaHat, which is dead
-// once its waveform is built, and is returned.
+// the paper's §2.4 design leaves. thetaHat is dead once its waveform is
+// built: it first holds that waveform's in-band phase (NaN where the
+// filter output is 0), then Δφ, which is returned.
 func (s *Synthesizer) cpPhaseErrorExact(theta, thetaHat []float64, offsetHz float64) []float64 {
-	a := dsp.GetComplex(len(theta))
-	b := dsp.GetComplex(len(thetaHat))
-	aIB := dsp.GetComplex(len(theta))
-	bIB := dsp.GetComplex(len(thetaHat))
-	defer func() {
-		dsp.PutComplex(a)
-		dsp.PutComplex(b)
-		dsp.PutComplex(aIB)
-		dsp.PutComplex(bIB)
-	}()
-	dsp.PhaseToIQInto(a, theta, 1)
-	dsp.PhaseToIQInto(b, thetaHat, 1)
-	dsp.Mix(a, -offsetHz, wifi.SampleRate, 0)
-	dsp.Mix(b, -offsetHz, wifi.SampleRate, 0)
-	s.channelFIR.ApplyInto(aIB, a)
-	s.channelFIR.ApplyInto(bIB, b)
+	x, ib := s.inbandBufs(len(theta))
+	dsp.PhaseToIQInto(x, thetaHat, 1)
+	s.inband(ib, x, offsetHz)
 	dphi := thetaHat
-	for n := range dphi {
+	for n, v := range ib {
+		dphi[n] = math.NaN()
+		if v != 0 {
+			dphi[n] = cmplxPhase(v)
+		}
+	}
+	dsp.PhaseToIQInto(x, theta, 1)
+	s.inband(ib, x, offsetHz)
+	for n, v := range ib {
 		var d float64
-		if aIB[n] != 0 && bIB[n] != 0 {
-			d = dsp.WrapAngle(cmplxPhase(bIB[n]) - cmplxPhase(aIB[n]))
+		if v != 0 && !math.IsNaN(dphi[n]) {
+			d = dsp.WrapAngle(dphi[n] - cmplxPhase(v))
 		}
 		dphi[n] = max(-cpClip, min(cpClip, d))
 	}
@@ -862,9 +862,10 @@ func (s *Synthesizer) finish(res *Result, pktLen int) error {
 	lead := res.GFSKStart
 	if lead+pktLen <= len(res.dataWave) {
 		// The ideal waveform — the offset-mixed target phase itself — is
-		// only realized here, off the PSDUOnly hot path.
-		ideal := dsp.PhaseToIQ(target[lead:lead+pktLen], 1)
-		res.PhaseRMSE = s.inbandPhaseRMSE(ideal, res.dataWave[lead:lead+pktLen], res.Plan.OffsetHz)
+		// only realized here, off the PSDUOnly hot path. Frame copied the
+		// data field behind the preamble, so the comparison may mix the
+		// data field in place.
+		res.PhaseRMSE = s.inbandPhaseRMSE(target[lead:lead+pktLen], res.dataWave[lead:lead+pktLen], res.Plan.OffsetHz)
 	}
 	res.Waveform, res.dataWave = waveform, nil
 	return nil
@@ -941,10 +942,8 @@ func (s *Synthesizer) idealRehearsal(sh *searchShared, k int, res *Result) ([]by
 		if k != 0 {
 			theta, lead, _ = s.layoutPhase(sh.pkt, sh.plan.OffsetHz, searchLeads[0], searchRotations[0])
 		}
-		pktLen := len(sh.pkt)
-		ideal := dsp.GetComplex(pktLen)
-		defer dsp.PutComplex(ideal)
-		dsp.PhaseToIQInto(ideal, theta[lead:lead+pktLen], 1)
+		ideal, _ := s.inbandBufs(len(sh.pkt))
+		dsp.PhaseToIQInto(ideal, theta[lead:lead+len(ideal)], 1)
 		sh.ideal.bits, sh.ideal.acc = s.rehearseRx.DemodAtPhase(ideal, 0)
 	})
 	return sh.ideal.bits, sh.ideal.acc
@@ -1010,27 +1009,35 @@ func (s *Synthesizer) synthesizeCandidate(ctx context.Context, sh *searchShared,
 	return res, nil
 }
 
-// inbandPhaseRMSE compares two waveform segments after mixing to the
-// Bluetooth channel and applying the nominal 600 kHz channel filter —
-// the fidelity a Bluetooth receiver actually experiences.
-func (s *Synthesizer) inbandPhaseRMSE(ideal, predicted []complex128, offsetHz float64) float64 {
-	a := dsp.GetComplex(len(ideal))
-	b := dsp.GetComplex(len(predicted))
-	aIB := dsp.GetComplex(len(ideal))
-	bIB := dsp.GetComplex(len(predicted))
-	defer func() {
-		dsp.PutComplex(a)
-		dsp.PutComplex(b)
-		dsp.PutComplex(aIB)
-		dsp.PutComplex(bIB)
-	}()
-	copy(a, ideal)
-	copy(b, predicted)
-	dsp.Mix(a, -offsetHz, wifi.SampleRate, 0)
-	dsp.Mix(b, -offsetHz, wifi.SampleRate, 0)
-	s.channelFIR.ApplyInto(aIB, a)
-	s.channelFIR.ApplyInto(bIB, b)
-	return dsp.PhaseRMSE(aIB, bIB)
+// inbandPhaseRMSE compares the ideal waveform of phase idealPhase with
+// a predicted waveform segment after mixing both to the Bluetooth
+// channel and applying the nominal 600 kHz channel filter — the
+// fidelity a Bluetooth receiver actually experiences. predicted must be
+// dead: it is mixed down in place.
+func (s *Synthesizer) inbandPhaseRMSE(idealPhase []float64, predicted []complex128, offsetHz float64) float64 {
+	x, ib := s.inbandBufs(len(idealPhase))
+	dsp.PhaseToIQInto(x, idealPhase, 1)
+	s.inband(ib, x, offsetHz)
+	s.inband(x, predicted, offsetHz)
+	return dsp.PhaseRMSE(ib, x)
+}
+
+// inbandBufs returns the two halves of the worker's in-band scratch at
+// length n each: a waveform to mix down and its filtered copy. Their
+// contents are undefined, and the next comparison on this worker
+// overwrites them.
+func (s *Synthesizer) inbandBufs(n int) (x, ib []complex128) {
+	if cap(s.ibScratch) < 2*n {
+		s.ibScratch = make([]complex128, 2*n)
+	}
+	return s.ibScratch[:n], s.ibScratch[n : 2*n]
+}
+
+// inband mixes x down to the Bluetooth channel in place and filters it
+// with the nominal channel filter into dst, which must not alias x.
+func (s *Synthesizer) inband(dst, x []complex128, offsetHz float64) {
+	dsp.Mix(x, -offsetHz, wifi.SampleRate, 0)
+	s.channelFIR.ApplyInto(dst, x)
 }
 
 // PSDULenForSymbols exposes the frame layout for tests and the chip model.

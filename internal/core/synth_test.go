@@ -524,3 +524,32 @@ func TestPSDULenForSymbols(t *testing.T) {
 		t.Fatalf("real-time layout (%d,%d), want (257,2)", l, pad)
 	}
 }
+
+// TestInbandScratchAllocFree pins the in-band comparisons to the
+// worker's own scratch: on a warm synthesizer neither the CP phase error
+// nor the fidelity measure allocates.
+func TestInbandScratchAllocFree(t *testing.T) {
+	opts := DefaultOptions()
+	opts.GFSK = gfsk.BLEConfig()
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Synthesize(beaconAirBits(t, 38), 2426)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 40 * symbolLen
+	theta := dsp.Phase(res.Waveform[:n])
+	thetaHat, err := DesignCP(theta, wifi.ShortGI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := res.Plan.OffsetHz
+	if a := testing.AllocsPerRun(20, func() { s.cpPhaseErrorExact(theta, thetaHat, off) }); a != 0 {
+		t.Errorf("cpPhaseErrorExact: %v allocs/call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { s.inbandPhaseRMSE(theta, res.Waveform[:n], off) }); a != 0 {
+		t.Errorf("inbandPhaseRMSE: %v allocs/call, want 0", a)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 )
 
 // FFT conventions: Forward transform X[k] = Σ_n x[n]·e^{-j2πkn/N}; inverse
@@ -55,6 +56,27 @@ func NewFFTPlan(n int) (*FFTPlan, error) {
 		p.bitrev[i] = r
 	}
 	return p, nil
+}
+
+// planCache shares FFTPlans across the process: a plan is immutable after
+// creation (the twiddle and bit-reversal tables are read-only), so every
+// synthesizer, modulator and receiver can use the same one concurrently,
+// and twiddle factors are computed once per FFT size for the whole
+// process instead of once per plan holder.
+var planCache sync.Map // int -> *FFTPlan
+
+// PlanFor returns the process-wide shared FFT plan for size n, creating
+// it on first use. The returned plan is safe for concurrent use.
+func PlanFor(n int) (*FFTPlan, error) {
+	if v, ok := planCache.Load(n); ok {
+		return v.(*FFTPlan), nil
+	}
+	p, err := NewFFTPlan(n)
+	if err != nil {
+		return nil, err
+	}
+	v, _ := planCache.LoadOrStore(n, p)
+	return v.(*FFTPlan), nil
 }
 
 // Size returns the transform length.

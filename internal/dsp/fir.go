@@ -60,7 +60,7 @@ func (f *FIR) Apply(x []complex128) []complex128 {
 
 // ApplyInto is Apply writing into a caller-provided buffer of the same
 // length as x (which must not alias x) — the allocation-free variant for
-// hot paths that reuse pooled buffers.
+// hot paths that reuse their buffers.
 //
 // Output n is Σ_k Taps[k]·x[n+d−k] over the taps whose input index is in
 // range (d = GroupDelay), summed in tap order k = 0…len(Taps)−1 with

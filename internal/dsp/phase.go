@@ -60,7 +60,7 @@ func PhaseToIQ(theta []float64, amp float64) []complex128 {
 
 // PhaseToIQInto writes amp·e^{jθ[n]} into dst, which must have the same
 // length as theta — the allocation-free variant for hot paths that reuse
-// pooled buffers.
+// their buffers.
 //
 //bluefi:allocfree
 func PhaseToIQInto(dst []complex128, theta []float64, amp float64) {

@@ -358,39 +358,32 @@ func (s *Session) Send(pcm [][]float64) ([]*AudioTransmission, error) {
 	return s.stream.Send(pcm)
 }
 
-// SessionReport is one session's point-in-time summary.
+// SessionReport is one session's point-in-time summary. The embedded
+// DegradationReport is the stream's governor summary: State, and
+// Shipped/Dropped counted in media packets. The governor charges a
+// granted shed when the ledger grants it, so Dropped may run one packet
+// ahead of the (nil, nil) Send that carries the shed.
 type SessionReport struct {
-	ID      string      `json:"id"`
-	State   HealthState `json:"state"`
-	Evicted bool        `json:"evicted,omitempty"`
-	// Shipped/Dropped count media packets as the stream's governor does;
-	// ShippedRatio is their ratio (1 before any traffic). The governor
-	// charges a granted shed when the ledger grants it, so Dropped may
-	// run one packet ahead of the (nil, nil) Send that carries the shed.
-	Shipped      uint64  `json:"shipped"`
-	Dropped      uint64  `json:"dropped"`
+	ID      string `json:"id"`
+	Evicted bool   `json:"evicted,omitempty"`
+	DegradationReport
+	// ShippedRatio is Shipped/(Shipped+Dropped), 1 before any traffic.
 	ShippedRatio float64 `json:"shippedRatio"`
 	// Segments counts the stream's synthesized segments and
 	// DeadlineMisses those that overran their slot budget.
 	Segments       uint64 `json:"segments"`
 	DeadlineMisses uint64 `json:"deadlineMisses"`
-	// Governor is the stream's degradation summary.
-	Governor DegradationReport `json:"governor"`
 }
 
 // Report returns the session's current summary.
 func (s *Session) Report() SessionReport {
-	gov := s.stream.Report()
 	rep := SessionReport{
-		ID:             s.id,
-		State:          gov.State,
-		Evicted:        s.evicted.Load(),
-		Shipped:        gov.Shipped,
-		Dropped:        gov.Dropped,
-		ShippedRatio:   1,
-		Segments:       s.stream.segments.Load(),
-		DeadlineMisses: s.stream.late.Load(),
-		Governor:       gov,
+		ID:                s.id,
+		Evicted:           s.evicted.Load(),
+		DegradationReport: s.stream.Report(),
+		ShippedRatio:      1,
+		Segments:          s.stream.segments.Load(),
+		DeadlineMisses:    s.stream.late.Load(),
 	}
 	if total := rep.Shipped + rep.Dropped; total > 0 {
 		rep.ShippedRatio = float64(rep.Shipped) / float64(total)

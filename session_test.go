@@ -6,8 +6,10 @@ package bluefi
 // sessions ride on.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -508,8 +510,9 @@ func TestShedGrantsMatchPolicySheds(t *testing.T) {
 
 // TestSessionAccountingAgrees pins the one-owner accounting: a session
 // reports its governor's delivery counts and its stream's deadline
-// record, the fleet ledger holds their sums, and the session SLOs read
-// exactly the ledger totals and the registry's audio deadline family.
+// record, the fleet ledger holds their sums, the session SLOs read
+// exactly the ledger totals and the registry's audio deadline family,
+// and the marshalled manager report carries each count once.
 // A one-nanosecond slot budget walks both sessions into Shedding.
 func TestSessionAccountingAgrees(t *testing.T) {
 	reg := NewTelemetry()
@@ -583,5 +586,24 @@ func TestSessionAccountingAgrees(t *testing.T) {
 	}
 	if uint64(count) != segments || uint64(misses) != late {
 		t.Fatalf("audio family %d segments / %d late, sessions sum to %d / %d", count, misses, segments, late)
+	}
+
+	raw, err := json.Marshal(sm.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Sessions []json.RawMessage }
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Sessions) != len(sessions) {
+		t.Fatalf("marshalled report carries %d sessions, want %d", len(doc.Sessions), len(sessions))
+	}
+	for _, js := range doc.Sessions {
+		for _, key := range []string{"id", "state", "shipped", "dropped", "shippedRatio", "segments", "deadlineMisses", "transitions"} {
+			if n := strings.Count(string(js), `"`+key+`":`); n != 1 {
+				t.Errorf("marshalled session report has key %q %d times, want once: %s", key, n, js)
+			}
+		}
 	}
 }
