@@ -11,7 +11,10 @@ verify: vet build test
 # <reason>` comment on the line is the one way to accept one. See
 # DESIGN.md §7 and §11 for the annotations the analyzers understand.
 # The binary is built and run rather than `go run`, which would fold
-# its exit 2 (packages failed to load) into exit 1 (findings).
+# its exit 2 (packages failed to load) into exit 1 (findings). make
+# itself exits 2 whenever the recipe fails, whatever the binary
+# returned: make's last line (`Error 1` for findings, `Error 2` for a
+# load error) or the built binary run directly carries the distinction.
 .PHONY: lint
 lint:
 	@d=$$(mktemp -d) && go build -o $$d/bluefi-lint ./cmd/bluefi-lint && $$d/bluefi-lint ./...; \

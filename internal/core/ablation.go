@@ -121,7 +121,10 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	weights := s.codedBitWeights(plan.OffsetHz, nsym)
+	weights, err := s.codedBitWeights(plan.OffsetHz)
+	if err != nil {
+		return nil, err
+	}
 	data, err := s.invert(coded, weights, nsym)
 	if err != nil {
 		return nil, err

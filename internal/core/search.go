@@ -205,11 +205,12 @@ func takeIdleSlot() bool {
 var candidateFault func(k int) error
 
 // newWorker builds a worker clone: a full Synthesizer with the same
-// options and ablation toggles (forced serial so clones never search on
-// their own). Every piece of mutable scratch — FFT buffers, FIR state,
-// pilot cache, rehearsal receiver — is private to one worker, so
-// candidates share no buffers. The FFT twiddle tables are process-shared
-// read-only state (dsp.PlanFor).
+// options, ablation toggles and pilot cache (forced serial so clones
+// never search on their own). Every piece of mutable scratch — FFT
+// buffers, in-band scratch, weights, rehearsal receiver — is private to
+// one worker, so candidates share no buffers. Shared state is read-only
+// once built: the FFT twiddle tables (dsp.PlanFor) and the in-band pilot
+// predictions (pilotCache).
 func (s *Synthesizer) newWorker() (*Synthesizer, error) {
 	opts := s.opts
 	opts.SearchParallelism = 1
@@ -217,7 +218,7 @@ func (s *Synthesizer) newWorker() (*Synthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.ablate = s.ablate
+	w.ablate, w.pilots = s.ablate, s.pilots
 	return w, nil
 }
 

@@ -232,14 +232,14 @@ type Synthesizer struct {
 	// searchPeak is the most candidates one search has run at once.
 	searchPeak int
 
-	// pilotIBCache memoizes the in-band pilot waveform per (nsym,
-	// offset): it is data-independent, so audio streams reuse it.
-	pilotIBCache map[pilotKey][]complex128
+	// pilots holds the in-band pilot predictions: the process-wide
+	// sharedPilots, which every synthesizer and search worker shares.
+	pilots *pilotCache
 
-	// weightsCache memoizes CodedBitWeights per (nsym, offset) — also
+	// weightsCache memoizes one symbol's Viterbi weights per offset —
 	// data-independent, and rebuilt twice per packet otherwise. Entries
 	// are shared read-only with the Viterbi inverters.
-	weightsCache map[pilotKey][]float64
+	weightsCache map[float64]fecWeights
 
 	// Telemetry: met/vmet are nil when Options.Telemetry is nil (every
 	// observe method then no-ops); obsCtx is the span root carrying the
@@ -248,11 +248,6 @@ type Synthesizer struct {
 	met    *coreMetrics
 	vmet   *viterbi.Metrics
 	obsCtx context.Context
-}
-
-type pilotKey struct {
-	nsym   int
-	offset float64
 }
 
 // New validates options (zero values get defaults) and builds the
@@ -306,7 +301,7 @@ func New(opts Options) (*Synthesizer, error) {
 		return nil, err
 	}
 	s := &Synthesizer{opts: opts, mcs: mcs, il: il, mapper: wifi.NewMapper(mcs.Modulation), plan: plan, tx: tx, mod: mod,
-		channelFIR: channelFIR}
+		channelFIR: channelFIR, pilots: sharedPilots}
 	s.fitBody = make([]complex128, wifi.FFTSize)
 	s.fitX = make([]complex128, wifi.FFTSize)
 	s.fitSin = make([]float64, wifi.FFTSize)
@@ -445,20 +440,51 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 // with the rehearsal search, so every pipeline but PSDUOnly runs it.
 var dynamicScales = []float64{0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65}
 
-// codedBitWeights returns the memoized CodedBitWeights for this
-// synthesizer's interleaver and modulation. The result is shared across
-// calls and must be treated as read-only.
-func (s *Synthesizer) codedBitWeights(offsetHz float64, nsym int) []float64 {
-	key := pilotKey{nsym: nsym, offset: offsetHz}
-	if w, ok := s.weightsCache[key]; ok {
-		return w
+// fecWeights is one OFDM symbol's Viterbi weights at one offset, a
+// period the inverters walk over the whole frame: the punctured-domain
+// CodedBitWeights and, in Quality, their mother-code expansion. The
+// puncturing period divides each symbol's mother bits (520 at rate 5/6),
+// so the mother weights repeat every symbol too.
+type fecWeights struct {
+	coded  []float64
+	mother []float64
+}
+
+// codedBitWeights returns the memoized weights for this synthesizer's
+// interleaver, modulation and mode. They are shared across calls and
+// must be treated as read-only.
+func (s *Synthesizer) codedBitWeights(offsetHz float64) (fecWeights, error) {
+	if w, ok := s.weightsCache[offsetHz]; ok {
+		return w, nil
+	}
+	w := fecWeights{coded: CodedBitWeights(s.il, s.mcs.Modulation, offsetHz)}
+	if s.opts.Mode != RealTime {
+		_, erased, err := wifi.Depuncture(make([]byte, s.mcs.NCBPS), s.mcs.Rate, s.mcs.NDBPS)
+		if err != nil {
+			return fecWeights{}, err
+		}
+		w.mother = MotherWeights(w.coded, erased)
 	}
 	if s.weightsCache == nil {
-		s.weightsCache = make(map[pilotKey][]float64)
+		s.weightsCache = make(map[float64]fecWeights)
 	}
-	w := CodedBitWeights(s.il, s.mcs.Modulation, offsetHz, nsym)
-	s.weightsCache[key] = w
-	return w
+	s.weightsCache[offsetHz] = w
+	return w, nil
+}
+
+// countFlips counts the coded bits in [from, to) that re-encoding
+// changed, and how many of those carry an important weight; weights is
+// one symbol's period.
+func countFlips(coded, reCoded []byte, weights []float64, from, to int) (flips, important int) {
+	for i := from; i < to; i++ {
+		if reCoded[i] != coded[i] {
+			flips++
+			if weights[i%len(weights)] >= WeightImportant {
+				important++
+			}
+		}
+	}
+	return flips, important
 }
 
 // frameLayout computes the PSDU length and pad for a symbol count: the
@@ -474,7 +500,7 @@ func (s *Synthesizer) frameLayout(nsym int) (psduLen, pad int) {
 
 // invert runs the configured FEC inversion over the coded targets and
 // returns the scrambled-domain data bits.
-func (s *Synthesizer) invert(coded []byte, weights []float64, nsym int) ([]byte, error) {
+func (s *Synthesizer) invert(coded []byte, weights fecWeights, nsym int) ([]byte, error) {
 	total := nsym * s.mcs.NDBPS
 	_, pad := s.frameLayout(nsym)
 	seq := wifi.NewScrambler(s.opts.ScramblerSeed).Sequence(total)
@@ -484,19 +510,18 @@ func (s *Synthesizer) invert(coded []byte, weights []float64, nsym int) ([]byte,
 
 	if s.opts.Mode == RealTime {
 		res, err := viterbi.RealTimeInvertWeighted(coded,
-			viterbi.RTWeights{W: weights, ImportantMin: WeightImportant, Obs: s.vmet}, prefix, suffix)
+			viterbi.RTWeights{W: weights.coded, ImportantMin: WeightImportant, Obs: s.vmet}, prefix, suffix)
 		if err != nil {
 			return nil, err
 		}
 		return res.Info, nil
 	}
 
-	mother, erased, err := wifi.Depuncture(coded, s.mcs.Rate, total)
+	mother, _, err := wifi.Depuncture(coded, s.mcs.Rate, total)
 	if err != nil {
 		return nil, err
 	}
-	mw := MotherWeights(weights, erased)
-	return viterbi.Decode(viterbi.Input{Bits: mother, Weight: mw, PinnedPrefix: prefix, PinnedSuffix: suffix, Obs: s.vmet})
+	return viterbi.Decode(viterbi.Input{Bits: mother, Weight: weights.mother, PinnedPrefix: prefix, PinnedSuffix: suffix, Obs: s.vmet})
 }
 
 // synthPass holds one open-loop synthesis result.
@@ -505,6 +530,7 @@ type synthPass struct {
 	coded    []byte       // coded-bit targets
 	reCoded  []byte       // data re-encoded: the coded bits actually sent
 	dataWave []complex128 // modulated data field (no preamble)
+	weights  []float64    // one symbol's coded-bit weights
 	flips    int
 	impFlips int
 	timings  Timings
@@ -530,23 +556,19 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 		return nil, err
 	}
 	_, spFEC := obs.StartSpan(ctx, "fec.invert", obs.L("mode", s.opts.Mode.String()))
-	weights := s.codedBitWeights(offsetHz, nsym)
-	data, err := s.invert(coded, weights, nsym)
+	weights, err := s.codedBitWeights(offsetHz)
+	var data []byte
+	if err == nil {
+		data, err = s.invert(coded, weights, nsym)
+	}
 	dFEC := spFEC.End()
 	if err != nil {
 		return nil, err
 	}
 	s.met.observePass(dIQGen, dFFTQAM, dFEC)
 
-	p := &synthPass{data: data, coded: coded, reCoded: wifi.EncodeRate(data, s.mcs.Rate)}
-	for i := range coded {
-		if p.reCoded[i] != coded[i] {
-			p.flips++
-			if weights[i] >= WeightImportant {
-				p.impFlips++
-			}
-		}
-	}
+	p := &synthPass{data: data, coded: coded, reCoded: wifi.EncodeRate(data, s.mcs.Rate), weights: weights.coded}
+	p.flips, p.impFlips = countFlips(coded, p.reCoded, weights.coded, 0, len(coded))
 	if !s.opts.PSDUOnly {
 		symbols, err := s.tx.SymbolsFromCoded(p.reCoded)
 		if err != nil {
@@ -597,35 +619,10 @@ func (s *Synthesizer) precompensate(sh *searchShared, k int, theta []float64, ns
 // Im(p·e^{−jθ})/a. Pre-rotating the target by its negative cancels the
 // perturbation at the receiver.
 func (s *Synthesizer) precompensatePilots(theta, target []float64, nsym int, offsetHz float64) error {
-	if s.pilotIBCache == nil {
-		s.pilotIBCache = make(map[pilotKey][]complex128)
-	}
-	if pIB, ok := s.pilotIBCache[pilotKey{nsym, offsetHz}]; ok {
-		s.applyPilotCorrection(theta, target, pIB)
-		return nil
-	}
-	// Pilot-only symbols in grid units, modulated like the data field.
-	pilotAmp := wifi.PilotAmplitude(s.mcs.Modulation)
-	symbols := make([][]complex128, nsym)
-	empty := make([]complex128, len(wifi.HTDataSubcarriers))
-	for k := 0; k < nsym; k++ {
-		sym, err := wifi.BuildSymbol(empty, wifi.DataPolarityBase+k, pilotAmp)
-		if err != nil {
-			return err
-		}
-		symbols[k] = sym
-	}
-	pWave, err := s.mod.Modulate(symbols)
+	pIB, err := s.pilotInband(nsym, offsetHz)
 	if err != nil {
 		return err
 	}
-	// In-band pilot component at the Bluetooth channel.
-	p := make([]complex128, len(theta))
-	copy(p, pWave[:len(theta)])
-	dsp.Mix(p, -offsetHz, wifi.SampleRate, 0)
-	pIB := s.channelFIR.Apply(p)
-	dsp.Mix(pIB, +offsetHz, wifi.SampleRate, 0)
-	s.pilotIBCache[pilotKey{nsym, offsetHz}] = pIB
 	s.applyPilotCorrection(theta, target, pIB)
 	return nil
 }
@@ -1000,12 +997,8 @@ func (s *Synthesizer) synthesizeCandidate(ctx context.Context, sh *searchShared,
 	pktLen := len(sh.pkt)
 	firstSym := lead / symbolLen
 	lastSym := (lead + pktLen + symbolLen - 1) / symbolLen
-	weights := s.codedBitWeights(plan.OffsetHz, nsym)
-	for i := firstSym * s.mcs.NCBPS; i < lastSym*s.mcs.NCBPS && i < len(coded); i++ {
-		if pass.reCoded[i] != coded[i] && weights[i] >= WeightImportant {
-			res.PacketImportantFlips++
-		}
-	}
+	_, res.PacketImportantFlips = countFlips(coded, pass.reCoded, pass.weights,
+		firstSym*s.mcs.NCBPS, min(lastSym*s.mcs.NCBPS, len(coded)))
 	return res, nil
 }
 

@@ -32,9 +32,12 @@ func SubcarrierWeight(subcarrier int, offsetHz float64) float64 {
 	}
 }
 
-// CodedBitWeights returns one weight per punctured-domain coded bit for
-// nsym OFDM symbols, using the interleaver's bit→subcarrier mapping. The
-// weight pattern repeats every symbol, so it is computed once and tiled.
+// CodedBitWeights returns one OFDM symbol's weights, one per
+// punctured-domain coded bit, using the interleaver's bit→subcarrier
+// mapping. The pattern depends only on the subcarrier, never on the
+// payload, so it repeats every symbol: the Viterbi inverters take it as
+// a periodic weight, and coded bit i of a frame has weight
+// w[i % len(w)].
 //
 // Beyond the paper's three-level subcarrier weighting, each weight is
 // scaled by the coded bit's constellation significance: flipping a
@@ -42,19 +45,15 @@ func SubcarrierWeight(subcarrier int, offsetHz float64) float64 {
 // while an LSB flip moves it 2, and every flipped don't-care bit becomes
 // broadband splatter at symbol boundaries. Steering unavoidable flips
 // toward LSBs cuts that self-interference with no downside.
-func CodedBitWeights(il *wifi.Interleaver, mod wifi.Modulation, offsetHz float64, nsym int) []float64 {
+func CodedBitWeights(il *wifi.Interleaver, mod wifi.Modulation, offsetHz float64) []float64 {
 	ncbps := il.NCBPS()
 	nbpsc := mod.BitsPerSymbol()
-	perSymbol := make([]float64, ncbps)
-	for k := 0; k < ncbps; k++ {
+	w := make([]float64, ncbps)
+	for k := range w {
 		sub, bitPos := il.SubcarrierOfCodedBit(k, nbpsc, wifi.HTDataSubcarriers)
-		perSymbol[k] = SubcarrierWeight(sub, offsetHz) * bitSignificance(bitPos, nbpsc)
+		w[k] = SubcarrierWeight(sub, offsetHz) * bitSignificance(bitPos, nbpsc)
 	}
-	out := make([]float64, 0, nsym*ncbps)
-	for s := 0; s < nsym; s++ {
-		out = append(out, perSymbol...)
-	}
-	return out
+	return w
 }
 
 // bitSignificance weights a constellation bit by the grid distance its

@@ -20,11 +20,14 @@ type Entry struct {
 	AirtimeSeconds      float64 `json:"airtimeSeconds"`
 	Fidelity            float64 `json:"fidelity"`
 	RehearsalMismatches int     `json:"rehearsalMismatches"`
+
+	hexKey string // Key.String(), the hot-keys sketch label
 }
 
 // entryOverheadBytes approximates the fixed cost of one resident entry
-// (struct, map and list bookkeeping) for the byte accounting.
-const entryOverheadBytes = 160
+// (struct, map and list bookkeeping, and the 64-byte hex key) for the
+// byte accounting.
+const entryOverheadBytes = 240
 
 func (e *Entry) sizeBytes() int64 { return int64(len(e.PSDU)) + entryOverheadBytes }
 
@@ -195,6 +198,9 @@ func (w *cacheWay) insertLocked(key Key, e *Entry, met *metrics) {
 
 // Warm inserts an already-synthesized entry (tests, cache priming).
 func (c *Cache) Warm(e *Entry) {
+	if e.hexKey == "" {
+		e.hexKey = e.Key.String()
+	}
 	w := c.way(e.Key)
 	w.mu.Lock()
 	defer w.mu.Unlock()

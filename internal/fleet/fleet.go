@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"bluefi"
@@ -170,7 +171,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	for ap := 0; ap < cfg.APs; ap++ {
 		budget := airtime.NewBudget(cfg.APAirtimeCap)
-		for ci, ch := range cfg.ChannelsPerAP {
+		for _, ch := range cfg.ChannelsPerAP {
 			opts := cfg.Synth
 			opts.WiFiChannel = ch
 			pool, err := bluefi.NewPool(opts, cfg.ShardWorkers)
@@ -183,7 +184,6 @@ func New(cfg Config) (*Fleet, error) {
 			f.shards = append(f.shards, &Shard{
 				ap:          ap,
 				wifiChannel: ch,
-				index:       ap*len(cfg.ChannelsPerAP) + ci,
 				pool:        pool,
 				budget:      budget,
 				cache:       f.cache,
@@ -191,8 +191,9 @@ func New(cfg Config) (*Fleet, error) {
 				sk:          f.sk,
 				obsCtx:      obsCtx,
 
-				chip: int(opts.Chip),
-				mode: int(opts.Mode),
+				label: fmt.Sprintf("ap%d/ch%d", ap, ch),
+				chip:  int(opts.Chip),
+				mode:  int(opts.Mode),
 
 				byID: make(map[string]int),
 			})
@@ -221,19 +222,14 @@ func (f *Fleet) shardFor(ap, wifiChannel int) (*Shard, error) {
 // Shards returns the shard list in index order (AP-major).
 func (f *Fleet) Shards() []*Shard { return f.shards }
 
-// apGroup is one AP's slice of a bulk operation: the input indices
-// belonging to that AP, in input order.
-type apGroup struct {
-	shardIndexes []int // parallel to opIndexes: resolved shard per op
-	opIndexes    []int
-}
-
-// groupByAP splits a bulk operation by AP so each AP's entries apply
-// sequentially (determinism) while distinct APs run in parallel.
-// Routing failures are written straight into out and excluded.
-func (f *Fleet) groupByAP(n int, route func(i int) (string, int, int), out []Result) []*apGroup {
-	groups := make([]*apGroup, f.cfg.APs)
-	var order []*apGroup
+// eachByAP applies op to every input index that route sends to a
+// served shard: each AP's indices in input order (determinism), distinct
+// APs in parallel, the last on the caller's goroutine. Routing failures
+// are written straight into out and skipped. A stable sort by AP groups
+// the indices in place, so a call allocates per AP only its goroutine.
+func (f *Fleet) eachByAP(n int, route func(i int) (string, int, int), out []Result, op func(i int, sh *Shard)) {
+	shardOf := make([]*Shard, n)
+	byAP := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		id, ap, ch := route(i)
 		sh, err := f.shardFor(ap, ch)
@@ -242,16 +238,33 @@ func (f *Fleet) groupByAP(n int, route func(i int) (string, int, int), out []Res
 			out[i] = Result{ID: id, Error: err.Error()}
 			continue
 		}
-		g := groups[sh.ap]
-		if g == nil {
-			g = &apGroup{}
-			groups[sh.ap] = g
-			order = append(order, g)
-		}
-		g.shardIndexes = append(g.shardIndexes, sh.index)
-		g.opIndexes = append(g.opIndexes, i)
+		shardOf[i] = sh
+		byAP = append(byAP, i)
 	}
-	return order
+	slices.SortStableFunc(byAP, func(a, b int) int { return shardOf[a].ap - shardOf[b].ap })
+	run := func(w []int) {
+		for _, i := range w {
+			op(i, shardOf[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for len(byAP) > 0 {
+		end := 1
+		for end < len(byAP) && shardOf[byAP[end]].ap == shardOf[byAP[0]].ap {
+			end++
+		}
+		w := byAP[:end]
+		if byAP = byAP[end:]; len(byAP) == 0 {
+			run(w)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	wg.Wait()
 }
 
 // Register admits beacons in bulk. Entries for one AP apply in input
@@ -269,20 +282,11 @@ func (f *Fleet) Update(regs []Registration) []Result {
 
 func (f *Fleet) apply(regs []Registration, update bool) []Result {
 	out := make([]Result, len(regs))
-	order := f.groupByAP(len(regs), func(i int) (string, int, int) {
+	f.eachByAP(len(regs), func(i int) (string, int, int) {
 		return regs[i].ID, regs[i].AP, regs[i].WiFiChannel
-	}, out)
-	var wg sync.WaitGroup
-	for _, g := range order {
-		wg.Add(1)
-		go func(g *apGroup) {
-			defer wg.Done()
-			for k, i := range g.opIndexes {
-				out[i] = f.shards[g.shardIndexes[k]].register(regs[i], update)
-			}
-		}(g)
-	}
-	wg.Wait()
+	}, out, func(i int, sh *Shard) {
+		out[i] = sh.register(regs[i], update)
+	})
 	return out
 }
 
@@ -290,20 +294,11 @@ func (f *Fleet) apply(regs []Registration, update bool) []Result {
 // budgets. The returned slice is parallel to refs.
 func (f *Fleet) Expire(refs []BeaconRef) []Result {
 	out := make([]Result, len(refs))
-	order := f.groupByAP(len(refs), func(i int) (string, int, int) {
+	f.eachByAP(len(refs), func(i int) (string, int, int) {
 		return refs[i].ID, refs[i].AP, refs[i].WiFiChannel
-	}, out)
-	var wg sync.WaitGroup
-	for _, g := range order {
-		wg.Add(1)
-		go func(g *apGroup) {
-			defer wg.Done()
-			for k, i := range g.opIndexes {
-				out[i] = f.shards[g.shardIndexes[k]].expire(refs[i].ID)
-			}
-		}(g)
-	}
-	wg.Wait()
+	}, out, func(i int, sh *Shard) {
+		out[i] = sh.expire(refs[i].ID)
+	})
 	return out
 }
 

@@ -37,7 +37,6 @@ type beaconState struct {
 type Shard struct {
 	ap          int
 	wifiChannel int
-	index       int
 
 	pool   *bluefi.Pool
 	budget *airtime.Budget
@@ -46,8 +45,10 @@ type Shard struct {
 	sk     *sketches
 	obsCtx context.Context
 
-	chip int
-	mode int
+	// label names the shard in the hot-shards sketch: "ap<A>/ch<C>".
+	label string
+	chip  int
+	mode  int
 
 	mu         sync.Mutex
 	closed     bool           // guarded by mu
@@ -116,8 +117,10 @@ func (sh *Shard) synthesize(reg *Registration) (*Entry, error) {
 		return nil, r.Err
 	}
 	pkt := r.Packet
+	key := sh.key(reg)
 	return &Entry{
-		Key:                 sh.key(reg),
+		Key:                 key,
+		hexKey:              key.String(),
 		PSDU:                pkt.PSDU,
 		MCS:                 pkt.MCS,
 		WiFiChannel:         pkt.WiFiChannel,
@@ -199,7 +202,7 @@ func (sh *Shard) register(reg Registration, update bool) Result {
 		out.CacheOutcome = outcome.String()
 		out.LatencySeconds = sp.End().Seconds()
 		sh.met.updated(out.LatencySeconds)
-		sh.sk.admitted(key, sh.ap, sh.wifiChannel, out.LatencySeconds)
+		sh.sk.admitted(entry.hexKey, sh.label, out.LatencySeconds)
 		return out
 	case exists:
 		sh.mu.Unlock()
@@ -228,7 +231,7 @@ func (sh *Shard) register(reg Registration, update bool) Result {
 		out.CacheOutcome = outcome.String()
 		out.LatencySeconds = sp.End().Seconds()
 		sh.met.registered(out.LatencySeconds)
-		sh.sk.admitted(key, sh.ap, sh.wifiChannel, out.LatencySeconds)
+		sh.sk.admitted(entry.hexKey, sh.label, out.LatencySeconds)
 		return out
 	}
 }

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"fmt"
-
 	"bluefi/internal/obs/sketch"
 	"bluefi/internal/obs/slo"
 )
@@ -28,13 +26,16 @@ func newSketches() *sketches {
 	}
 }
 
-// admitted records one successful register/update.
-func (s *sketches) admitted(key Key, ap, wifiChannel int, latencySeconds float64) {
+// admitted records one successful register/update of the content key
+// hexKey (Key.String) on the shard labelled shard. Both strings are
+// built once, with the cache entry and the shard, so a record allocates
+// nothing.
+func (s *sketches) admitted(hexKey, shard string, latencySeconds float64) {
 	if s == nil {
 		return
 	}
-	s.hotKeys.Offer(key.String())
-	s.hotShards.Offer(fmt.Sprintf("ap%d/ch%d", ap, wifiChannel))
+	s.hotKeys.Offer(hexKey)
+	s.hotShards.Offer(shard)
 	s.slotLatency.Observe(latencySeconds)
 }
 

@@ -54,11 +54,11 @@ func parity6(v uint8) byte {
 }
 
 // RealTimeResult reports an inversion: the recovered information bits, the
-// coded-bit indices where re-encoding differs from the target, and the
+// number of coded bits where re-encoding differs from the target, and the
 // final encoder state.
 type RealTimeResult struct {
 	Info       []byte
-	Flips      []int
+	Flips      int
 	FinalState uint8
 }
 
@@ -91,18 +91,18 @@ func RealTimeInvert(coded []byte, protect []Choice, pinnedPrefix, pinnedSuffix [
 
 	res := RealTimeResult{Info: make([]byte, 0, nInfo)}
 	var s uint8
-	record := func(u byte, codedIdx int, target byte) uint8 {
+	record := func(u, target byte) uint8 {
 		a, _ := outputs(s, u)
-		if codedIdx >= 0 && a != target&1 {
-			res.Flips = append(res.Flips, codedIdx)
+		if a != target&1 {
+			res.Flips++
 		}
 		res.Info = append(res.Info, u)
 		return nextState(s, u)
 	}
-	recordB := func(u byte, codedIdx int, target byte) uint8 {
+	recordB := func(u, target byte) uint8 {
 		_, b := outputs(s, u)
-		if codedIdx >= 0 && b != target&1 {
-			res.Flips = append(res.Flips, codedIdx)
+		if b != target&1 {
+			res.Flips++
 		}
 		res.Info = append(res.Info, u)
 		return nextState(s, u)
@@ -119,28 +119,28 @@ func RealTimeInvert(coded []byte, protect []Choice, pinnedPrefix, pinnedSuffix [
 			u1 := pinnedPrefix[infoIdx] & 1
 			oa, ob := outputs(s, u1)
 			if oa != a1 {
-				res.Flips = append(res.Flips, base)
+				res.Flips++
 			}
 			if ob != b1 {
-				res.Flips = append(res.Flips, base+1)
+				res.Flips++
 			}
 			res.Info = append(res.Info, u1)
 			s = nextState(s, u1)
 			u2 := pinnedPrefix[infoIdx+1] & 1
-			s = record(u2, base+2, a2)
+			s = record(u2, a2)
 		case infoIdx >= nInfo-len(pinnedSuffix):
 			u1 := pinnedSuffix[infoIdx-(nInfo-len(pinnedSuffix))] & 1
 			u2 := pinnedSuffix[infoIdx+1-(nInfo-len(pinnedSuffix))] & 1
 			oa, ob := outputs(s, u1)
 			if oa != a1 {
-				res.Flips = append(res.Flips, base)
+				res.Flips++
 			}
 			if ob != b1 {
-				res.Flips = append(res.Flips, base+1)
+				res.Flips++
 			}
 			res.Info = append(res.Info, u1)
 			s = nextState(s, u1)
-			s = record(u2, base+2, a2)
+			s = record(u2, a2)
 		default:
 			choice := ProtectB1A2
 			if protect != nil {
@@ -149,13 +149,13 @@ func RealTimeInvert(coded []byte, protect []Choice, pinnedPrefix, pinnedSuffix [
 			var u1 byte
 			if choice == ProtectB1A2 {
 				u1 = b1 ^ fB(s)
-				s = record(u1, base, a1) // B1 exact by construction; A1 may flip
+				s = record(u1, a1) // B1 exact by construction; A1 may flip
 			} else {
 				u1 = a1 ^ fA(s)
-				s = recordB(u1, base+1, b1) // A1 exact; B1 may flip
+				s = recordB(u1, b1) // A1 exact; B1 may flip
 			}
 			u2 := a2 ^ fA(s)
-			s = record(u2, base+2, a2) // always exact
+			s = record(u2, a2) // always exact
 		}
 	}
 	res.FinalState = s

@@ -18,6 +18,9 @@ import "fmt"
 
 // RTWeights configures the weighted inverter: one weight per coded bit
 // and the threshold at or above which a position counts as important.
+// W may be one period of a pattern that repeats over the coded bits: its
+// length must be a multiple of 3 dividing len(coded), and coded bit i
+// takes W[i % len(W)]. nil means every weight is 1.
 type RTWeights struct {
 	W            []float64
 	ImportantMin float64
@@ -36,8 +39,8 @@ func RealTimeInvertWeighted(coded []byte, w RTWeights, pinnedPrefix, pinnedSuffi
 	}
 	nTrip := len(coded) / 3
 	nInfo := 2 * nTrip
-	if w.W != nil && len(w.W) != len(coded) {
-		return RealTimeResult{}, fmt.Errorf("viterbi: %d weights for %d coded bits", len(w.W), len(coded))
+	if err := checkPeriod(w.W, len(coded), 3); err != nil {
+		return RealTimeResult{}, err
 	}
 	if len(pinnedPrefix)%2 != 0 || len(pinnedSuffix)%2 != 0 {
 		return RealTimeResult{}, fmt.Errorf("viterbi: pinned prefix (%d) and suffix (%d) must be even",
@@ -46,6 +49,13 @@ func RealTimeInvertWeighted(coded []byte, w RTWeights, pinnedPrefix, pinnedSuffi
 	if len(pinnedPrefix)+len(pinnedSuffix) > nInfo {
 		return RealTimeResult{}, fmt.Errorf("viterbi: pinned %d+%d bits exceed %d inputs",
 			len(pinnedPrefix), len(pinnedSuffix), nInfo)
+	}
+	// Weights are read by index into the period: wi is triplet t's first
+	// coded bit there and wn triplet t+1's, walked rather than reduced
+	// modulo the period per bit.
+	period := len(w.W)
+	if w.W == nil {
+		period = len(coded)
 	}
 	weight := func(i int) float64 {
 		if w.W == nil {
@@ -60,17 +70,20 @@ func RealTimeInvertWeighted(coded []byte, w RTWeights, pinnedPrefix, pinnedSuffi
 		infoIdx := 2 * t
 		return infoIdx < len(pinnedPrefix) || infoIdx >= nInfo-len(pinnedSuffix)
 	}
-	conflict := func(t int) bool {
-		return t < nTrip && !pinnedTriplet(t) && important(3*t) && important(3*t+1)
+	conflict := func(t, wt int) bool {
+		return t < nTrip && !pinnedTriplet(t) && important(wt) && important(wt+1)
 	}
 
 	res := RealTimeResult{Info: make([]byte, 0, nInfo)}
 	var s uint8
 	steered := 0
-	flip := func(idx int) { res.Flips = append(res.Flips, idx) }
-
+	wi := 0
 	for t := 0; t < nTrip; t++ {
 		base := 3 * t
+		wn := wi + 3
+		if wn == period {
+			wn = 0
+		}
 		a1, b1, a2 := coded[base]&1, coded[base+1]&1, coded[base+2]&1
 		infoIdx := 2 * t
 
@@ -85,7 +98,7 @@ func RealTimeInvertWeighted(coded []byte, w RTWeights, pinnedPrefix, pinnedSuffi
 		default:
 			// Choose u1: match both when the state allows, else protect
 			// the heavier of A1/B1.
-			if fA(s)^fB(s) == a1^b1 || weight(base) >= weight(base+1) {
+			if fA(s)^fB(s) == a1^b1 || weight(wi) >= weight(wi+1) {
 				u1 = a1 ^ fA(s)
 			} else {
 				u1 = b1 ^ fB(s)
@@ -94,7 +107,7 @@ func RealTimeInvertWeighted(coded []byte, w RTWeights, pinnedPrefix, pinnedSuffi
 			// expendable; otherwise match A2.
 			s1 := nextState(s, u1)
 			u2 = a2 ^ fA(s1)
-			if conflict(t+1) && !important(base+2) {
+			if conflict(t+1, wn) && !important(wi+2) {
 				// Need u2(t) ⊕ u2(t−2) = a1(t+1) ⊕ b1(t+1) ⊕ fA⊕fB-free
 				// part: after triplet t, state bits s₀=u2(t), s₄=u2(t−2);
 				// the conflict check uses parity(s & 0x11) = u2(t)⊕u2(t−2).
@@ -109,21 +122,14 @@ func RealTimeInvertWeighted(coded []byte, w RTWeights, pinnedPrefix, pinnedSuffi
 		}
 
 		oa, ob := outputs(s, u1)
-		if oa != a1 {
-			flip(base)
-		}
-		if ob != b1 {
-			flip(base + 1)
-		}
 		s = nextState(s, u1)
 		oa2, _ := outputs(s, u2)
-		if oa2 != a2 {
-			flip(base + 2)
-		}
 		s = nextState(s, u2)
+		res.Flips += int(oa^a1) + int(ob^b1) + int(oa2^a2)
 		res.Info = append(res.Info, u1, u2)
+		wi = wn
 	}
 	res.FinalState = s
-	w.Obs.observeRealTime(len(res.Flips), steered)
+	w.Obs.observeRealTime(res.Flips, steered)
 	return res, nil
 }

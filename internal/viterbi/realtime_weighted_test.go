@@ -15,8 +15,8 @@ func TestWeightedInvertRoundTripsCodewords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Flips) != 0 {
-			t.Fatalf("trial %d: %d flips on a codeword", trial, len(res.Flips))
+		if res.Flips != 0 {
+			t.Fatalf("trial %d: %d flips on a codeword", trial, res.Flips)
 		}
 		for i := range info {
 			if res.Info[i] != info[i] {
@@ -66,15 +66,15 @@ func TestWeightedInvertSteersConflicts(t *testing.T) {
 				}
 			}
 		}
-		// The flip list must be exact.
+		// The flip count must be exact.
 		var diffs int
 		for i := range coded {
 			if re[i] != coded[i] {
 				diffs++
 			}
 		}
-		if diffs != len(res.Flips) {
-			t.Fatalf("trial %d: flip list %d vs actual %d", trial, len(res.Flips), diffs)
+		if diffs != res.Flips {
+			t.Fatalf("trial %d: flip count %d vs actual %d", trial, res.Flips, diffs)
 		}
 	}
 	if totalImportant == 0 || flips == 0 {
@@ -118,11 +118,91 @@ func TestWeightedInvertValidation(t *testing.T) {
 	if _, err := RealTimeInvertWeighted(make([]byte, 6), RTWeights{W: make([]float64, 5)}, nil, nil); err == nil {
 		t.Error("accepted weight length mismatch")
 	}
+	for _, period := range []int{0, 4, 9, 24} {
+		// Empty, not whole triplets, or not dividing the 12 coded bits.
+		if _, err := RealTimeInvertWeighted(make([]byte, 12), RTWeights{W: make([]float64, period)}, nil, nil); err == nil {
+			t.Errorf("accepted a weight period of %d over 12 coded bits", period)
+		}
+	}
+	for _, period := range []int{3, 6, 12} {
+		if _, err := RealTimeInvertWeighted(make([]byte, 12), RTWeights{W: make([]float64, period)}, nil, nil); err != nil {
+			t.Errorf("rejected a weight period of %d over 12 coded bits: %v", period, err)
+		}
+	}
 	if _, err := RealTimeInvertWeighted(make([]byte, 6), RTWeights{}, make([]byte, 3), nil); err == nil {
 		t.Error("accepted odd prefix")
 	}
 	if _, err := RealTimeInvertWeighted(make([]byte, 6), RTWeights{}, make([]byte, 4), make([]byte, 2)); err == nil {
 		t.Error("accepted over-pinning")
+	}
+}
+
+// tile repeats one weight period to n entries.
+func tile(period []float64, n int) []float64 {
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		out = append(out, period...)
+	}
+	return out
+}
+
+// randPeriod draws one period of n weights from the classes synthesis
+// hands the inverters.
+func randPeriod(rng *rand.Rand, n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = decodeWeightClasses[rng.Intn(len(decodeWeightClasses))]
+	}
+	return w
+}
+
+// TestPeriodicWeightsMatchTiled pins the periodic-weight contract: one
+// period gives bit-identical results to the same period tiled over the
+// whole input, for both inverters.
+func TestPeriodicWeightsMatchTiled(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 200; trial++ {
+		reps := 1 + rng.Intn(8)
+		// Decode: an even period over the mother positions.
+		period := randPeriod(rng, 2*(1+rng.Intn(40)))
+		n := len(period) * reps
+		in := Input{Bits: randBits(rng, n), Weight: period}
+		in.PinnedPrefix = randBits(rng, rng.Intn(min(n/2, 16)+1))
+		in.PinnedSuffix = randBits(rng, rng.Intn(n/2-len(in.PinnedPrefix)+1))
+		got, err := Decode(in)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		in.Weight = tile(period, n)
+		want, err := Decode(in)
+		if err != nil {
+			t.Fatalf("trial %d: tiled: %v", trial, err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("trial %d: periodic decode differs from tiled (period %d, %d positions)", trial, len(period), n)
+		}
+
+		// RealTimeInvertWeighted: a period of whole triplets, pinned
+		// in whole triplets.
+		period = randPeriod(rng, 3*(1+rng.Intn(40)))
+		n = len(period) * reps
+		coded := randBits(rng, n)
+		prefix := randBits(rng, 2*rng.Intn(min(n/3, 8)+1))
+		suffix := randBits(rng, 2*rng.Intn(n/3-len(prefix)/2+1))
+		rw := RTWeights{W: period, ImportantMin: 1000}
+		rp, err := RealTimeInvertWeighted(coded, rw, prefix, suffix)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rw.W = tile(period, n)
+		rt, err := RealTimeInvertWeighted(coded, rw, prefix, suffix)
+		if err != nil {
+			t.Fatalf("trial %d: tiled: %v", trial, err)
+		}
+		if string(rp.Info) != string(rt.Info) || rp.Flips != rt.Flips || rp.FinalState != rt.FinalState {
+			t.Fatalf("trial %d: periodic inversion (flips %d, state %d) differs from tiled (flips %d, state %d)",
+				trial, rp.Flips, rp.FinalState, rt.Flips, rt.FinalState)
+		}
 	}
 }
 

@@ -63,7 +63,9 @@ type Input struct {
 	Bits []byte
 	// Weight holds one non-negative weight per mother position. A zero
 	// weight marks an erasure (punctured or don't-care position). nil
-	// means all weights are 1.
+	// means all weights are 1. A shorter slice is one period of a
+	// pattern that repeats over Bits: its length must be even and divide
+	// len(Bits), and position i takes Weight[i % len(Weight)].
 	Weight []float64
 	// PinnedPrefix forces the first input bits to known values (BlueFi
 	// pins the scrambled SERVICE field).
@@ -75,6 +77,16 @@ type Input struct {
 	// Obs, when non-nil, receives decode telemetry (counts only — never
 	// an input to the decode itself).
 	Obs *Metrics
+}
+
+// checkPeriod validates a non-nil weight period w over n positions
+// consumed step positions at a time: it must be a non-empty whole number
+// of steps that divides n.
+func checkPeriod(w []float64, n, step int) error {
+	if w != nil && (len(w) == 0 || len(w)%step != 0 || n%len(w) != 0) {
+		return fmt.Errorf("viterbi: %d weights for %d positions, want a non-empty multiple of %d dividing them", len(w), n, step)
+	}
+	return nil
 }
 
 // PinnedSuffixZeros returns a suffix of n zero bits, the common tail case.
@@ -93,8 +105,8 @@ func Decode(in Input) ([]byte, error) {
 		return nil, fmt.Errorf("viterbi: %d mother bits, want even", len(in.Bits))
 	}
 	n := len(in.Bits) / 2
-	if in.Weight != nil && len(in.Weight) != len(in.Bits) {
-		return nil, fmt.Errorf("viterbi: %d weights for %d positions", len(in.Weight), len(in.Bits))
+	if err := checkPeriod(in.Weight, len(in.Bits), 2); err != nil {
+		return nil, err
 	}
 	if len(in.PinnedPrefix)+len(in.PinnedSuffix) > n {
 		return nil, fmt.Errorf("viterbi: pinned %d+%d bits exceed %d inputs",
@@ -114,9 +126,13 @@ func Decode(in Input) ([]byte, error) {
 	survivors := make([]uint64, n)
 	suffixStart := n - len(in.PinnedSuffix)
 	wa, wb := 1.0, 1.0
+	wi := 0 // index of step t's A weight in the period, walked not reduced
 	for t := 0; t < n; t++ {
 		if in.Weight != nil {
-			wa, wb = in.Weight[2*t], in.Weight[2*t+1]
+			wa, wb = in.Weight[wi], in.Weight[wi+1]
+			if wi += 2; wi == len(in.Weight) {
+				wi = 0
+			}
 		}
 		survivors[t] = acsStep(next, metric, in.Bits[2*t]&1, in.Bits[2*t+1]&1, wa, wb)
 		switch {

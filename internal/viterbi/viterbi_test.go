@@ -345,6 +345,17 @@ func TestDecodeInputValidation(t *testing.T) {
 	if _, err := Decode(Input{Bits: make([]byte, 8), Weight: make([]float64, 3)}); err == nil {
 		t.Error("accepted weight length mismatch")
 	}
+	for _, period := range []int{0, 1, 3, 8, 16} {
+		// Empty, odd, or not dividing the 12 positions.
+		if _, err := Decode(Input{Bits: make([]byte, 12), Weight: make([]float64, period)}); err == nil {
+			t.Errorf("accepted a weight period of %d over 12 positions", period)
+		}
+	}
+	for _, period := range []int{2, 4, 12} {
+		if _, err := Decode(Input{Bits: make([]byte, 12), Weight: make([]float64, period)}); err != nil {
+			t.Errorf("rejected a weight period of %d over 12 positions: %v", period, err)
+		}
+	}
 	if _, err := Decode(Input{Bits: make([]byte, 8), PinnedPrefix: make([]byte, 3), PinnedSuffix: make([]byte, 3)}); err == nil {
 		t.Error("accepted over-pinned input")
 	}
@@ -375,8 +386,8 @@ func TestRealTimeInvertRoundTripsCodewords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Flips) != 0 {
-			t.Fatalf("trial %d: %d flips on a codeword", trial, len(res.Flips))
+		if res.Flips != 0 {
+			t.Fatalf("trial %d: %d flips on a codeword", trial, res.Flips)
 		}
 		for i := range info {
 			if res.Info[i] != info[i] {
@@ -404,10 +415,22 @@ func TestRealTimeInvertGuarantees(t *testing.T) {
 		if len(res.Info) != 2*nTrip {
 			t.Fatalf("info length %d", len(res.Info))
 		}
-		if len(res.Flips) > nTrip {
-			t.Fatalf("flip rate %d/%d exceeds 1/3", len(res.Flips), 3*nTrip)
+		// Re-encode: the flip count is exactly the number of differing
+		// coded bits, and the position rules hold at each of them.
+		re := encodeRate23(res.Info)
+		var diffs []int
+		for i := range coded {
+			if re[i] != coded[i] {
+				diffs = append(diffs, i)
+			}
 		}
-		for _, f := range res.Flips {
+		if len(diffs) != res.Flips {
+			t.Fatalf("flip count %d vs actual %v", res.Flips, diffs)
+		}
+		if len(diffs) > nTrip {
+			t.Fatalf("flip rate %d/%d exceeds 1/3", len(diffs), 3*nTrip)
+		}
+		for _, f := range diffs {
 			tr, off := f/3, f%3
 			if off == 2 {
 				t.Fatalf("A2 flipped at triplet %d", tr)
@@ -417,22 +440,6 @@ func TestRealTimeInvertGuarantees(t *testing.T) {
 			}
 			if protect[tr] == ProtectA1A2 && off != 1 {
 				t.Fatalf("protected A1 flipped at triplet %d", tr)
-			}
-		}
-		// Re-encode and verify the flip list is exactly the difference.
-		re := encodeRate23(res.Info)
-		var diffs []int
-		for i := range coded {
-			if re[i] != coded[i] {
-				diffs = append(diffs, i)
-			}
-		}
-		if len(diffs) != len(res.Flips) {
-			t.Fatalf("flip list %v vs actual %v", res.Flips, diffs)
-		}
-		for i := range diffs {
-			if diffs[i] != res.Flips[i] {
-				t.Fatalf("flip list %v vs actual %v", res.Flips, diffs)
 			}
 		}
 	}

@@ -40,34 +40,32 @@ func (m *OFDMModulator) SymbolLen() int { return m.GuardSamples + FFTSize }
 // cyclic-extension sample is kept at half amplitude, matching the
 // standard's boundary roll-off) and len(symbols)·SymbolLen() otherwise.
 func (m *OFDMModulator) Modulate(symbols [][]complex128) ([]complex128, error) {
-	T := m.SymbolLen()
+	T, gi := m.SymbolLen(), m.GuardSamples
 	n := len(symbols)
-	bodies := make([][]complex128, n)
-	for k, X := range symbols {
-		if len(X) != FFTSize {
-			return nil, fmt.Errorf("wifi: symbol %d has %d bins, want %d", k, len(X), FFTSize)
-		}
-		// IFFT output is (1/64)·ΣX[k]e^{...}: grid units stay visible to
-		// FFT on the receive side.
-		bodies[k] = m.plan.Inverse(X)
-	}
 	outLen := n * T
 	if m.Windowing {
 		outLen++
 	}
 	out := make([]complex128, outLen)
-	for k, body := range bodies {
+	for k, X := range symbols {
+		if len(X) != FFTSize {
+			return nil, fmt.Errorf("wifi: symbol %d has %d bins, want %d", k, len(X), FFTSize)
+		}
+		// IFFT output is (1/64)·ΣX[k]e^{...}: grid units stay visible to
+		// FFT on the receive side. The body lands in place behind its
+		// cyclic prefix, which copies the body's tail.
 		base := k * T
-		copy(out[base:], body[FFTSize-m.GuardSamples:]) // cyclic prefix
-		copy(out[base+m.GuardSamples:], body)
+		m.plan.InverseInto(out[base+gi:base+T], X)
+		copy(out[base:base+gi], out[base+FFTSize:base+T])
 	}
 	if m.Windowing {
 		// Each symbol's one-sample cyclic extension (body[0]) overlaps the
-		// next symbol's first CP sample; overlapping samples are averaged.
+		// next symbol's first CP sample (its body[FFTSize−gi], still intact
+		// at the end of its body); overlapping samples are averaged.
 		for k := 0; k < n; k++ {
-			ext := bodies[k][0]
+			ext := out[k*T+gi]
 			if k+1 < n {
-				first := bodies[k+1][FFTSize-m.GuardSamples]
+				first := out[(k+1)*T+FFTSize]
 				out[(k+1)*T] = 0.5*ext + 0.5*first
 			} else {
 				out[n*T] = 0.5 * ext // packet-edge roll-off

@@ -108,9 +108,9 @@ func (t *Transmitter) SymbolsFromCoded(coded []byte) ([][]complex128, error) {
 	nbpsc := t.mcs.Modulation.BitsPerSymbol()
 	pilotAmp := PilotAmplitude(t.mcs.Modulation)
 	symbols := make([][]complex128, nsym)
+	pts := make([]complex128, len(HTDataSubcarriers)) // BuildSymbol copies them out
 	for s := 0; s < nsym; s++ {
 		inter := t.il.Interleave(coded[s*t.mcs.NCBPS : (s+1)*t.mcs.NCBPS])
-		pts := make([]complex128, len(HTDataSubcarriers))
 		for i := range pts {
 			p, err := t.mapper.Map(inter[i*nbpsc : (i+1)*nbpsc])
 			if err != nil {
