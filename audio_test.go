@@ -148,6 +148,10 @@ func TestSimulateReceiverProfiles(t *testing.T) {
 	if _, err := syn.Simulate(br, bluefi.SimulationParams{}); err == nil {
 		t.Error("Simulate accepted a BR packet")
 	}
+	// ...and advertising packets through Simulate.
+	if _, err := syn.SimulateBR(pkt, dev, 0, bluefi.SimulationParams{}); err == nil {
+		t.Error("SimulateBR accepted a BLE advertising packet")
+	}
 	for _, who := range []string{"", "Pixel", "S6", "iPhone", "FTS4BT"} {
 		if _, err := syn.SimulateBR(br, dev, 0, bluefi.SimulationParams{Receiver: who, Seed: 1}); err != nil {
 			t.Fatalf("BR %q: %v", who, err)
@@ -155,5 +159,21 @@ func TestSimulateReceiverProfiles(t *testing.T) {
 	}
 	if _, err := syn.SimulateBR(br, dev, 0, bluefi.SimulationParams{Receiver: "x"}); err == nil {
 		t.Error("SimulateBR accepted unknown receiver")
+	}
+	// Simulate transmits through the chip, so a frame the generic part's
+	// unpatched driver refuses (over 2304 bytes, §3) never reaches the air.
+	gen, err := bluefi.New(bluefi.Options{Chip: bluefi.Generic80211n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := gen.Beacon(b.ADStructures(), [6]byte{1, 2, 3, 4, 5, 6}, 38)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big.PSDU) <= 2304 {
+		t.Fatalf("beacon PSDU is %d bytes, expected one over the generic chip's limit", len(big.PSDU))
+	}
+	if _, err := gen.Simulate(big, bluefi.SimulationParams{}); err == nil {
+		t.Error("Simulate sent a frame the unpatched generic chip rejects")
 	}
 }

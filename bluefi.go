@@ -15,7 +15,7 @@
 //	syn, err := bluefi.New(bluefi.Options{Chip: bluefi.RTL8811AU})
 //	pkt, err := syn.Beacon(bluefi.IBeacon{...}.ADStructures(), addr, 38)
 //	// hand pkt.PSDU to the WiFi driver; or simulate reception:
-//	rep, err := bluefi.Simulate(pkt, bluefi.SimulationParams{DistanceM: 1.5})
+//	rep, err := syn.Simulate(pkt, bluefi.SimulationParams{DistanceM: 1.5})
 //
 // Everything runs on a pure-Go simulated substrate — WiFi PHY, Bluetooth
 // baseband, radio channel, GFSK receivers — so the paper's experiments
@@ -36,6 +36,7 @@ import (
 	"bluefi/internal/faults"
 	"bluefi/internal/gfsk"
 	"bluefi/internal/obs"
+	"bluefi/internal/scan"
 )
 
 // Telemetry is the unified observability registry: typed metrics
@@ -493,8 +494,8 @@ type SimulationParams struct {
 	TxPowerDBm float64
 	// DistanceM defaults to 1.5 m when zero.
 	DistanceM float64
-	// Receiver names a device profile: "Pixel" (default), "S6",
-	// "iPhone" or "FTS4BT".
+	// Receiver names a device profile: "Pixel" (Simulate's default),
+	// "S6", "iPhone" or "FTS4BT" (SimulateBR's default).
 	Receiver string
 	// Seed makes the channel noise reproducible.
 	Seed int64
@@ -507,86 +508,71 @@ type SimReport struct {
 	RSSIdBm  float64
 }
 
-// Simulate transmits a synthesized packet through the simulated radio
-// channel into a simulated unmodified Bluetooth receiver — the library's
-// stand-in for the paper's over-the-air tests.
-func (s *Synthesizer) Simulate(pkt *Packet, params SimulationParams) (SimReport, error) {
-	if params.TxPowerDBm == 0 {
-		params.TxPowerDBm = s.chip.Model().DefaultTxPowerDBm
-	}
-	if params.DistanceM == 0 {
-		params.DistanceM = 1.5
-	}
-	prof := btrx.Pixel
-	switch params.Receiver {
-	case "", "Pixel":
-	case "S6":
-		prof = btrx.S6
-	case "iPhone":
-		prof = btrx.IPhone
-	case "FTS4BT":
-		prof = btrx.Sniffer
-	default:
-		return SimReport{}, fmt.Errorf("bluefi: unknown receiver profile %q", params.Receiver)
-	}
-	ch := channel.Default(params.TxPowerDBm, params.DistanceM)
-	if params.Seed != 0 {
-		ch.Seed = params.Seed
-	}
-	rx, err := ch.Apply(pkt.res.Waveform)
-	if err != nil {
-		return SimReport{}, err
-	}
-	rcv, err := btrx.NewReceiver(prof, pkt.res.Plan.OffsetHz, bt.Device{})
-	if err != nil {
-		return SimReport{}, err
-	}
-	if pkt.BLEChannel < 0 {
-		return SimReport{}, fmt.Errorf("bluefi: Simulate currently supports BLE packets; use SimulateBR for BR/EDR")
-	}
-	rep, err := rcv.ReceiveBLE(rx, pkt.BLEChannel)
-	if err != nil {
-		return SimReport{}, err
-	}
-	return SimReport{Detected: rep.Detected, Decoded: rep.Detected && rep.Result.OK, RSSIdBm: rep.RSSIdBm}, nil
+// simReceivers names the receiver profiles SimulationParams.Receiver
+// may select; "" picks the packet kind's default.
+var simReceivers = map[string]btrx.Profile{
+	"Pixel":  btrx.Pixel,
+	"S6":     btrx.S6,
+	"iPhone": btrx.IPhone,
+	"FTS4BT": btrx.Sniffer,
 }
 
-// SimulateBR mirrors Simulate for classic BR/EDR packets; dev and clk
-// must match the synthesized packet.
+// Simulate transmits a synthesized BLE advertising packet through the
+// simulated radio channel into a simulated unmodified Bluetooth receiver
+// (a Pixel unless params names another) — the library's stand-in for
+// the paper's over-the-air tests.
+func (s *Synthesizer) Simulate(pkt *Packet, params SimulationParams) (SimReport, error) {
+	if pkt.BLEChannel < 0 {
+		return SimReport{}, fmt.Errorf("bluefi: Simulate takes BLE advertising packets; use SimulateBR for BR/EDR")
+	}
+	return s.simulate(pkt, bt.Device{}, scan.Capture{Kind: scan.KindBLEAdv, Channel: pkt.BLEChannel}, "Pixel", params)
+}
+
+// SimulateBR mirrors Simulate for classic BR/EDR packets, received by
+// the FTS4BT-class sniffer unless params names another receiver; dev and
+// clk must match the synthesized packet.
 func (s *Synthesizer) SimulateBR(pkt *Packet, dev Device, clk uint32, params SimulationParams) (SimReport, error) {
+	if pkt.BLEChannel >= 0 {
+		return SimReport{}, fmt.Errorf("bluefi: SimulateBR takes BR/EDR packets; use Simulate for BLE advertising")
+	}
+	return s.simulate(pkt, bt.Device(dev), scan.Capture{Kind: scan.KindBR, Clk: clk}, "FTS4BT", params)
+}
+
+// simulate emits pkt's PSDU from a fresh chip of the synthesizer's model
+// (whose scrambler seed is the one synthesis targeted) and sends the
+// emission over the air path into the receiver params names, defaultRx
+// when it names none.
+func (s *Synthesizer) simulate(pkt *Packet, dev bt.Device, c scan.Capture, defaultRx string, params SimulationParams) (SimReport, error) {
+	name := params.Receiver
+	if name == "" {
+		name = defaultRx
+	}
+	prof, ok := simReceivers[name]
+	if !ok {
+		return SimReport{}, fmt.Errorf("bluefi: unknown receiver profile %q", params.Receiver)
+	}
 	if params.TxPowerDBm == 0 {
 		params.TxPowerDBm = s.chip.Model().DefaultTxPowerDBm
 	}
 	if params.DistanceM == 0 {
 		params.DistanceM = 1.5
 	}
-	prof := btrx.Sniffer
-	switch params.Receiver {
-	case "", "FTS4BT":
-	case "Pixel":
-		prof = btrx.Pixel
-	case "S6":
-		prof = btrx.S6
-	case "iPhone":
-		prof = btrx.IPhone
-	default:
-		return SimReport{}, fmt.Errorf("bluefi: unknown receiver profile %q", params.Receiver)
-	}
 	ch := channel.Default(params.TxPowerDBm, params.DistanceM)
 	if params.Seed != 0 {
 		ch.Seed = params.Seed
 	}
-	rx, err := ch.Apply(pkt.res.Waveform)
+	iq, err := chip.New(s.chip.Model()).Transmit(pkt.PSDU, pkt.MCS)
 	if err != nil {
 		return SimReport{}, err
 	}
-	rcv, err := btrx.NewReceiver(prof, pkt.res.Plan.OffsetHz, bt.Device(dev))
+	rcv, err := btrx.NewReceiver(prof, pkt.res.Plan.OffsetHz, dev)
 	if err != nil {
 		return SimReport{}, err
 	}
-	rep, err := rcv.ReceiveBR(rx, clk)
-	if err != nil {
-		return SimReport{}, err
+	c.IQ = iq
+	out := scan.Air(rcv, ch, nil, c)
+	if out.Err != nil {
+		return SimReport{}, out.Err
 	}
-	return SimReport{Detected: rep.Detected, Decoded: rep.Detected && rep.Result.OK, RSSIdBm: rep.RSSIdBm}, nil
+	return SimReport{Detected: out.Detected, Decoded: out.Decoded, RSSIdBm: out.RSSIdBm}, nil
 }

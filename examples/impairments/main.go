@@ -14,6 +14,7 @@ import (
 	"bluefi/internal/channel"
 	"bluefi/internal/core"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/scan"
 )
 
 func main() {
@@ -62,17 +63,13 @@ func main() {
 		for seed := int64(1); seed <= int64(n); seed++ {
 			ch := channel.Default(18, 1.5)
 			ch.Seed = seed
-			rx, err := ch.Apply(w.IQ)
-			if err != nil {
-				log.Fatal(err)
+			out := scan.Air(rcv, ch, nil, scan.Capture{Kind: scan.KindBLEAdv, Channel: 38, IQ: w.IQ})
+			if out.Err != nil {
+				log.Fatal(out.Err)
 			}
-			rep, err := rcv.ReceiveBLE(rx, 38)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if rep.Detected {
-				rssiSum += rep.RSSIdBm
-				if rep.Result.OK {
+			if out.Detected {
+				rssiSum += out.RSSIdBm
+				if out.Decoded {
 					got++
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"bluefi/internal/chip"
 	"bluefi/internal/core"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/scan"
 )
 
 // BeaconFrequencyMHz is the advertising channel the experiments use:
@@ -85,6 +86,12 @@ func synthesizeBeaconSet(c *chip.Chip, baseSeq, n int) ([]*core.Result, error) {
 	return out, nil
 }
 
+// beaconCapture tags a transmit waveform as an advertisement on channel
+// 38, the one every beacon experiment uses.
+func beaconCapture(iq []complex128) scan.Capture {
+	return scan.Capture{Kind: scan.KindBLEAdv, Channel: 38, IQ: iq}
+}
+
 // receiveSeries transmits the waveforms cyclically over a fading/noisy
 // channel and collects the receiver's reports for durationS seconds at
 // the given report rate.
@@ -102,17 +109,13 @@ func receiveSeries(waves []*core.Result, prof btrx.Profile, ch channel.Model, du
 			continue
 		}
 		ch.Seed = rng.Int63()
-		rx, err := ch.Apply(waves[i%len(waves)].Waveform)
-		if err != nil {
-			return tr, err
+		out := scan.Air(rcv, ch, nil, beaconCapture(waves[i%len(waves)].Waveform))
+		if out.Err != nil {
+			return tr, out.Err
 		}
-		rep, err := rcv.ReceiveBLE(rx, 38)
-		if err != nil {
-			return tr, err
-		}
-		if rep.Detected && rep.Result.OK {
+		if out.Decoded {
 			got++
-			tr.Samples = append(tr.Samples, Sample{TimeS: tSec, RSSIdBm: rep.RSSIdBm})
+			tr.Samples = append(tr.Samples, Sample{TimeS: tSec, RSSIdBm: out.RSSIdBm})
 		}
 	}
 	tr.ReceivedFraction = float64(got) / float64(reports)

@@ -12,6 +12,7 @@ import (
 	"bluefi/internal/core"
 	"bluefi/internal/gfsk"
 	"bluefi/internal/sbc"
+	"bluefi/internal/scan"
 )
 
 // Fig. 10 — PER with 5-slot audio packets (§4.7): the A2DP stream on the
@@ -206,35 +207,21 @@ func audioRunN(cfg Fig10Config, pt bt.PacketType, sbcCfg sbc.Config, fppOverride
 			res.SkippedSlots += sp.SkippedSlots
 			chModel := channel.Default(18, 1.5)
 			chModel.Seed = cfg.Seed + int64(p*100+si)
-			rx, err := chModel.Apply(sr.Waveform)
-			if err != nil {
-				return nil, err
-			}
 			rcv, err := btrx.NewReceiver(btrx.Sniffer, sr.Plan.OffsetHz, evalDevice)
 			if err != nil {
 				return nil, err
 			}
-			rep, err := rcv.ReceiveBR(rx, uint32(sp.Clock))
-			if err != nil {
-				return nil, err
+			out := scan.Air(rcv, chModel, nil, scan.Capture{Kind: scan.KindBR, IQ: sr.Waveform, Clk: uint32(sp.Clock)})
+			if out.Err != nil {
+				return nil, out.Err
 			}
-			pc := perCh[sp.Channel]
-			pc.Sent++
+			perCh[sp.Channel].add(out)
 			res.Sent++
-			res.Prediction.add(sr.RehearsalDecodes, rep.Detected && rep.Result.OK)
-			switch {
-			case !rep.Detected:
-				pc.Lost++
-				allOK = false
-			case rep.Result.OK:
-				pc.NoError++
+			res.Prediction.add(sr.RehearsalDecodes, out.Decoded)
+			if out.Decoded {
 				res.Received++
 				mediaPayloadBits += float64(8 * len(sp.Packet.Payload))
-			case rep.Result.HeaderError:
-				pc.HeaderError++
-				allOK = false
-			default:
-				pc.CRCError++
+			} else {
 				allOK = false
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"bluefi/internal/chip"
 	"bluefi/internal/core"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/scan"
 )
 
 // Fig. 7a — dedicated Bluetooth hardware comparison (§4.4): Pixel and S6
@@ -59,17 +60,13 @@ func Fig7aDedicatedBT(packets int, seed int64) ([]DedicatedPoint, error) {
 		got, rssiSum := 0, 0.0
 		for k := 0; k < packets; k++ {
 			ch.Seed = seed + int64(i*1000+k)
-			rx, err := ch.Apply(iq)
-			if err != nil {
-				return nil, err
+			out := scan.Air(rcv, ch, nil, beaconCapture(iq))
+			if out.Err != nil {
+				return nil, out.Err
 			}
-			rep, err := rcv.ReceiveBLE(rx, 38)
-			if err != nil {
-				return nil, err
-			}
-			if rep.Detected && rep.Result.OK {
+			if out.Decoded {
 				got++
-				rssiSum += rep.RSSIdBm
+				rssiSum += out.RSSIdBm
 			}
 		}
 		pt := DedicatedPoint{Pair: p.tx + "→" + p.rx.Name, Received: float64(got) / float64(packets)}
@@ -175,31 +172,23 @@ func Fig7cBackgroundTraffic(reports int, seed int64) ([]Trace, error) {
 			}
 			ch := channel.Default(18, 1.5)
 			ch.Seed = seed + int64(i)
-			rx, err := ch.Apply(waves[i%len(waves)].Waveform)
-			if err != nil {
-				return nil, err
-			}
-			// Saturated WiFi neighbour: strong bursts most of the time.
-			// Bluetooth reception survives because WiFi defers while the
-			// BlueFi frame (itself a WiFi frame) holds the channel; the
-			// residual collisions appear as partial-time interference.
-			// WiFi neighbours defer to the BlueFi frame itself (it IS a
-			// WiFi frame holding the channel), so only residual collision
-			// energy reaches the receiver.
+			// Saturated WiFi neighbour: WiFi defers while the BlueFi
+			// frame (itself a WiFi frame) holds the channel, so only
+			// residual collision energy reaches the receiver, as
+			// partial-time interference.
 			intf := channel.Interferer{
 				PowerDBm:     ch.RxPowerDBm() - 18,
 				DutyCycle:    0.2,
 				BurstSamples: 4800,
 				Seed:         seed + int64(1000+i),
 			}
-			intf.AddTo(rx)
-			rep, err := rcv.ReceiveBLE(rx, 38)
-			if err != nil {
-				return nil, err
+			out := scan.Air(rcv, ch, &intf, beaconCapture(waves[i%len(waves)].Waveform))
+			if out.Err != nil {
+				return nil, out.Err
 			}
-			if rep.Detected && rep.Result.OK {
+			if out.Decoded {
 				got++
-				tr.Samples = append(tr.Samples, Sample{TimeS: tSec, RSSIdBm: rep.RSSIdBm})
+				tr.Samples = append(tr.Samples, Sample{TimeS: tSec, RSSIdBm: out.RSSIdBm})
 			}
 		}
 		tr.ReceivedFraction = float64(got) / float64(reports)

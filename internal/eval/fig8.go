@@ -8,6 +8,7 @@ import (
 	"bluefi/internal/channel"
 	"bluefi/internal/core"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/scan"
 )
 
 // Fig. 8 — effect of each impairment (§4.6): a standard FSK waveform as
@@ -67,19 +68,15 @@ func Fig8Impairments(cfg Fig8Config) ([]ImpairmentPoint, error) {
 			for k := 0; k < cfg.PacketsPerStage; k++ {
 				ch := channel.Default(18, 1.5)
 				ch.Seed = cfg.Seed + int64(wi*1000+k)
-				rx, err := ch.Apply(w.IQ)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := rcv.ReceiveBLE(rx, 38)
-				if err != nil {
-					return nil, err
+				o := scan.Air(rcv, ch, nil, beaconCapture(w.IQ))
+				if o.Err != nil {
+					return nil, o.Err
 				}
 				// RSSI is reported whenever the correlator fires, as on
 				// the phones; decode success tracks separately.
-				if rep.Detected {
-					rssiSum += rep.RSSIdBm
-					if rep.Result.OK {
+				if o.Detected {
+					rssiSum += o.RSSIdBm
+					if o.Decoded {
 						got++
 					}
 				}

@@ -9,6 +9,7 @@ import (
 	"bluefi/internal/channel"
 	"bluefi/internal/core"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/scan"
 )
 
 // Fig. 9 — PER with single-slot packets (§4.7): BlueFi transmits DM1
@@ -30,6 +31,22 @@ type ChannelPER struct {
 	HeaderError  int
 	CRCError     int
 	Lost         int
+}
+
+// add counts one reception: lost when nothing correlated, else split by
+// the decoder's verdict.
+func (c *ChannelPER) add(o scan.Outcome) {
+	c.Sent++
+	switch {
+	case !o.Detected:
+		c.Lost++
+	case o.Decoded:
+		c.NoError++
+	case o.HeaderError:
+		c.HeaderError++
+	default:
+		c.CRCError++
+	}
 }
 
 // PER returns the packet error rate.
@@ -148,25 +165,11 @@ func fig9Channel(cfg Fig9Config, s *core.Synthesizer, ci, btCh int) (ChannelPER,
 		}
 		ch := channel.Default(18, 1.5)
 		ch.Seed = cfg.Seed + int64(ci*1000+k)
-		rx, err := ch.Apply(synth.Waveform)
-		if err != nil {
-			return ChannelPER{}, err
+		out := scan.Air(rcv, ch, nil, scan.Capture{Kind: scan.KindBR, IQ: synth.Waveform, Clk: clk})
+		if out.Err != nil {
+			return ChannelPER{}, out.Err
 		}
-		rep, err := rcv.ReceiveBR(rx, clk)
-		if err != nil {
-			return ChannelPER{}, err
-		}
-		res.Sent++
-		switch {
-		case !rep.Detected:
-			res.Lost++
-		case rep.Result.OK:
-			res.NoError++
-		case rep.Result.HeaderError:
-			res.HeaderError++
-		default:
-			res.CRCError++
-		}
+		res.add(out)
 	}
 	return res, nil
 }

@@ -140,10 +140,9 @@ type Scanner struct {
 	cfg Config
 	seq uint64
 
-	// Followed connection context for KindBLEData captures.
-	followAA  uint32
-	followCRC uint32
-	following bool
+	// follow is the connection KindBLEData captures decode against (nil
+	// until Follow).
+	follow *link
 
 	// Stats live in a slice so exports iterate in first-seen order
 	// (never ranging a map); the map only resolves key → index.
@@ -164,7 +163,7 @@ func NewScanner(cfg Config) *Scanner {
 // Follow arms the scanner with a connection's access address and CRC
 // init so subsequent KindBLEData captures decode against that link.
 func (s *Scanner) Follow(aa, crcInit uint32) {
-	s.followAA, s.followCRC, s.following = aa, crcInit, true
+	s.follow = &link{aa: aa, crcInit: crcInit}
 }
 
 // deriveSeed mixes the scanner seed with a capture sequence number via
@@ -181,55 +180,16 @@ func deriveSeed(seed int64, seq uint64) int64 {
 // (reads only cfg and the followed link), so SweepParallel may call it
 // from worker goroutines.
 func (s *Scanner) receive(c Capture, seq uint64) Outcome {
-	out := Outcome{Seq: seq, Kind: c.Kind, Channel: c.Channel}
 	rcv, err := btrx.NewReceiver(s.cfg.Profile, c.OffsetHz, s.cfg.Device)
 	if err != nil {
-		out.Err = err
-		return out
+		return Outcome{Seq: seq, Kind: c.Kind, Channel: c.Channel, Err: err}
 	}
 	if s.cfg.MaxSyncErrors > 0 {
 		rcv.MaxSyncErrors = s.cfg.MaxSyncErrors
 	}
 	rcv.Reseed(deriveSeed(s.cfg.Seed, seq))
-
-	var rep btrx.Report
-	switch c.Kind {
-	case KindBLEAdv:
-		rep, err = rcv.ReceiveBLE(c.IQ, c.Channel)
-	case KindBLEData:
-		if !s.following {
-			out.Err = fmt.Errorf("scan: data capture on channel %d with no followed connection", c.Channel)
-			return out
-		}
-		rep, err = rcv.ReceiveBLEData(c.IQ, s.followAA, c.Channel, s.followCRC)
-	case KindBR:
-		rep, err = rcv.ReceiveBR(c.IQ, c.Clk)
-	case KindEDR:
-		rep, err = rcv.ReceiveEDR(c.IQ, c.Clk, c.EDRRate)
-	default:
-		err = fmt.Errorf("scan: unknown capture kind %d", int(c.Kind))
-	}
-	if err != nil {
-		out.Err = err
-		return out
-	}
-
-	out.Detected = rep.Detected
-	out.Decoded = rep.Result.OK
-	out.CRCError = rep.Result.CRCError
-	out.HeaderError = rep.Result.HeaderError
-	out.SyncErrors = rep.SyncErrors
-	out.RSSIdBm = rep.RSSIdBm
-	out.Adv = rep.Adv
-	out.Data = rep.Data
-	switch {
-	case rep.Data != nil && rep.Result.OK:
-		out.Payload = rep.Data.Payload
-	case rep.Adv != nil:
-		out.Payload = rep.Adv.Data
-	default:
-		out.Payload = rep.Result.Payload
-	}
+	out := demodulate(rcv, c, s.follow)
+	out.Seq = seq
 	return out
 }
 

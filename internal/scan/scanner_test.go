@@ -15,10 +15,10 @@ import (
 	"bluefi/internal/obs"
 )
 
-// advCapture builds one advertising capture: an ideal GFSK burst mixed
-// to the channel's offset under WiFi channel 3 and run through a seeded
-// channel model.
-func advCapture(t *testing.T, bleCh int, seed int64, distM float64) Capture {
+// advWave builds an ideal GFSK advertisement on bleCh mixed to the
+// channel's offset under WiFi channel 3: a transmit waveform and the
+// offset it sits at.
+func advWave(t testing.TB, bleCh int) ([]complex128, float64) {
 	t.Helper()
 	adv := &bt.Advertisement{PDUType: bt.AdvInd, AdvA: [6]byte{0xBF, 1, 2, 3, 4, 5}, Data: []byte{0x02, 0x01, 0x06, 0x03, 0xFF, 0xB1, 0xF1}}
 	air, err := adv.AirBits(bleCh)
@@ -34,6 +34,14 @@ func advCapture(t *testing.T, bleCh int, seed int64, distM float64) Capture {
 		t.Fatal(err)
 	}
 	dsp.Mix(wave, off, 20e6, 0)
+	return wave, off
+}
+
+// advCapture builds one advertising capture: advWave run through a
+// seeded channel model.
+func advCapture(t testing.TB, bleCh int, seed int64, distM float64) Capture {
+	t.Helper()
+	wave, off := advWave(t, bleCh)
 	m := channel.Default(18, distM)
 	m.Seed = seed
 	iq, err := m.Apply(wave)
@@ -230,5 +238,20 @@ func TestAdvSweepPlan(t *testing.T) {
 	}
 	if fmt.Sprint(plan) != fmt.Sprint(AdvSweepPlan(2422, 1)) {
 		t.Fatal("sweep plan is not deterministic")
+	}
+}
+
+// BenchmarkIngest is the scanner's per-capture cost on one clean
+// advertisement; allocs/op counts the receive path's allocations.
+func BenchmarkIngest(b *testing.B) {
+	c := advCapture(b, 38, 1, 2)
+	s := NewScanner(Config{Profile: btrx.Pixel, Seed: 7})
+	s.Ingest(c) // first sight of the cell allocates its stats slot
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := s.Ingest(c); !out.Decoded {
+			b.Fatalf("capture %d not decoded", i)
+		}
 	}
 }

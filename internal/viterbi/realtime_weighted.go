@@ -2,10 +2,28 @@ package viterbi
 
 import "fmt"
 
-// Weighted real-time inversion with conflict steering.
+// Real-time inversion of the rate-2/3 punctured 802.11 code (paper §2.7,
+// "real-time decoder").
 //
-// RealTimeInvert protects A2 plus one of {A1,B1} per triplet, which fails
-// when both A1 and B1 map to important subcarriers: they share the input
+// At rate 2/3 the mother code's output pairs (A1,B1),(A2,B2) for two input
+// bits become the transmitted triplet (A1,B1,A2) — B2 is stolen. Both
+// generators tap the current input bit (their D⁰ coefficient is 1), so
+//
+//	A1 = u1 ⊕ fA(s)    B1 = u1 ⊕ fB(s)    A2 = u2 ⊕ fA(s′),  s′ = δ(s,u1)
+//
+// which makes the maps u1 ↦ A1, u1 ↦ B1 and u2 ↦ A2 bijections given the
+// state. Per triplet the inverter therefore reproduces A2 *and one of
+// {A1,B1}* exactly by back-substitution; the third bit is whatever the
+// encoder emits and may flip — at most one flip per three coded bits.
+// This is the same guarantee as the paper's lookup-table construction,
+// derived directly from the code algebra (the paper's "well-designed WiFi
+// codebook" observation is exactly the D⁰ tap). The paper's 39-bit-group
+// table formulation is an instance of the same identity batched three
+// 13-bit interleaver columns at a time; the per-triplet form is exact,
+// stateless beyond the encoder register, and O(1) per triplet.
+//
+// Conflict steering: back-substitution fails to protect both A1 and B1
+// when both map to important subcarriers: they share the input
 // bit u1, so (A1,B1) can only be matched jointly when the target parity
 // a1⊕b1 equals fA(s)⊕fB(s) — a property of the encoder state s. That
 // parity is s₀⊕s₄ = u2(t−1)⊕u2(t−3): it is controlled by the second input
@@ -29,10 +47,40 @@ type RTWeights struct {
 	Obs *Metrics
 }
 
+// RealTimeResult reports an inversion: the recovered information bits, the
+// number of coded bits where re-encoding differs from the target, and the
+// final encoder state.
+type RealTimeResult struct {
+	Info       []byte
+	Flips      int
+	FinalState uint8
+}
+
+// fA and fB are the generator parities over the state only (excluding the
+// current input): with register bit k = input k steps ago and state bit
+// k = input k+1 steps ago, the masks are the generator taps shifted down
+// by one.
+func fA(s uint8) byte { return parity6(s & (genA >> 1)) }
+func fB(s uint8) byte { return parity6(s & (genB >> 1)) }
+
+func parity6(v uint8) byte {
+	v ^= v >> 4
+	v ^= v >> 2
+	v ^= v >> 1
+	return byte(v & 1)
+}
+
 // RealTimeInvertWeighted recovers input bits whose rate-2/3 encoding
 // matches coded at important positions wherever the code algebra allows,
-// steering encoder state ahead of conflict triplets. Semantics of coded,
-// pinnedPrefix and pinnedSuffix match RealTimeInvert.
+// steering encoder state ahead of conflict triplets. Outside steering,
+// A2 is always reproduced and a flip falls on the lighter of A1 and B1
+// (B1 on a tie). len(coded) must be a multiple of 3.
+//
+// pinnedPrefix forces the leading input bits (the scrambled SERVICE
+// field); pinnedSuffix forces the trailing input bits (tail zeros, then
+// pad bits pinned to the scrambler sequence). Both must be even so they
+// align with whole triplets. Within pinned triplets the inputs are fixed,
+// so any of the three coded bits may flip.
 func RealTimeInvertWeighted(coded []byte, w RTWeights, pinnedPrefix, pinnedSuffix []byte) (RealTimeResult, error) {
 	if len(coded)%3 != 0 {
 		return RealTimeResult{}, fmt.Errorf("viterbi: real-time input of %d bits, want multiple of 3", len(coded))

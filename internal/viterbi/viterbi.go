@@ -6,13 +6,15 @@
 //     pinned head/tail input bits. Weights let BlueFi make bits that map
 //     to Bluetooth-occupied subcarriers effectively unflippable (Table 1).
 //
-//   - RealTimeInvert: the O(T) exact-match inverse coder for rate 2/3. In
-//     each output triplet (A1,B1,A2) both generator polynomials tap the
-//     current input bit, so fixing A2 plus one of {A1,B1} determines the
-//     two input bits by back-substitution — two of three coded bits are
-//     reproduced exactly and the possible flip is steered onto the
-//     remaining one. This realizes the paper's "at most 1/3 of bits flip,
-//     important bits never" guarantee with O(1) work per triplet.
+//   - RealTimeInvertWeighted: the O(T) exact-match inverse coder for rate
+//     2/3. In each output triplet (A1,B1,A2) both generator polynomials
+//     tap the current input bit, so fixing A2 plus one of {A1,B1}
+//     determines the two input bits by back-substitution — two of three
+//     coded bits are reproduced exactly and the possible flip lands on
+//     the lighter remaining one, with encoder-state steering where both
+//     A1 and B1 are important. This realizes the paper's "at most 1/3 of
+//     bits flip, important bits never" guarantee with O(1) work per
+//     triplet.
 //
 // The encoder definition is self-contained (the same K=7 (133,171)₈ code
 // as package wifi) so the two packages stay independent; a cross-check

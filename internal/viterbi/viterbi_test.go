@@ -375,40 +375,20 @@ func encodeRate23(in []byte) []byte {
 	return out
 }
 
-func TestRealTimeInvertRoundTripsCodewords(t *testing.T) {
-	// A valid rate-2/3 codeword must invert with zero flips.
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 * (10 + rng.Intn(200))
-		info := randBits(rng, n)
-		coded := encodeRate23(info)
-		res, err := RealTimeInvert(coded, nil, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Flips != 0 {
-			t.Fatalf("trial %d: %d flips on a codeword", trial, res.Flips)
-		}
-		for i := range info {
-			if res.Info[i] != info[i] {
-				t.Fatalf("trial %d: info bit %d differs", trial, i)
-			}
-		}
-	}
-}
-
 func TestRealTimeInvertGuarantees(t *testing.T) {
-	// Arbitrary (non-codeword) targets: protected positions never flip,
-	// flips only at the per-triplet free position, flip rate ≤ 1/3.
+	// Arbitrary (non-codeword) targets under a random weight order per
+	// triplet. ImportantMin 0 never steers, so A2 never flips, at most
+	// one coded bit per triplet does, and it is the lighter of A1 and B1
+	// (B1 on a tie).
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 50; trial++ {
 		nTrip := 50 + rng.Intn(200)
 		coded := randBits(rng, 3*nTrip)
-		protect := make([]Choice, nTrip)
-		for i := range protect {
-			protect[i] = Choice(rng.Intn(2))
+		w := make([]float64, len(coded))
+		for i := range w {
+			w[i] = float64(1 + rng.Intn(3))
 		}
-		res, err := RealTimeInvert(coded, protect, nil, nil)
+		res, err := RealTimeInvertWeighted(coded, RTWeights{W: w}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,60 +407,21 @@ func TestRealTimeInvertGuarantees(t *testing.T) {
 		if len(diffs) != res.Flips {
 			t.Fatalf("flip count %d vs actual %v", res.Flips, diffs)
 		}
-		if len(diffs) > nTrip {
-			t.Fatalf("flip rate %d/%d exceeds 1/3", len(diffs), 3*nTrip)
-		}
-		for _, f := range diffs {
+		for k, f := range diffs {
 			tr, off := f/3, f%3
-			if off == 2 {
+			if k > 0 && diffs[k-1]/3 == tr {
+				t.Fatalf("two flips in triplet %d", tr)
+			}
+			a1, b1 := w[3*tr], w[3*tr+1]
+			switch {
+			case off == 2:
 				t.Fatalf("A2 flipped at triplet %d", tr)
-			}
-			if protect[tr] == ProtectB1A2 && off != 0 {
-				t.Fatalf("protected B1 flipped at triplet %d", tr)
-			}
-			if protect[tr] == ProtectA1A2 && off != 1 {
-				t.Fatalf("protected A1 flipped at triplet %d", tr)
+			case off == 0 && a1 >= b1:
+				t.Fatalf("A1 (weight %g) flipped over B1 (weight %g) at triplet %d", a1, b1, tr)
+			case off == 1 && b1 > a1:
+				t.Fatalf("B1 (weight %g) flipped over A1 (weight %g) at triplet %d", b1, a1, tr)
 			}
 		}
-	}
-}
-
-func TestRealTimeInvertPinned(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	nTrip := 40
-	coded := randBits(rng, 3*nTrip)
-	pin := randBits(rng, 16)
-	res, err := RealTimeInvert(coded, nil, pin, PinnedSuffixZeros(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pin {
-		if res.Info[i] != pin[i] {
-			t.Fatalf("pinned bit %d overridden", i)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		if res.Info[len(res.Info)-1-i] != 0 {
-			t.Fatal("tail bit not zero")
-		}
-	}
-	if res.FinalState != 0 {
-		t.Fatalf("final state %d after zero tail", res.FinalState)
-	}
-}
-
-func TestRealTimeInvertValidation(t *testing.T) {
-	if _, err := RealTimeInvert(make([]byte, 4), nil, nil, nil); err == nil {
-		t.Error("accepted non-multiple-of-3 input")
-	}
-	if _, err := RealTimeInvert(make([]byte, 6), make([]Choice, 1), nil, nil); err == nil {
-		t.Error("accepted protect length mismatch")
-	}
-	if _, err := RealTimeInvert(make([]byte, 6), nil, make([]byte, 3), nil); err == nil {
-		t.Error("accepted odd pinned prefix")
-	}
-	if _, err := RealTimeInvert(make([]byte, 6), nil, nil, make([]byte, 8)); err == nil {
-		t.Error("accepted over-pinned suffix")
 	}
 }
 
@@ -579,16 +520,5 @@ func BenchmarkDecodeBeacon(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkRealTimeInvert1000Bits(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	coded := randBits(rng, 1500) // 500 triplets = 1000 info bits
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RealTimeInvert(coded, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
