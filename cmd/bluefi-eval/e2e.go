@@ -162,7 +162,7 @@ func edrTransportIQ(dev bluefi.Device) ([]complex128, error) {
 		return nil, err
 	}
 	iq := dsp.PhaseToIQ(theta, 1)
-	dsp.Mix(iq, 4e6, 20e6, 0)
+	dsp.Mix(iq, 4e6, 20e6)
 	return iq, nil
 }
 

@@ -201,7 +201,7 @@ func TestE2ELoopbackModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		iq := dsp.PhaseToIQ(theta, 1)
-		dsp.Mix(iq, 4e6, 20e6, 0) // 2426 MHz under WiFi channel 3 (2422)
+		dsp.Mix(iq, 4e6, 20e6) // 2426 MHz under WiFi channel 3 (2422)
 		m := channel.Default(18, 1.5)
 		m.Seed = 9
 		rx, err := m.Apply(iq)
@@ -319,7 +319,7 @@ func TestE2EConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dsp.Mix(wave, off, 20e6, 0)
+		dsp.Mix(wave, off, 20e6)
 		m := channel.Default(18, 1.5)
 		m.Seed = seed
 		iq, err := m.Apply(wave)

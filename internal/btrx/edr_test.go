@@ -21,7 +21,7 @@ func TestReceiveEDRCleanLoopback(t *testing.T) {
 			t.Fatal(err)
 		}
 		iq := dsp.PhaseToIQ(theta, 1)
-		dsp.Mix(iq, 2e6, 20e6, 0) // carrier 2 MHz off the stream center
+		dsp.Mix(iq, 2e6, 20e6) // carrier 2 MHz off the stream center
 		ch := channel.Default(18, 1.5)
 		rx, err := ch.Apply(iq)
 		if err != nil {

@@ -103,7 +103,7 @@ func TestReceiveBLEDataCleanLoopback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dsp.Mix(wave, 3e6, 20e6, 0)
+		dsp.Mix(wave, 3e6, 20e6)
 		ch := channel.Default(18, 1.5)
 		rx, err := ch.Apply(wave)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"bluefi/internal/bits"
 	"bluefi/internal/bt"
@@ -112,9 +113,12 @@ func (r *Receiver) accAt(freq []float64, phase int) []float64 {
 // baseband mixes the stream to the Bluetooth channel, applies front-end
 // noise per the profile, and band-pass filters.
 func (r *Receiver) baseband(iq []complex128) []complex128 {
-	shifted := make([]complex128, len(iq))
-	copy(shifted, iq)
-	dsp.Mix(shifted, -r.ChannelOffsetHz, r.rate, 0)
+	return r.frontEnd(dsp.Mix(slices.Clone(iq), -r.ChannelOffsetHz, r.rate))
+}
+
+// frontEnd applies front-end noise per the profile to the mixed-down
+// stream, in place, and band-pass filters it.
+func (r *Receiver) frontEnd(shifted []complex128) []complex128 {
 	if r.Profile.NoiseFigureDB > 0 {
 		// Front-end noise referenced to thermal in 20 MHz (−101 dBm),
 		// raised by the noise figure.
@@ -380,9 +384,13 @@ func (r *Receiver) String() string {
 
 // DemodAtPhase demodulates the stream with the production slicer at a
 // given sample phase and returns the bit decisions with their signed
-// integration values — the synthesis-time rehearsal entry point.
-func (r *Receiver) DemodAtPhase(iq []complex128, phase int) ([]byte, []float64) {
-	bb := r.baseband(iq)
+// integration values — the synthesis-time rehearsal entry point. The
+// mix-down table rot, dsp.Rotations(−offset, 20 MHz, n) for some
+// n ≥ len(iq), stands in for ChannelOffsetHz, so a caller demodulating
+// many streams at one offset computes the factors once; the products
+// are those of mixing by the offset itself.
+func (r *Receiver) DemodAtPhase(iq []complex128, phase int, rot []complex128) ([]byte, []float64) {
+	bb := r.frontEnd(dsp.MixBy(slices.Clone(iq), rot))
 	freq := r.discriminate(bb)
 	acc := r.accAt(freq, phase)
 	return decide(acc), acc
@@ -433,7 +441,7 @@ func (r *Receiver) ReceiveEDR(iq []complex128, clk uint32, rate bt.EDRRate) (Rep
 	}
 	shifted := make([]complex128, len(iq))
 	copy(shifted, iq)
-	dsp.Mix(shifted, -r.ChannelOffsetHz, r.rate, 0)
+	dsp.Mix(shifted, -r.ChannelOffsetHz, r.rate)
 	theta := dsp.Unwrap(dsp.Phase(wide.Apply(shifted)))
 	payloadStart := rep.SampleStart + bt.EDRPayloadOffsetFromAccessCode(r.spb)
 	if payloadStart >= len(theta) {

@@ -7,6 +7,7 @@ import (
 
 	"bluefi/internal/bt"
 	"bluefi/internal/channel"
+	"bluefi/internal/dsp"
 	"bluefi/internal/gfsk"
 )
 
@@ -239,10 +240,11 @@ func TestDemodAtPhaseMatchesSlicer(t *testing.T) {
 		t.Fatal(err)
 	}
 	freq := rcv.discriminate(rcv.baseband(iq))
+	rot := dsp.Rotations(-2e6, 20e6, len(iq)+30) // a table may run past the stream
 	start := cfg.PayloadStart()
 	wrong := 0
 	for _, phase := range []int{0, 7, 13, 19} {
-		bits, acc := rcv.DemodAtPhase(iq, phase)
+		bits, acc := rcv.DemodAtPhase(iq, phase, rot)
 		want, margin := rcv.sliceBits(freq, phase)
 		if len(bits) != len(want) || len(acc) != len(want) {
 			t.Fatalf("phase %d: %d bits, %d integrals, slicer %d", phase, len(bits), len(acc), len(want))

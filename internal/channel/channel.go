@@ -88,7 +88,7 @@ func (m Model) Apply(tx []complex128) ([]complex128, error) {
 		out[i] = v * complex(gain, 0)
 	}
 	if m.CFOHz != 0 {
-		dsp.Mix(out, m.CFOHz, 20e6, 0)
+		dsp.Mix(out, m.CFOHz, 20e6)
 	}
 	sigma := math.Sqrt(dsp.DBmToWatts(m.NoiseFloorDBm) / 2)
 	for i := range out {

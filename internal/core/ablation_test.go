@@ -53,11 +53,12 @@ func synthesizeCandidateZero(tb testing.TB, s *Synthesizer, air []byte, btMHz fl
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := s.synthesizeCandidate(s.obsCtx, &searchShared{pkt: pkt, plan: plan}, 0)
+	sh := &searchShared{pkt: pkt, plan: plan}
+	res, err := s.synthesizeCandidate(s.obsCtx, sh, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := s.finish(res, len(pkt)); err != nil {
+	if err := s.finish(res, sh); err != nil {
 		tb.Fatal(err)
 	}
 	return res

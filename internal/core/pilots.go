@@ -122,8 +122,8 @@ func (s *Synthesizer) pilotInband(nsym int, offsetHz float64) ([]complex128, err
 	}
 	// In-band pilot component at the Bluetooth channel.
 	p := pWave[:nsym*symbolLen]
-	dsp.Mix(p, -offsetHz, wifi.SampleRate, 0)
+	dsp.Mix(p, -offsetHz, wifi.SampleRate)
 	ib := s.channelFIR.Apply(p)
-	dsp.Mix(ib, +offsetHz, wifi.SampleRate, 0)
+	dsp.Mix(ib, +offsetHz, wifi.SampleRate)
 	return s.pilots.add(key, ib), nil
 }

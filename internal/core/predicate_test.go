@@ -157,7 +157,7 @@ func TestPredicateAgreesWithReceiver(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := s.rehearse(context.Background(), sh, k, res)
-			if err := s.finish(res, len(phase)); err != nil {
+			if err := s.finish(res, sh); err != nil {
 				t.Fatal(err)
 			}
 			rcv, err := btrx.NewReceiver(btrx.Profile{Name: "clean"}, res.Plan.OffsetHz, dev)

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 
 	"bluefi/internal/bt"
+	"bluefi/internal/dsp"
+	"bluefi/internal/wifi"
 )
 
 // Rehearsal search. The square constellation is invariant under π/2
@@ -50,12 +52,12 @@ var (
 )
 
 // searchShared is the work every candidate of one search reads but none
-// needs to repeat: the channel plan, the CP phase error of each lead
-// group and the ideal waveform's rehearsal. Each value is computed once,
-// by the first candidate that asks, under its sync.Once, and is
-// read-only afterwards, so worker clones share it without further
-// locking and every parallelism sees the same floats. The unsearched
-// path synthesizes candidate 0 through the same struct.
+// needs to repeat: the channel plan, the mix-down table, the CP phase
+// error of each lead group and the ideal waveform's rehearsal. Each
+// value is computed once, by the first candidate that asks, under its
+// sync.Once, and is read-only afterwards, so worker clones share it
+// without further locking and every parallelism sees the same floats.
+// The unsearched path synthesizes candidate 0 through the same struct.
 type searchShared struct {
 	pkt   []float64 // baseband phase trajectory, transmit pads included
 	plan  ChannelPlan
@@ -69,6 +71,25 @@ type searchShared struct {
 		bits []byte
 		acc  []float64
 	}
+	mix struct {
+		once sync.Once
+		rot  []complex128
+	}
+}
+
+// rotations returns the search's mix-down table, the factors
+// e^{−j2π·offset·n/20 MHz} over the longest candidate frame (the last
+// lead group's). Every waveform the search brings to the Bluetooth
+// channel — both sides of each CP phase error, the ideal and candidate
+// rehearsals, the winner's fidelity — starts at n = 0 and fits in that
+// frame, so each mixes by a prefix of one table instead of evaluating
+// its own factors. The table lives as long as the search.
+func (sh *searchShared) rotations() []complex128 {
+	sh.mix.once.Do(func() {
+		_, nsym := frameSymbols(len(sh.pkt), searchLeads[len(searchLeads)-1])
+		sh.mix.rot = dsp.Rotations(-sh.plan.OffsetHz, wifi.SampleRate, nsym*symbolLen)
+	})
+	return sh.mix.rot
 }
 
 // searchCleanMargin is the decision-margin threshold an FEC-unprotected

@@ -115,7 +115,7 @@ func TestStageByStageReception(t *testing.T) {
 		// filter, limiter, full-bit integration.
 		bb := make([]complex128, len(wave))
 		copy(bb, wave)
-		dsp.Mix(bb, -plan.OffsetHz, 20e6, 0)
+		dsp.Mix(bb, -plan.OffsetHz, 20e6)
 		fir, _ := dsp.LowpassFIR(600e3, 20e6, 101)
 		bb = fir.Apply(bb)
 		freq := dsp.Discriminate(bb)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -210,16 +211,12 @@ type Synthesizer struct {
 	channelFIR *dsp.FIR
 	rehearseRx *btrx.Receiver
 
-	// fitSymbols scratch: the time/frequency buffers, one symbol's
-	// sin/cos of the designed phase (shared by every trial scale), the
-	// winning scale's data-subcarrier FFT values, the interleaved bits
-	// they demap to, and the per-subcarrier in-band mask of the last
-	// offset.
-	fitBody, fitX  []complex128
-	fitSin, fitCos []float64
-	fitBest        []complex128
-	fitInter       []byte
-	fitInband      []bool
+	// fitSymbols scratch: the time/frequency buffers of one symbol, the
+	// interleaved bits its data subcarriers demap to, and the FFT bins
+	// of the data subcarriers in band at the last offset.
+	fitBody, fitX []complex128
+	fitInter      []byte
+	fitInband     []int
 
 	// ibScratch is the in-band comparisons' scratch (inbandBufs), grown
 	// to the longest waveform compared.
@@ -304,11 +301,8 @@ func New(opts Options) (*Synthesizer, error) {
 		channelFIR: channelFIR, pilots: sharedPilots}
 	s.fitBody = make([]complex128, wifi.FFTSize)
 	s.fitX = make([]complex128, wifi.FFTSize)
-	s.fitSin = make([]float64, wifi.FFTSize)
-	s.fitCos = make([]float64, wifi.FFTSize)
-	s.fitBest = make([]complex128, len(wifi.HTDataSubcarriers))
 	s.fitInter = make([]byte, mcs.NCBPS)
-	s.fitInband = make([]bool, len(wifi.HTDataSubcarriers))
+	s.fitInband = make([]int, 0, len(wifi.HTDataSubcarriers))
 	s.met = newCoreMetrics(opts.Telemetry, opts.Mode)
 	s.vmet = viterbi.NewMetrics(opts.Telemetry)
 	s.obsCtx = obs.WithRegistry(context.Background(), opts.Telemetry)
@@ -350,9 +344,7 @@ func (s *Synthesizer) buildTargetPhase(airBits []byte, offsetHz float64) (theta 
 // extraLead symbols pad the lead and rot rotates the whole frame: the
 // two axes of the rehearsal search.
 func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64, extraLead int, rot float64) (theta []float64, lead, nsym int) {
-	lead = (leadSymbols + extraLead) * symbolLen
-	total := lead + len(pkt) + symbolLen // one tail symbol of slack
-	nsym = (total + symbolLen - 1) / symbolLen
+	lead, nsym = frameSymbols(len(pkt), extraLead)
 	theta = make([]float64, nsym*symbolLen)
 	slope := 2 * math.Pi * offsetHz / wifi.SampleRate
 	for n := range theta {
@@ -371,59 +363,69 @@ func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64, extraLead int
 	return theta, lead, nsym
 }
 
+// frameSymbols returns the lead (in samples) and the symbol count of a
+// packet of pktLen samples laid out with extraLead extra lead symbols.
+func frameSymbols(pktLen, extraLead int) (lead, nsym int) {
+	lead = (leadSymbols + extraLead) * symbolLen
+	total := lead + pktLen + symbolLen // one tail symbol of slack
+	return lead, (total + symbolLen - 1) / symbolLen
+}
+
 // fitSymbols converts the CP-designed phase signal into quantized
 // frequency-domain data points and the coded-bit targets they demap to.
-// offsetHz locates the Bluetooth band the scale search fits. Each trial
-// scale is scored on its in-band bins alone; only the winner's data
+// offsetHz locates the Bluetooth band the scale search fits. Each symbol
+// takes one FFT X of its unit-modulus body; the DFT is linear, so a trial
+// scale A's spectrum FFT(A·x) is A·X, formed bin by bin. Each trial scale
+// is scored on its in-band bins alone, and only the winner's data
 // subcarriers are quantized and demapped.
+//
+// A·X and FFT(A·x) round differently unless A is a power of two. The
+// fixed PSDUOnly scale 1/2 is one, so that pipeline is bit-exact with a
+// per-scale FFT by construction. The serving grid is not: there the two
+// differ by a few ulps of each bin, far below the distance of any chosen
+// point from a QAM decision boundary or of any residue from the next
+// scale's, which TestFitSymbolsMatchesPerScaleFFT measures.
 func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64) (coded []byte, err error) {
 	nbpsc := s.mcs.Modulation.BitsPerSymbol()
 	coded = make([]byte, nsym*s.mcs.NCBPS)
-	body, X, best, inter := s.fitBody, s.fitX, s.fitBest, s.fitInter
-	sinT, cosT := s.fitSin, s.fitCos
+	body, X, inter := s.fitBody, s.fitX, s.fitInter
 	single := [1]float64{scaleFactor}
 	scales := single[:]
 	if !s.opts.PSDUOnly && !s.ablate.fixedScale {
 		scales = dynamicScales
 	}
-	inband := s.fitInband
-	for i, sub := range wifi.HTDataSubcarriers {
-		inband[i] = SubcarrierWeight(sub, offsetHz) >= WeightAdjacent
+	// Only the Bluetooth-band fit matters: out-of-band residue is
+	// filtered at the receiver, and the scale search should not chase it.
+	inband := s.fitInband[:0]
+	for _, sub := range wifi.HTDataSubcarriers {
+		if SubcarrierWeight(sub, offsetHz) >= WeightAdjacent {
+			inband = append(inband, dsp.SubcarrierBin(sub, wifi.FFTSize))
+		}
 	}
 	for k := 0; k < nsym; k++ {
 		base := k*symbolLen + wifi.ShortGI
-		bestResidue := math.Inf(1)
-		for n := range sinT {
-			sinT[n], cosT[n] = math.Sincos(thetaHat[base+n])
+		for n := range body {
+			sin, cos := math.Sincos(thetaHat[base+n])
+			body[n] = complex(cos, sin)
 		}
+		s.plan.ForwardInto(X, body)
+		bestResidue, bestA := math.Inf(1), 0.0
 		for _, A := range scales {
-			for n := range body {
-				body[n] = complex(A*cosT[n], A*sinT[n])
-			}
-			s.plan.ForwardInto(X, body)
-			// Only the Bluetooth-band fit matters: out-of-band residue is
-			// filtered at the receiver, and the scale search should not
-			// chase it.
 			residue := 0.0
-			for i, sub := range wifi.HTDataSubcarriers {
-				if inband[i] {
-					v := X[dsp.SubcarrierBin(sub, wifi.FFTSize)] / GridScale
-					d := v - s.mapper.Quantize(v)
-					residue += real(d)*real(d) + imag(d)*imag(d)
-				}
+			for _, b := range inband {
+				v := scaleBin(A, X[b]) / GridScale
+				d := v - s.mapper.Quantize(v)
+				residue += real(d)*real(d) + imag(d)*imag(d)
 			}
 			if residue /= A * A; residue < bestResidue {
-				bestResidue = residue
-				for i, sub := range wifi.HTDataSubcarriers {
-					best[i] = X[dsp.SubcarrierBin(sub, wifi.FFTSize)]
-				}
+				bestResidue, bestA = residue, A
 			}
 		}
 		if math.IsInf(bestResidue, 1) {
 			return nil, fmt.Errorf("core: symbol %d: no trial scale has a finite residue", k)
 		}
-		for i, x := range best {
-			q := s.mapper.Quantize(x / GridScale)
+		for i, sub := range wifi.HTDataSubcarriers {
+			q := s.mapper.Quantize(scaleBin(bestA, X[dsp.SubcarrierBin(sub, wifi.FFTSize)]) / GridScale)
 			if !s.mapper.DemapInto(inter[i*nbpsc:(i+1)*nbpsc], q) {
 				return nil, fmt.Errorf("core: %v demap: point (%g,%g) off grid", s.mcs.Modulation, real(q), imag(q))
 			}
@@ -431,6 +433,12 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 		s.il.DeinterleaveInto(coded[k*s.mcs.NCBPS:(k+1)*s.mcs.NCBPS], inter)
 	}
 	return coded, nil
+}
+
+// scaleBin is bin x of the unit-modulus spectrum scaled by trial scale A:
+// the bin FFT(A·x) holds up to rounding.
+func scaleBin(A float64, x complex128) complex128 {
+	return complex(A*real(x), A*imag(x))
 }
 
 // dynamicScales is the candidate grid of the per-symbol scale search:
@@ -474,8 +482,23 @@ func (s *Synthesizer) codedBitWeights(offsetHz float64) (fecWeights, error) {
 
 // countFlips counts the coded bits in [from, to) that re-encoding
 // changed, and how many of those carry an important weight; weights is
-// one symbol's period.
+// one symbol's period. Flips are a handful per frame, so it compares
+// eight bytes at a time and looks at single bytes only inside a word
+// that differs.
 func countFlips(coded, reCoded []byte, weights []float64, from, to int) (flips, important int) {
+	i := from
+	for ; i+8 <= to; i += 8 {
+		if binary.LittleEndian.Uint64(coded[i:]) != binary.LittleEndian.Uint64(reCoded[i:]) {
+			f, imp := countByteFlips(coded, reCoded, weights, i, i+8)
+			flips, important = flips+f, important+imp
+		}
+	}
+	f, imp := countByteFlips(coded, reCoded, weights, i, to)
+	return flips + f, important + imp
+}
+
+// countByteFlips is countFlips one byte at a time.
+func countByteFlips(coded, reCoded []byte, weights []float64, from, to int) (flips, important int) {
 	for i := from; i < to; i++ {
 		if reCoded[i] != coded[i] {
 			flips++
@@ -677,7 +700,7 @@ func (s *Synthesizer) cpPhaseError(sh *searchShared, k int, theta []float64) ([]
 		if s.opts.PSDUOnly {
 			l.dphi = s.cpPhaseErrorSparse(unrotated, thetaHat, sh.plan.OffsetHz)
 		} else {
-			l.dphi = s.cpPhaseErrorExact(unrotated, thetaHat, sh.plan.OffsetHz)
+			l.dphi = s.cpPhaseErrorExact(unrotated, thetaHat, sh.rotations())
 		}
 	})
 	return l.dphi, l.err
@@ -689,11 +712,12 @@ func (s *Synthesizer) cpPhaseError(sh *searchShared, k int, theta []float64) ([]
 // involved — so subtracting it pre-cancels most of the in-band residue
 // the paper's §2.4 design leaves. thetaHat is dead once its waveform is
 // built: it first holds that waveform's in-band phase (NaN where the
-// filter output is 0), then Δφ, which is returned.
-func (s *Synthesizer) cpPhaseErrorExact(theta, thetaHat []float64, offsetHz float64) []float64 {
+// filter output is 0), then Δφ, which is returned. rot is the search's
+// mix-down table (searchShared.rotations).
+func (s *Synthesizer) cpPhaseErrorExact(theta, thetaHat []float64, rot []complex128) []float64 {
 	x, ib := s.inbandBufs(len(theta))
 	dsp.PhaseToIQInto(x, thetaHat, 1)
-	s.inband(ib, x, offsetHz)
+	s.inband(ib, x, rot)
 	dphi := thetaHat
 	for n, v := range ib {
 		dphi[n] = math.NaN()
@@ -702,7 +726,7 @@ func (s *Synthesizer) cpPhaseErrorExact(theta, thetaHat []float64, offsetHz floa
 		}
 	}
 	dsp.PhaseToIQInto(x, theta, 1)
-	s.inband(ib, x, offsetHz)
+	s.inband(ib, x, rot)
 	for n, v := range ib {
 		var d float64
 		if v != 0 && !math.IsNaN(dphi[n]) {
@@ -830,7 +854,7 @@ func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout 
 		}
 	}
 	if err == nil {
-		err = s.finish(res, len(basebandPhase))
+		err = s.finish(res, sh)
 	}
 	d := sp.End()
 	if err != nil {
@@ -846,7 +870,7 @@ func (s *Synthesizer) synthesize(basebandPhase []float64, btMHz float64, layout 
 // scored on the data field alone, so only the returned one pays for
 // framing and fidelity. A PSDUOnly result has no data field and stays
 // without both.
-func (s *Synthesizer) finish(res *Result, pktLen int) error {
+func (s *Synthesizer) finish(res *Result, sh *searchShared) error {
 	target := res.targetPhase
 	res.targetPhase = nil // callers may keep the result; they never need it
 	if res.dataWave == nil {
@@ -856,13 +880,13 @@ func (s *Synthesizer) finish(res *Result, pktLen int) error {
 	if err != nil {
 		return err
 	}
-	lead := res.GFSKStart
+	lead, pktLen := res.GFSKStart, len(sh.pkt)
 	if lead+pktLen <= len(res.dataWave) {
 		// The ideal waveform — the offset-mixed target phase itself — is
 		// only realized here, off the PSDUOnly hot path. Frame copied the
 		// data field behind the preamble, so the comparison may mix the
 		// data field in place.
-		res.PhaseRMSE = s.inbandPhaseRMSE(target[lead:lead+pktLen], res.dataWave[lead:lead+pktLen], res.Plan.OffsetHz)
+		res.PhaseRMSE = s.inbandPhaseRMSE(target[lead:lead+pktLen], res.dataWave[lead:lead+pktLen], sh.rotations())
 	}
 	res.Waveform, res.dataWave = waveform, nil
 	return nil
@@ -886,16 +910,16 @@ func (s *Synthesizer) rehearse(ctx context.Context, sh *searchShared, k int, res
 	_, sp := obs.StartSpan(ctx, "core.rehearse")
 	defer func() { s.met.observeRehearse(sp.End()) }()
 	if s.rehearseRx == nil {
-		rcv, err := btrx.NewReceiver(btrx.Profile{Name: "rehearsal"}, sh.plan.OffsetHz, bt.Device{})
+		// No channel offset: DemodAtPhase mixes by the search's table.
+		rcv, err := btrx.NewReceiver(btrx.Profile{Name: "rehearsal"}, 0, bt.Device{})
 		if err != nil {
 			return rehearsal{}
 		}
 		s.rehearseRx = rcv
 	}
-	s.rehearseRx.ChannelOffsetHz = sh.plan.OffsetHz
 	idealBits, idealAcc := s.idealRehearsal(sh, k, res)
 	phase := start % 20
-	predBits, predAcc := s.rehearseRx.DemodAtPhase(res.dataWave[start-phase:start+pktLen], phase)
+	predBits, predAcc := s.rehearseRx.DemodAtPhase(res.dataWave[start-phase:start+pktLen], phase, sh.rotations())
 	n := min(len(idealBits), len(predBits))
 	var scale float64
 	for i := 0; i < n; i++ {
@@ -941,7 +965,7 @@ func (s *Synthesizer) idealRehearsal(sh *searchShared, k int, res *Result) ([]by
 		}
 		ideal, _ := s.inbandBufs(len(sh.pkt))
 		dsp.PhaseToIQInto(ideal, theta[lead:lead+len(ideal)], 1)
-		sh.ideal.bits, sh.ideal.acc = s.rehearseRx.DemodAtPhase(ideal, 0)
+		sh.ideal.bits, sh.ideal.acc = s.rehearseRx.DemodAtPhase(ideal, 0, sh.rotations())
 	})
 	return sh.ideal.bits, sh.ideal.acc
 }
@@ -1006,12 +1030,12 @@ func (s *Synthesizer) synthesizeCandidate(ctx context.Context, sh *searchShared,
 // a predicted waveform segment after mixing both to the Bluetooth
 // channel and applying the nominal 600 kHz channel filter — the
 // fidelity a Bluetooth receiver actually experiences. predicted must be
-// dead: it is mixed down in place.
-func (s *Synthesizer) inbandPhaseRMSE(idealPhase []float64, predicted []complex128, offsetHz float64) float64 {
+// dead: it is mixed down in place by the mix-down table rot.
+func (s *Synthesizer) inbandPhaseRMSE(idealPhase []float64, predicted, rot []complex128) float64 {
 	x, ib := s.inbandBufs(len(idealPhase))
 	dsp.PhaseToIQInto(x, idealPhase, 1)
-	s.inband(ib, x, offsetHz)
-	s.inband(x, predicted, offsetHz)
+	s.inband(ib, x, rot)
+	s.inband(x, predicted, rot)
 	return dsp.PhaseRMSE(ib, x)
 }
 
@@ -1026,10 +1050,11 @@ func (s *Synthesizer) inbandBufs(n int) (x, ib []complex128) {
 	return s.ibScratch[:n], s.ibScratch[n : 2*n]
 }
 
-// inband mixes x down to the Bluetooth channel in place and filters it
-// with the nominal channel filter into dst, which must not alias x.
-func (s *Synthesizer) inband(dst, x []complex128, offsetHz float64) {
-	dsp.Mix(x, -offsetHz, wifi.SampleRate, 0)
+// inband mixes x down to the Bluetooth channel in place by the
+// mix-down table rot and filters it with the nominal channel filter into
+// dst, which must not alias x.
+func (s *Synthesizer) inband(dst, x, rot []complex128) {
+	dsp.MixBy(x, rot)
 	s.channelFIR.ApplyInto(dst, x)
 }
 

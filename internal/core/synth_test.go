@@ -563,11 +563,11 @@ func TestInbandScratchAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := res.Plan.OffsetHz
-	if a := testing.AllocsPerRun(20, func() { s.cpPhaseErrorExact(theta, thetaHat, off) }); a != 0 {
+	rot := dsp.Rotations(-res.Plan.OffsetHz, wifi.SampleRate, n)
+	if a := testing.AllocsPerRun(20, func() { s.cpPhaseErrorExact(theta, thetaHat, rot) }); a != 0 {
 		t.Errorf("cpPhaseErrorExact: %v allocs/call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { s.inbandPhaseRMSE(theta, res.Waveform[:n], off) }); a != 0 {
+	if a := testing.AllocsPerRun(20, func() { s.inbandPhaseRMSE(theta, res.Waveform[:n], rot) }); a != 0 {
 		t.Errorf("inbandPhaseRMSE: %v allocs/call, want 0", a)
 	}
 }

@@ -273,7 +273,7 @@ func TestDBConversions(t *testing.T) {
 
 func TestMixShiftsTone(t *testing.T) {
 	x := Tone(2048, 1e6, 20e6, 0)
-	Mix(x, 2e6, 20e6, 0)
+	Mix(x, 2e6, 20e6)
 	p, _ := NewFFTPlan(2048)
 	X := p.Forward(x)
 	// Expect energy at 3 MHz = bin 3e6/20e6*2048 = 307.2 -> near bin 307.
@@ -285,6 +285,40 @@ func TestMixShiftsTone(t *testing.T) {
 	}
 	if peakBin < 305 || peakBin > 310 {
 		t.Fatalf("peak at bin %d, want ≈307", peakBin)
+	}
+}
+
+// TestRotationsMatchMix holds the mix-down table to Mix bit for bit:
+// every factor comes from the one shared expression, at signed offsets
+// (negative steps included, whose first phase is −0) and at lengths down
+// to zero, with the table reused over shorter prefixes.
+func TestRotationsMatchMix(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(3000)
+		if trial < 3 {
+			n = trial
+		}
+		f := (2*rng.Float64() - 1) * 10e6
+		x := randIQ(rng, n)
+		if trial%7 == 0 {
+			for i := range x {
+				x[i] = complex(math.Copysign(0, rng.NormFloat64()), math.Copysign(0, rng.NormFloat64()))
+			}
+		}
+		rot := Rotations(f, 20e6, n)
+		if len(rot) != n {
+			t.Fatalf("trial %d: %d factors, want %d", trial, len(rot), n)
+		}
+		for _, m := range []int{n, n / 2} {
+			want := Mix(append([]complex128(nil), x[:m]...), f, 20e6)
+			got := MixBy(append([]complex128(nil), x[:m]...), rot)
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("trial %d (f=%g, n=%d, prefix %d) sample %d: MixBy %v, Mix %v", trial, f, n, m, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

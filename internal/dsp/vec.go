@@ -102,13 +102,43 @@ func Tone(n int, freq, sampleRate, phase0 float64) []complex128 {
 	return out
 }
 
-// Mix shifts x by freq Hz in place: x[n] *= e^{j2π·freq·n/sampleRate},
-// starting at phase0, and returns x.
-func Mix(x []complex128, freq, sampleRate, phase0 float64) []complex128 {
+// Mix shifts x by freq Hz in place, x[n] *= e^{j2π·freq·n/sampleRate},
+// and returns x.
+func Mix(x []complex128, freq, sampleRate float64) []complex128 {
 	step := 2 * math.Pi * freq / sampleRate
 	for i := range x {
-		sin, cos := math.Sincos(phase0 + step*float64(i))
-		x[i] *= complex(cos, sin) // cmplx.Exp(jφ) without its exp(0) factor
+		x[i] *= rotation(step, i)
 	}
 	return x
+}
+
+// Rotations returns the first n factors Mix multiplies by at freq, so
+// that MixBy(x, Rotations(freq, sampleRate, len(x))) is Mix(x, freq,
+// sampleRate) bit for bit: a table for mixing several signals by the
+// same offset.
+func Rotations(freq, sampleRate float64, n int) []complex128 {
+	step := 2 * math.Pi * freq / sampleRate
+	rot := make([]complex128, n)
+	for i := range rot {
+		rot[i] = rotation(step, i)
+	}
+	return rot
+}
+
+// MixBy multiplies x in place by the leading len(x) factors of rot (a
+// Rotations table at least as long as x) and returns x.
+func MixBy(x, rot []complex128) []complex128 {
+	rot = rot[:len(x)]
+	for i := range x {
+		x[i] *= rot[i]
+	}
+	return x
+}
+
+// rotation is e^{j·step·i}, the one expression behind Mix and Rotations
+// (cmplx.Exp(jφ) without its exp(0) factor). Adding 0 keeps the first
+// factor at 1+0i when step is negative, where step·0 is −0.
+func rotation(step float64, i int) complex128 {
+	sin, cos := math.Sincos(0 + step*float64(i))
+	return complex(cos, sin)
 }

@@ -33,7 +33,7 @@ func advWave(t testing.TB, bleCh int) ([]complex128, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsp.Mix(wave, off, 20e6, 0)
+	dsp.Mix(wave, off, 20e6)
 	return wave, off
 }
 
