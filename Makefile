@@ -4,10 +4,12 @@
 .PHONY: verify
 verify: vet build test
 
-# Invariant lint tier: one binary runs the six BlueFi analyzers
-# (determinism, lockcheck, scratchalias, alloccheck, leakcheck,
-# obsnames) plus nilness, the std-style pass go vet does not run;
-# the atomic, copylocks and loopclosure checks come from `make vet`. Exits non-zero on any finding; a reasoned `//bluefi:<key>
+# Invariant lint tier: one binary runs the four BlueFi analyzers
+# (determinism, lockcheck, scratchalias, obsnames) plus nilness, the
+# std-style pass go vet does not run; the atomic, copylocks and
+# loopclosure checks come from `make vet`. Allocation-free kernels and
+# goroutine lifetimes are checked by tests instead (DESIGN.md §11.1,
+# §11.2). Exits non-zero on any finding; a reasoned `//bluefi:<key>
 # <reason>` comment on the line is the one way to accept one. See
 # DESIGN.md §7 and §11 for the annotations the analyzers understand.
 # The binary is built and run rather than `go run`, which would fold
@@ -100,8 +102,8 @@ obs-overhead:
 
 # Allocation regression gate: §4.8 real-time 1-slot allocs/op and
 # quality 1-slot bytes/op may exceed the committed BENCH_eval.json rows
-# by at most 5% — the runtime counterpart of alloccheck's static
-# //bluefi:allocfree contract.
+# by at most 5% — the whole-packet counterpart of the per-kernel
+# TestKernelsAllocFree tables that `make test` runs.
 .PHONY: alloc-gate
 alloc-gate:
 	go run ./cmd/bluefi-eval -alloc-gate

@@ -16,12 +16,12 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bluefi/internal/leaktest"
 	"bluefi/internal/obs/flight"
 )
 
@@ -35,24 +35,6 @@ func chaosTone(stream *AudioStream, phase int) [][]float64 {
 		}
 	}
 	return pcm
-}
-
-// expectGoroutines waits for the goroutine count to settle back to the
-// baseline; abandoned pool attempts and respawned workers need a moment
-// to unwind.
-func expectGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= baseline {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 // TestChaosQueuePolicies exercises the bounded queue's backpressure on
@@ -253,7 +235,7 @@ func TestChaosJobTimeoutAndRetry(t *testing.T) {
 // carrying the panic value, the worker respawns, and the pool retains
 // full capacity — repeated crashes never wedge Close.
 func TestChaosWorkerPanicRespawn(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	noLeak := leaktest.Check(t)
 	pool, err := NewPool(Options{Mode: RealTime}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +264,7 @@ func TestChaosWorkerPanicRespawn(t *testing.T) {
 		t.Fatalf("worker count %d after respawns, want 2", pool.Workers())
 	}
 	pool.Close()
-	expectGoroutines(t, baseline)
+	noLeak()
 }
 
 // TestChaosInjectedSynthErrorsRetried: seed-driven synthesis errors are
@@ -328,7 +310,7 @@ func TestChaosAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	baseline := runtime.NumGoroutine()
+	noLeak := leaktest.Check(t)
 	reg := NewTelemetry()
 	pool, err := NewPool(Options{
 		Mode:      RealTime,
@@ -405,7 +387,7 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 
 	pool.Close()
-	expectGoroutines(t, baseline)
+	noLeak()
 }
 
 // TestChaosDisabledFaultsAreFree: a nil plan and a zero plan both yield
@@ -440,7 +422,7 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	baseline := runtime.NumGoroutine()
+	noLeak := leaktest.Check(t)
 	reg := NewTelemetry()
 	rec := flight.New(reg, 0)
 	rec.Attach(reg)
@@ -608,5 +590,5 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 	}
 
 	pool.Close()
-	expectGoroutines(t, baseline)
+	noLeak()
 }

@@ -294,8 +294,9 @@ func stageBreakdown(iterations int) ([]stageRow, error) {
 const allocGateTolerance = 1.05
 
 // allocGates are the rows runAllocGate re-measures: real-time allocs/op
-// (the runtime counterpart of the //bluefi:allocfree hot-path contract)
-// and quality bytes/op (dominated by the weighted Viterbi's survivors).
+// (the whole-packet counterpart of the per-kernel TestKernelsAllocFree
+// tables) and quality bytes/op (dominated by the weighted Viterbi's
+// survivors).
 var allocGates = []struct {
 	row, unit string
 	bench     func(b *testing.B)

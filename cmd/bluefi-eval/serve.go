@@ -95,7 +95,7 @@ func runServe(addr, flightDir string) error {
 		}{stream.Health().String(), stream.Report()})
 	})
 
-	//bluefi:goroutine live-workload generator behind -serve; runs for the process lifetime and dies with it
+	// The live-workload generator runs for the process lifetime and dies with it.
 	go serveWorkload(pool, stream, timingsNS)
 	return http.Serve(ln, mux)
 }

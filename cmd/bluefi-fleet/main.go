@@ -147,7 +147,7 @@ func run(o options) error {
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	//bluefi:goroutine signal-driven graceful shutdown; exits with the process after the drain completes
+	// Signal-driven graceful shutdown; exits with the process after the drain completes.
 	go func() {
 		<-sigs
 		fmt.Fprintln(os.Stderr, "bluefi-fleet: draining shards...")

@@ -1,8 +1,9 @@
-// bluefi-lint is the repo's multichecker: six BlueFi-specific
-// analyzers (determinism, lockcheck, scratchalias, alloccheck,
-// leakcheck, obsnames) plus the nilness pass `go vet` does
-// not run, in one binary invocation. The atomic, copylocks and
-// loopclosure checks come from `go vet ./...`.
+// bluefi-lint is the repo's multichecker: four BlueFi-specific
+// analyzers (determinism, lockcheck, scratchalias, obsnames) plus the
+// nilness pass `go vet` does not run, in one binary invocation. The
+// atomic, copylocks and loopclosure checks come from `go vet ./...`.
+// Allocation-free kernels and goroutine lifetimes are checked by tests
+// instead (testing.AllocsPerRun tables, internal/leaktest).
 //
 // Usage:
 //
@@ -24,10 +25,8 @@ import (
 	"fmt"
 	"os"
 
-	"bluefi/internal/analysis/alloccheck"
 	"bluefi/internal/analysis/determinism"
 	"bluefi/internal/analysis/framework"
-	"bluefi/internal/analysis/leakcheck"
 	"bluefi/internal/analysis/lockcheck"
 	"bluefi/internal/analysis/obsnames"
 	"bluefi/internal/analysis/scratchalias"
@@ -38,8 +37,6 @@ var all = []*framework.Analyzer{
 	determinism.Analyzer,
 	lockcheck.Analyzer,
 	scratchalias.Analyzer,
-	alloccheck.Analyzer,
-	leakcheck.Analyzer,
 	obsnames.Analyzer,
 	stdchecks.Nilness,
 }

@@ -21,15 +21,14 @@ package bluefi_test
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
-	"time"
 
 	"bluefi"
 	"bluefi/internal/bt"
 	"bluefi/internal/channel"
 	"bluefi/internal/dsp"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/leaktest"
 	"bluefi/internal/scan"
 )
 
@@ -284,7 +283,7 @@ func TestE2EStormPDR(t *testing.T) {
 // reception through the scanner. Run under -race; goroutines must not
 // leak.
 func TestE2EConnection(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	noLeak := leaktest.Check(t)
 	pool, err := bluefi.NewPool(bluefi.Options{Chip: bluefi.AR9331, Mode: bluefi.Quality, WiFiChannel: 3}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -457,11 +456,5 @@ func TestE2EConnection(t *testing.T) {
 	t.Logf("connection completed: %d events, %d synthesized replies decoded", events, apDecodes)
 
 	pool.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d live, baseline %d", runtime.NumGoroutine(), baseline)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	noLeak()
 }

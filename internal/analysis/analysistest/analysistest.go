@@ -67,19 +67,7 @@ func Run(t *testing.T, testdata string, a *framework.Analyzer, importPaths ...st
 			t.Errorf("loading fixture %s: %v", path, err)
 			continue
 		}
-		// Fixture packages play the role of the module for cross-package
-		// analyzers: the target plus every SrcRoot import it pulled in.
-		mod := &framework.Module{
-			Path: loader.ModulePath(),
-			Dir:  loader.ModuleDir,
-			Pkgs: map[string]*framework.Package{pkg.Path: pkg},
-		}
-		for p, src := range loader.SourcePackages() {
-			if _, ok := mod.Pkgs[p]; !ok {
-				mod.Pkgs[p] = src
-			}
-		}
-		diags, err := framework.Run(mod, pkg, []*framework.Analyzer{a})
+		diags, err := framework.Run(pkg, []*framework.Analyzer{a})
 		if err != nil {
 			t.Errorf("running %s on %s: %v", a.Name, path, err)
 			continue

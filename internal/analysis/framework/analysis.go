@@ -39,21 +39,6 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
-// A Module is the whole-module context shared by every pass of one lint
-// run: all type-checked packages keyed by import path. Cross-package
-// analyzers (alloccheck's transitive call-graph summaries) use it to
-// find function bodies in other module packages; per-package analyzers
-// ignore it. Pkgs only holds packages loaded from source — stdlib and
-// other export-data-only dependencies are absent by design.
-type Module struct {
-	// Path is the module path from go.mod (e.g. "bluefi").
-	Path string
-	// Dir is the directory holding go.mod.
-	Dir string
-	// Pkgs maps import path to the loaded package.
-	Pkgs map[string]*Package
-}
-
 // A Pass provides one analyzer with one type-checked package.
 type Pass struct {
 	Analyzer  *Analyzer
@@ -61,9 +46,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Module is the whole-module context, or nil when the driver runs
-	// a single package in isolation.
-	Module *Module
 
 	diags       *[]Diagnostic
 	suppression map[string]map[int]*suppressComment // filename -> line
@@ -159,9 +141,8 @@ func (p *Pass) suppressionFor(pos token.Position) *suppressComment {
 }
 
 // Run applies the analyzers to one loaded package and returns the
-// diagnostics sorted by position. mod may be nil for single-package
-// runs; cross-package analyzers then see only the pass's own files.
-func Run(mod *Module, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// diagnostics sorted by position.
+func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	idx := indexSuppressions(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
@@ -171,7 +152,6 @@ func Run(mod *Module, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error)
 			Files:       pkg.Files,
 			Pkg:         pkg.Types,
 			TypesInfo:   pkg.Info,
-			Module:      mod,
 			diags:       &diags,
 			suppression: idx,
 		}

@@ -20,15 +20,9 @@ func Lint(w io.Writer, dir string, analyzers []*Analyzer, patterns []string) (in
 	if err != nil {
 		return 0, err
 	}
-	// Cross-package analyzers summarize function bodies from the whole
-	// module, so every target is type-checked before any analyzer runs.
-	mod := &Module{Path: loader.ModulePath(), Dir: loader.ModuleDir, Pkgs: make(map[string]*Package, len(pkgs))}
-	for _, pkg := range pkgs {
-		mod.Pkgs[pkg.Path] = pkg
-	}
 	n := 0
 	for _, pkg := range pkgs {
-		diags, err := Run(mod, pkg, analyzers)
+		diags, err := Run(pkg, analyzers)
 		if err != nil {
 			return n, err
 		}

@@ -48,7 +48,6 @@ type Loader struct {
 	exports map[string]string // import path -> export data file
 	gcImp   types.ImporterFrom
 	srcPkgs map[string]*types.Package // typechecked fixture packages
-	srcFull map[string]*Package       // same, with files + info retained
 }
 
 // NewLoader returns a Loader rooted at the go.mod directory above dir.
@@ -62,34 +61,9 @@ func NewLoader(dir string) (*Loader, error) {
 		fset:      token.NewFileSet(),
 		exports:   make(map[string]string),
 		srcPkgs:   make(map[string]*types.Package),
-		srcFull:   make(map[string]*Package),
 	}
 	l.gcImp = importer.ForCompiler(l.fset, "gc", l.lookupExport).(types.ImporterFrom)
 	return l, nil
-}
-
-// ModulePath reads the module path from go.mod, so analyzers can tell
-// module-internal packages (whose source the Module context holds) from
-// external ones.
-func (l *Loader) ModulePath() string {
-	data, err := os.ReadFile(filepath.Join(l.ModuleDir, "go.mod"))
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest)
-		}
-	}
-	return ""
-}
-
-// SourcePackages returns every fixture package type-checked from source
-// under SrcRoot so far, keyed by import path. analysistest folds these
-// into the Module context handed to cross-package analyzers.
-func (l *Loader) SourcePackages() map[string]*Package {
-	return l.srcFull
 }
 
 func findModuleDir(dir string) (string, error) {
@@ -276,7 +250,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 				return nil, err
 			}
 			l.srcPkgs[path] = pkg.Types
-			l.srcFull[path] = pkg
 			return pkg.Types, nil
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"bluefi/internal/bits"
 	"bluefi/internal/bt"
@@ -17,6 +18,23 @@ import (
 // typically allow a handful). Synthesis uses it as the access code's
 // correction capacity when predicting whether a packet decodes.
 const SyncErrorBudget = 6
+
+const (
+	// filterHalfBandwidthHz is the channel filter cutoff; the limiter
+	// caps the discriminator output at 1.2× it.
+	filterHalfBandwidthHz = 500e3
+	// defaultSeed drives the profile's front-end noise and RSSI jitter
+	// until Reseed.
+	defaultSeed = 7
+)
+
+// edrWideFilter is the DPSK payload filter: 1 Msym/s DPSK occupies more
+// bandwidth than GFSK, and the narrow GFSK channel filter would smear
+// symbol transitions into ISI. Its design is constant, so it is built
+// once per process.
+var edrWideFilter = sync.OnceValues(func() (*dsp.FIR, error) {
+	return dsp.LowpassFIR(900e3, 20e6, 81)
+})
 
 // Receiver demodulates one Bluetooth channel out of a 20 Msps IQ stream
 // centered on a WiFi channel.
@@ -31,14 +49,6 @@ type Receiver struct {
 	// MaxSyncErrors is the access-code correlation threshold (default
 	// SyncErrorBudget).
 	MaxSyncErrors int
-	// FilterHalfBandwidthHz is the channel filter cutoff (600 kHz covers
-	// the 1 MHz Bluetooth channel).
-	FilterHalfBandwidthHz float64
-	// Seed drives the profile's RSSI jitter.
-	Seed int64
-	// LimiterHz caps the discriminator output (FM limiter); 0 derives it
-	// from the channel filter bandwidth.
-	LimiterHz float64
 
 	fir    *dsp.FIR
 	rng    *rand.Rand
@@ -50,26 +60,19 @@ type Receiver struct {
 // NewReceiver builds a receiver; zero-value fields get defaults.
 func NewReceiver(p Profile, offsetHz float64, dev bt.Device) (*Receiver, error) {
 	r := &Receiver{
-		Profile:               p,
-		ChannelOffsetHz:       offsetHz,
-		Device:                dev,
-		MaxSyncErrors:         SyncErrorBudget,
-		FilterHalfBandwidthHz: 500e3,
-		Seed:                  7,
-		spb:                   20,
-		rate:                  20e6,
+		Profile:         p,
+		ChannelOffsetHz: offsetHz,
+		Device:          dev,
+		MaxSyncErrors:   SyncErrorBudget,
+		spb:             20,
+		rate:            20e6,
 	}
-	fir, err := dsp.LowpassFIR(r.FilterHalfBandwidthHz, r.rate, 101)
+	fir, err := dsp.LowpassFIR(filterHalfBandwidthHz, r.rate, 101)
 	if err != nil {
 		return nil, err
 	}
 	r.fir = fir
-	r.rng = rand.New(rand.NewSource(r.Seed))
-	// Decision window: a raised-cosine weighting across the bit period,
-	// approximating a filter matched to the Gaussian frequency pulse. The
-	// GFSK deviation peaks mid-bit while BlueFi's residual OFDM-edge
-	// corruption (≤250 ns per edge) lands at bit edges for the worst
-	// alignments, so center weighting maximizes the eye on both counts.
+	r.rng = rand.New(rand.NewSource(defaultSeed))
 	// Decision window: Tukey-shaped — flat over the central half of the
 	// bit, cosine-tapered at the edges. The taper suppresses BlueFi's
 	// OFDM-edge corruption (which lands at bit edges in the worst
@@ -140,11 +143,7 @@ func (r *Receiver) frontEnd(shifted []complex128) []complex128 {
 // the band-pass filter on a Bluetooth receiver" (§2.4).
 func (r *Receiver) discriminate(bb []complex128) []float64 {
 	freq := dsp.Discriminate(bb)
-	limHz := r.LimiterHz
-	if limHz == 0 {
-		limHz = r.FilterHalfBandwidthHz * 1.2
-	}
-	limit := 2 * 3.141592653589793 * limHz / r.rate
+	limit := 2 * 3.141592653589793 * filterHalfBandwidthHz * 1.2 / r.rate
 	for i, f := range freq {
 		if f > limit {
 			freq[i] = limit
@@ -238,7 +237,6 @@ type Report struct {
 // source. The scanner gives every capture its own counter-derived seed
 // so a parallel sweep consumes randomness identically to a serial one.
 func (r *Receiver) Reseed(seed int64) {
-	r.Seed = seed
 	r.rng = rand.New(rand.NewSource(seed))
 }
 
@@ -404,7 +402,10 @@ func (r *Receiver) ReceiveEDR(iq []complex128, clk uint32, rate bt.EDRRate) (Rep
 	if err != nil {
 		return Report{}, err
 	}
-	bb := r.baseband(iq)
+	// One mix-down serves both paths: frontEnd adds noise to its own
+	// copy in place, and the DPSK payload reads the mixed stream.
+	shifted := dsp.Mix(slices.Clone(iq), -r.ChannelOffsetHz, r.rate)
+	bb := r.frontEnd(slices.Clone(shifted))
 	freq := r.discriminate(bb)
 
 	bestErr, bestPhase, bestOff := r.correlate(freq, ac)
@@ -432,16 +433,11 @@ func (r *Receiver) ReceiveEDR(iq []complex128, clk uint32, rate bt.EDRRate) (Rep
 		return rep, nil
 	}
 
-	// DPSK payload: recover the unwrapped phase through a wider filter —
-	// 1 Msym/s DPSK occupies more bandwidth than GFSK, and the narrow
-	// GFSK channel filter would smear symbol transitions into ISI.
-	wide, err := dsp.LowpassFIR(900e3, r.rate, 81)
+	// DPSK payload: recover the unwrapped phase through the wide filter.
+	wide, err := edrWideFilter()
 	if err != nil {
 		return Report{}, err
 	}
-	shifted := make([]complex128, len(iq))
-	copy(shifted, iq)
-	dsp.Mix(shifted, -r.ChannelOffsetHz, r.rate)
 	theta := dsp.Unwrap(dsp.Phase(wide.Apply(shifted)))
 	payloadStart := rep.SampleStart + bt.EDRPayloadOffsetFromAccessCode(r.spb)
 	if payloadStart >= len(theta) {

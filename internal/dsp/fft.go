@@ -82,7 +82,6 @@ func PlanFor(n int) (*FFTPlan, error) {
 // Size returns the transform length.
 func (p *FFTPlan) Size() int { return p.n }
 
-//bluefi:allocfree
 func (p *FFTPlan) transform(dst, src []complex128, tw []complex128) {
 	n := p.n
 	for i, r := range p.bitrev {
@@ -128,8 +127,6 @@ func (p *FFTPlan) Inverse(src []complex128) []complex128 {
 // ForwardInto computes the forward DFT of src into dst, avoiding
 // allocation on hot paths. dst and src must not alias and both must have
 // the plan's length.
-//
-//bluefi:allocfree
 func (p *FFTPlan) ForwardInto(dst, src []complex128) {
 	p.check(src)
 	p.check(dst)
@@ -137,8 +134,6 @@ func (p *FFTPlan) ForwardInto(dst, src []complex128) {
 }
 
 // InverseInto computes the inverse DFT (with 1/N scaling) of src into dst.
-//
-//bluefi:allocfree
 func (p *FFTPlan) InverseInto(dst, src []complex128) {
 	p.check(src)
 	p.check(dst)
@@ -149,7 +144,6 @@ func (p *FFTPlan) InverseInto(dst, src []complex128) {
 	}
 }
 
-//bluefi:allocfree
 func (p *FFTPlan) check(v []complex128) {
 	if len(v) != p.n {
 		panic(fmt.Sprintf("dsp: FFT buffer length %d, plan size %d", len(v), p.n))
@@ -159,8 +153,6 @@ func (p *FFTPlan) check(v []complex128) {
 // SubcarrierBin maps an OFDM subcarrier index (…,-2,-1,0,1,2,…) to the FFT
 // bin index for transform size n: non-negative subcarriers occupy bins
 // [0,n/2), negative subcarriers wrap to the top bins.
-//
-//bluefi:allocfree
 func SubcarrierBin(sub, n int) int {
 	if sub >= 0 {
 		return sub
@@ -169,8 +161,6 @@ func SubcarrierBin(sub, n int) int {
 }
 
 // BinSubcarrier is the inverse of SubcarrierBin.
-//
-//bluefi:allocfree
 func BinSubcarrier(bin, n int) int {
 	if bin < n/2 {
 		return bin

@@ -71,14 +71,10 @@ func (f *FIR) Apply(x []complex128) []complex128 {
 // firDot. Every path multiplies and adds each lane separately, rounding
 // both, from +0 in the same tap order, so every output is the exact
 // direct-form sum whichever path computed it.
-//
-//bluefi:allocfree
 func (f *FIR) ApplyInto(out, x []complex128) { f.applyInto(out, x, hasAVX) }
 
 // applyInto is ApplyInto with the vector interior enabled by the caller;
 // vector must be false on a CPU without AVX.
-//
-//bluefi:allocfree
 func (f *FIR) applyInto(out, x []complex128, vector bool) {
 	if len(out) != len(x) {
 		panic("dsp: ApplyInto length mismatch")
@@ -126,8 +122,6 @@ func (f *FIR) interior(n int) (lo, hi int) {
 // firBlocked writes the interior outputs [lo, lo+4b) of ApplyInto, four
 // at a time, for the largest b with lo+4b ≤ hi, and returns lo+4b. Every
 // output in [lo, hi) must have its whole window in x.
-//
-//bluefi:allocfree
 func firBlocked(out, x []complex128, taps []float64, d, lo, hi int) int {
 	nt := len(taps)
 	n := lo
@@ -160,8 +154,6 @@ func firBlocked(out, x []complex128, taps []float64, d, lo, hi int) int {
 
 // firDot is one ApplyInto output: Σ taps[k]·x[m−k] over the taps with
 // 0 ≤ m−k < len(x), in tap order.
-//
-//bluefi:allocfree
 func firDot(taps []float64, x []complex128, m int) complex128 {
 	k0 := max(0, m-len(x)+1)
 	k1 := min(len(taps), m+1)
@@ -221,8 +213,6 @@ func ConvolveReal(x, taps []float64) []float64 {
 // FIR.ApplyInto, the interior outputs, whose windows need no clamp, run
 // four at a time without the per-tap test; every output keeps its own
 // accumulator and tap order, so it is bit-identical to the clamped form.
-//
-//bluefi:allocfree
 func ConvolveRealInto(out, x, taps []float64) {
 	if len(out) != len(x) {
 		panic("dsp: ConvolveRealInto length mismatch")
@@ -256,8 +246,6 @@ func ConvolveRealInto(out, x, taps []float64) {
 
 // convolveHeld is one output of ConvolveRealInto outside its blocked
 // interior: Σ_k taps[k]·x[c−k] with the index clamped to x.
-//
-//bluefi:allocfree
 func convolveHeld(x, taps []float64, c int) float64 {
 	var acc float64
 	for k, t := range taps {

@@ -24,14 +24,12 @@ func xgetbvXCR0() uint32
 // AVX kernel, for the largest b with lo+16b ≤ hi, and returns lo+16b.
 // Every output in [lo, hi) must have its whole window in x; the CPU must
 // have AVX (hasAVX).
-//
-//bluefi:allocfree
 func firVector(out, x []complex128, taps []float64, d, lo, hi int) int {
 	nt := len(taps)
 	n := lo
 	for n+firVecBlock <= hi {
 		m := min((hi-n)/firVecBlock*firVecBlock, firVecChunk)
-		firAVX16(out[n:n+m], x[n+d+1-nt:n+d+m], taps) //bluefi:alloc-ok assembly kernel: registers and the caller's slices only, no Go body to summarize
+		firAVX16(out[n:n+m], x[n+d+1-nt:n+d+m], taps)
 		n += m
 	}
 	return n

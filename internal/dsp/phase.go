@@ -17,8 +17,6 @@ func Phase(x []complex128) []float64 {
 
 // Unwrap removes 2π discontinuities from a wrapped phase sequence in place
 // and returns it.
-//
-//bluefi:allocfree
 func Unwrap(ph []float64) []float64 {
 	for i := 1; i < len(ph); i++ {
 		d := ph[i] - ph[i-1]
@@ -35,8 +33,6 @@ func Unwrap(ph []float64) []float64 {
 }
 
 // WrapAngle reduces an angle to (-π, π].
-//
-//bluefi:allocfree
 func WrapAngle(a float64) float64 {
 	a = math.Mod(a, 2*math.Pi)
 	if a > math.Pi {
@@ -61,8 +57,6 @@ func PhaseToIQ(theta []float64, amp float64) []complex128 {
 // PhaseToIQInto writes amp·e^{jθ[n]} into dst, which must have the same
 // length as theta — the allocation-free variant for hot paths that reuse
 // their buffers.
-//
-//bluefi:allocfree
 func PhaseToIQInto(dst []complex128, theta []float64, amp float64) {
 	if len(dst) != len(theta) {
 		panic("dsp: PhaseToIQInto length mismatch")
@@ -86,8 +80,6 @@ func IntegrateFrequency(omega []float64, phase0 float64) []float64 {
 // IntegrateFrequencyInto is IntegrateFrequency writing into a
 // caller-provided buffer of the same length as omega (in-place use,
 // dst == omega, is fine).
-//
-//bluefi:allocfree
 func IntegrateFrequencyInto(dst, omega []float64, phase0 float64) {
 	if len(dst) != len(omega) {
 		panic("dsp: IntegrateFrequencyInto length mismatch")

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"bluefi/internal/leaktest"
 	"bluefi/internal/obs"
 )
 
@@ -306,15 +307,22 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
+// TestFleetShutdownRefusesOperations: after Shutdown no operation
+// succeeds and no goroutine the fleet started is left running. Two APs
+// make the bulk Register run AP 0's share on its own goroutine.
 func TestFleetShutdownRefusesOperations(t *testing.T) {
-	f := newTestFleet(t, Config{APs: 1})
-	reg := warm(f, "a", 0, 1, 100e-6, 16000)
-	if r := f.Register([]Registration{reg}); !r[0].OK() {
-		t.Fatal(r[0].Error)
+	noLeak := leaktest.Check(t)
+	f := newTestFleet(t, Config{APs: 2})
+	regs := []Registration{warm(f, "a", 0, 1, 100e-6, 16000), warm(f, "c", 1, 3, 100e-6, 16000)}
+	for _, r := range f.Register(regs) {
+		if !r.OK() {
+			t.Fatal(r.Error)
+		}
 	}
 	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+	noLeak()
 	// Idempotent.
 	if err := f.Shutdown(context.Background()); err != nil {
 		t.Fatalf("second shutdown: %v", err)

@@ -101,8 +101,6 @@ func cachedPulse(bt float64, spb, spanBits int) []float64 {
 // nrzInto expands air bits into a ±1 NRZ sample train with pad
 // zero-frequency samples on each side. dst must hold
 // 2*pad + len(airBits)*spb samples.
-//
-//bluefi:allocfree
 func nrzInto(dst []float64, airBits []byte, spb, pad int) {
 	for i := range dst {
 		dst[i] = 0

@@ -12,6 +12,7 @@ import (
 	"bluefi/internal/channel"
 	"bluefi/internal/dsp"
 	"bluefi/internal/gfsk"
+	"bluefi/internal/leaktest"
 	"bluefi/internal/obs"
 )
 
@@ -121,9 +122,11 @@ func outcomesEqual(a, b []Outcome) bool {
 
 // TestSweepParallelMatchesSerial is the scanner's determinism contract:
 // the parallel sweep must produce byte-identical outcomes and
-// statistics to the serial one. Run with -cpu 1,4,8.
+// statistics to the serial one, and leave no goroutine running. Run
+// with -cpu 1,4,8.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	caps := sweepCaptures(t)
+	noLeak := leaktest.Check(t)
 	serial := NewScanner(Config{Profile: btrx.Pixel, Seed: 42})
 	par := NewScanner(Config{Profile: btrx.Pixel, Seed: 42})
 	want := serial.Sweep(caps)
@@ -146,6 +149,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	if !outcomesEqual(want, again.SweepParallel(caps)) {
 		t.Fatal("re-running the sweep with the same seed diverged")
 	}
+	noLeak()
 	// And a different seed must actually change something (the noise
 	// realizations differ), or the per-capture seeding is dead code.
 	other := NewScanner(Config{Profile: btrx.Pixel, Seed: 43})

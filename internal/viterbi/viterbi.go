@@ -194,8 +194,6 @@ var butterflyOut = func() (t [numStates / 2]uint8) {
 // survivor word (bit ns set when state ns was entered from its odd
 // predecessor ns>>1|32). Butterfly j reads predecessors j and j|32 and
 // writes states 2j and 2j+1; on equal cost the even predecessor wins.
-//
-//bluefi:allocfree
 func acsStep(next, metric *[numStates]float64, ta, tb byte, wa, wb float64) uint64 {
 	// cost[o] is the branch cost of emitting the pair o = A<<1 | B.
 	want := ta<<1 | tb
@@ -226,8 +224,6 @@ func acsStep(next, metric *[numStates]float64, ta, tb byte, wa, wb float64) uint
 // (so c0 wins ties). Metrics are non-negative, so their IEEE bit
 // patterns order like the values; comparing those lets the compiler
 // select with conditional moves instead of a data-dependent branch.
-//
-//bluefi:allocfree
 func acs(c0, c1 float64) (float64, uint64) {
 	b0, b1 := math.Float64bits(c0), math.Float64bits(c1)
 	sel, d := b0, uint64(0)
@@ -239,8 +235,6 @@ func acs(c0, c1 float64) (float64, uint64) {
 
 // pin marks unreachable every state whose newest input bit (bit 0)
 // disagrees with the forced bit u.
-//
-//bluefi:allocfree
 func pin(metric *[numStates]float64, u byte) {
 	for s := int(^u & 1); s < numStates; s += 2 {
 		metric[s] = unreachable

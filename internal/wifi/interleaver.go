@@ -83,8 +83,6 @@ func (it *Interleaver) Deinterleave(in []byte) []byte {
 
 // DeinterleaveInto inverts Interleave, writing NCBPS bits into dst and
 // reporting false when either slice is shorter than NCBPS.
-//
-//bluefi:allocfree
 func (it *Interleaver) DeinterleaveInto(dst, in []byte) bool {
 	if len(in) < it.ncbps || len(dst) < it.ncbps {
 		return false

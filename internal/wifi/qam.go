@@ -162,8 +162,6 @@ func (mp *Mapper) Demap(p complex128) ([]byte, error) {
 // loop (~52 subcarriers × every OFDM symbol × every rehearsal
 // candidate), so it is total and allocation-free; Demap wraps it with
 // an error for callers off the hot path.
-//
-//bluefi:allocfree
 func (mp *Mapper) DemapInto(dst []byte, p complex128) bool {
 	if mp.mod == BPSK {
 		if len(dst) < 1 {
@@ -197,8 +195,6 @@ func (mp *Mapper) DemapInto(dst []byte, p complex128) bool {
 
 // axisIdx returns the Gray-coded axis bits for one level, or false off
 // grid.
-//
-//bluefi:allocfree
 func (mp *Mapper) axisIdx(lvl int) (int, bool) {
 	if lvl < -mp.maxLvl || lvl > mp.maxLvl || (lvl+mp.maxLvl)%2 != 0 {
 		return 0, false

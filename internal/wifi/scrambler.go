@@ -30,8 +30,6 @@ func NewScrambler(seed uint8) *Scrambler {
 }
 
 // NextBit advances the LFSR one step and returns the output bit.
-//
-//bluefi:allocfree
 func (s *Scrambler) NextBit() byte {
 	// Feedback is x7 XOR x4.
 	fb := ((s.state >> 6) ^ (s.state >> 3)) & 1
@@ -40,8 +38,6 @@ func (s *Scrambler) NextBit() byte {
 }
 
 // Scramble XORs the bit slice with the LFSR stream in place and returns it.
-//
-//bluefi:allocfree
 func (s *Scrambler) Scramble(b []byte) []byte {
 	for i := range b {
 		b[i] = (b[i] ^ s.NextBit()) & 1
@@ -58,8 +54,6 @@ func (s *Scrambler) Sequence(n int) []byte {
 }
 
 // SequenceInto fills dst with the next len(dst) LFSR output bits.
-//
-//bluefi:allocfree
 func (s *Scrambler) SequenceInto(dst []byte) {
 	for i := range dst {
 		dst[i] = s.NextBit()

@@ -15,11 +15,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"bluefi/internal/leaktest"
 	"bluefi/internal/obs/flight"
 	"bluefi/internal/obs/slo"
 )
@@ -28,7 +28,7 @@ func TestChaosSLOStormReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	baseline := runtime.NumGoroutine()
+	noLeak := leaktest.Check(t)
 	reg := NewTelemetry()
 	rec := flight.New(reg, 0)
 	rec.Attach(reg)
@@ -179,7 +179,7 @@ func TestChaosSLOStormReplay(t *testing.T) {
 	}
 
 	pool.Close()
-	expectGoroutines(t, baseline)
+	noLeak()
 }
 
 func readFileT(t *testing.T, path string) []byte {
